@@ -17,6 +17,7 @@ convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -84,8 +85,17 @@ def default_rule(psi: SymbolSpec) -> TimeIntegralRule:
     return TimeIntegralRule.exact() if psi.time_constant else TimeIntegralRule.gauss_legendre()
 
 
-def _gauss_integral(psi: SymbolSpec, s: float, t: float, xi: np.ndarray, order: int) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _legendre(order: int):
+    """Gauss-Legendre nodes and weights, read-only: every caller shares them."""
     nodes, weights = roots_legendre(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _gauss_integral(psi: SymbolSpec, s: float, t: float, xi: np.ndarray, order: int) -> np.ndarray:
+    nodes, weights = _legendre(order)
     mid, half = 0.5 * (s + t), 0.5 * (t - s)
     acc = np.zeros(xi.shape[1:], dtype=np.complex128)
     for z, w in zip(nodes, weights):
@@ -101,9 +111,10 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
             raise ValueError("exact rule requires a time-constant symbol")
         return (t - s) * np.asarray(psi(s, xi), dtype=np.complex128)
     if rule.method == "trapezoid":
+        from scipy.integrate import trapezoid  # np.trapz is gone in numpy 2
         rs = np.linspace(s, t, rule.order + 1)
         vals = np.stack([np.asarray(psi(r, xi), dtype=np.complex128) for r in rs])
-        return np.trapz(vals, rs, axis=0)
+        return trapezoid(vals, rs, axis=0)
     est = _gauss_integral(psi, s, t, xi, rule.order)
     if not rule.adaptive:
         return est

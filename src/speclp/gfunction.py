@@ -13,6 +13,31 @@ For a = inf the integral is truncated at the time where the slowest nonzero
 lattice mode has decayed below 1e-16, which requires a spectral gap: the
 zero mode must be projected out of f first.  Infinite windows are legal only
 for q = 2 or for time-constant homogeneous pairs.
+
+Time-node engine
+----------------
+``g_function`` and the kernel audit's smoothness integral both integrate
+psi1(l,.) T_psi2(t,s) F over the window nodes.  One private generator,
+:func:`_node_fields`, serves both: it builds the multiplier of a whole chunk
+of nodes as one (k,) + lattice stack and transforms it with one batched
+inverse FFT over the spatial axes.
+
+* Real path: when the input samples are real (kernels have no input) and the
+  multipliers psi1(l,.) and psi2 (or the first time increment of its
+  integral) are exactly Hermitian on the lattice, m(-xi) = conj(m(xi)), every
+  node field is real.  The stack then lives on the half spectrum of
+  ``rfftn`` (last axis 0..n/2), the exponential runs on reals when the
+  symbol values have no imaginary part, the input enters through one
+  ``rfftn`` of its samples, and each chunk goes through one ``irfftn``.
+  Time-dependent symbols are integrated on the half lattice only.
+* Complex fallback: complex input, or a multiplier that is not Hermitian
+  (for instance a drift term i xi, which is not real at the Nyquist index),
+  runs the same chunk loop on the full lattice with ``ifftn``.
+* Chunk budget: a chunk holds as many nodes as keep its temporaries near
+  ``_CHUNK_BYTES`` (1 MiB, inside a 2 MiB per-core L2 cache), and at least
+  one node.  Node results are reduced chunk by chunk, so no call ever holds
+  every node's field.  The reductions are plain numpy sums in node order (no
+  BLAS), so results do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -45,6 +70,8 @@ __all__ = [
 
 INF = float("inf")
 _TRUNCATION_LOG = math.log(1e16)
+# bytes of temporaries one chunk of time nodes may hold (see _chunk_nodes)
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +187,99 @@ def _validate_pairing(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q:
             f"only {psi2.kappa}; rebuild the window")
 
 
+def _hermitian(m: np.ndarray) -> bool:
+    """True when m[-k] == conj(m[k]) exactly at every lattice index k (fft order)."""
+    mirror = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
+    return bool(np.array_equal(mirror, np.conj(m)))
+
+
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a, real when a has no imaginary part."""
+    return np.array(a if a.imag.any() else a.real)
+
+
+def _chunk_nodes(grid, real: bool) -> int:
+    """Nodes per chunk.  A real-path node holds about three real lattices of
+    temporaries (exponent and multiplier on the half spectrum, the real
+    output, the irfftn scratch); a complex node about six."""
+    per_node = (24 if real else 48) * math.prod(grid.shape)
+    return max(1, _CHUNK_BYTES // per_node)
+
+
+def _input_spectrum(f: Field, real: bool, infinite: bool) -> np.ndarray:
+    """forward_transform(f).coeffs, cut to the rfftn half spectrum when real.
+
+    An infinite window needs a spectral gap, so there f must be mean-free.
+    """
+    if real:
+        F = np.fft.rfftn(np.fft.ifftshift(f.values.real))
+        F *= f.grid.cell_measure / (2.0 * np.pi) ** (f.grid.dim / 2.0)
+    else:
+        F = forward_transform(f).coeffs
+    if infinite:
+        scale = np.abs(F).max()
+        if scale > 0.0 and abs(F[(0,) * f.grid.dim]) > 1e-9 * scale:
+            raise WindowError("infinite window requires a mean-removed input; "
+                              "project out the zero mode first")
+    return F
+
+
+def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindow, grid,
+                 rule: Optional[TimeIntegralRule] = None, f: Optional[Field] = None):
+    """Yield (weights, stack) for consecutive chunks of the window's nodes.
+
+    stack[i] = ifftn(psi1(l,.) exp(int_s^t_i psi2) F) in fft order (origin at
+    index 0), with F = forward_transform(f).coeffs, or F = 1 when f is None
+    (the kernel).  The stack is real on the real path and complex on the
+    fallback; see the module docstring.
+    """
+    xi = grid.xi_stack()
+    pre = _real_if_exact(psi1(l, xi))
+    # psi2 itself when time-constant, else its integral up to the first node
+    if psi2.time_constant:
+        first = _real_if_exact(psi2(0.0, xi))
+    else:
+        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
+        first = _real_if_exact(integrate_symbol(psi2, window.s, window.nodes[0], xi, rule))
+    real = (f is None or not f.values.imag.any()) and _hermitian(pre) and _hermitian(first)
+    if real:
+        half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
+        xi, pre, first = xi[half], pre[half].copy(), first[half].copy()
+    if f is not None:
+        pre = pre * _input_spectrum(f, real, window.is_infinite)
+
+    inverse = np.fft.irfftn if real else np.fft.ifftn
+    axes = tuple(range(1, grid.dim + 1))
+    k = _chunk_nodes(grid, real)
+    if psi2.time_constant:
+        dt = window.nodes - window.s
+    else:
+        rs = np.concatenate([[window.s], window.nodes])
+        Q = 0.0  # int_s^(previous node) psi2
+    for lo in range(0, window.nodes.size, k):
+        sl = slice(lo, lo + k)
+        if psi2.time_constant:
+            E = np.multiply.outer(dt[sl], first)
+        else:
+            E = np.empty((window.nodes[sl].size,) + first.shape, dtype=np.complex128)
+            for j, i in enumerate(range(lo, lo + len(E))):
+                E[j] = first if i == 0 else integrate_symbol(psi2, rs[i], rs[i + 1], xi, rule)
+            E[0] += Q
+            np.cumsum(E, axis=0, out=E)
+            Q = E[-1].copy()
+            E = _real_if_exact(E)
+        np.exp(E, out=E)
+        yield window.weights[sl], inverse(pre * E, s=grid.shape, axes=axes)
+
+
+def _accumulate(acc: np.ndarray, stack: np.ndarray, w: np.ndarray, q: float) -> None:
+    """acc += sum_k w_k |stack_k|^q over a chunk; a real stack is overwritten."""
+    a = np.abs(stack, out=stack if stack.dtype == float else None)
+    a **= q
+    a *= w.reshape((-1,) + (1,) * acc.ndim)
+    acc += a[0] if len(a) == 1 else a.sum(axis=0)  # large grids run one node per chunk
+
+
 def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                window: TimeWindow, q: float,
                rule: Optional[TimeIntegralRule] = None) -> Field:
@@ -167,32 +287,11 @@ def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     _validate_pairing(psi1, psi2, window, q)
     if window.is_infinite:
         check_infinite_window_legal(psi1, psi2, q)
-    F = forward_transform(f)
-    if window.is_infinite:
-        scale = np.abs(F.coeffs).max()
-        zero = abs(F.coeffs[(0,) * f.grid.dim])
-        if scale > 0.0 and zero > 1e-9 * scale:
-            raise WindowError("infinite window requires a mean-removed input; "
-                              "project out the zero mode first")
     grid = f.grid
-    xi = grid.xi_stack()
-    pre = np.asarray(psi1(l, xi), dtype=np.complex128)
     acc = np.zeros(grid.shape, dtype=float)
-    if psi2.time_constant:
-        base = np.asarray(psi2(0.0, xi), dtype=np.complex128)
-        for t, w in zip(window.nodes, window.weights):
-            mult = pre * np.exp((t - window.s) * base)
-            g = np.fft.ifftn(F.coeffs * mult)
-            acc += w * np.abs(g) ** q
-    else:
-        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
-        rs = np.concatenate([[window.s], window.nodes])
-        Q = np.zeros(grid.shape, dtype=np.complex128)
-        for lo, hi, w in zip(rs[:-1], rs[1:], window.weights):
-            Q = Q + integrate_symbol(psi2, lo, hi, xi, rule)
-            g = np.fft.ifftn(F.coeffs * (pre * np.exp(Q)))
-            acc += w * np.abs(g) ** q
-    # the ifftn above omits the (2 pi)^(d/2)/spacing^d factor of the full
+    for w, g in _node_fields(psi1, l, psi2, window, grid, rule, f):
+        _accumulate(acc, g, w, q)
+    # the node transforms omit the (2 pi)^(d/2)/spacing^d factor of the full
     # inverse; restore it on the accumulated q-th powers
     scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
     G = np.fft.fftshift((scale * acc) ** (1.0 / q))

@@ -84,9 +84,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        try:
+            self.grid()
+            psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if math.isinf(self.a):
             # mirrors the infinite-window legality table enforced at run time
-            psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
             try:
                 check_infinite_window_legal(psi1, psi2, self.q)
             except Exception as exc:
@@ -108,16 +112,21 @@ def parse_config(path) -> ScenarioConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "a":
-                cfg.a = INF if value.lower() in ("inf", "infinity") else float(value)
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in known:
-                setattr(cfg, key, value)
-            else:
-                cfg.extras[key] = value
+            try:
+                if key == "a":
+                    cfg.a = INF if value.lower() in ("inf", "infinity") else float(value)
+                elif key in _FLOAT_KEYS:
+                    setattr(cfg, key, float(value))
+                elif key in _INT_KEYS:
+                    setattr(cfg, key, int(value))
+                elif key in known:
+                    setattr(cfg, key, value)
+                else:
+                    cfg.extras[key] = value
+            except ValueError:
+                kind = "an integer" if key in _INT_KEYS else "a number"
+                raise ConfigError(f"{path}:{lineno}: {key} must be {kind}, "
+                                  f"got {value!r}") from None
     cfg.validate()
     return cfg
 
@@ -206,8 +215,11 @@ def _run_hormander(cfg: ScenarioConfig, out: str) -> int:
     window = build_time_window(cfg.s, cfg.a, cfg.q, psi1.gamma, psi2.gamma, n_nodes=8,
                                kappa2=psi2.kappa, xi_min=grid.min_freq,
                                xi_max=math.sqrt(grid.dim) * grid.nyquist)
-    k_lo = int(cfg.extras.get("y_oct_lo", "-6"))
-    k_hi = int(cfg.extras.get("y_oct_hi", "2"))
+    try:
+        k_lo = int(cfg.extras.get("y_oct_lo", "-6"))
+        k_hi = int(cfg.extras.get("y_oct_hi", "2"))
+    except ValueError as exc:
+        raise ConfigError(f"y_oct_lo and y_oct_hi must be integers: {exc}") from None
     ys = [np.array([2.0**k] + [0.0] * (grid.dim - 1)) for k in range(k_lo, k_hi + 1)]
     rep = hormander_report(psi1, cfg.l, psi2, cfg.s, window, cfg.q, ys, grid)
     ok = math.isfinite(rep.sup) and abs(rep.trend_slope) <= 0.1

@@ -18,8 +18,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import roots_legendre
 
 from .errors import AuditError
-from .evolution import KERNEL_SCALE, TimeIntegralRule, integrate_symbol, multiplier_values
-from .gfunction import TimeWindow
+from .evolution import KERNEL_SCALE, TimeIntegralRule, multiplier_values
+from .gfunction import TimeWindow, _accumulate, _node_fields
 from .lp_decomp import DyadicDecomposition, bump_profile
 from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform, lp_norm
 from .symbols import SymbolSpec
@@ -133,26 +133,6 @@ def decay_fit_time(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     return DecayFitReport(fitted, target, (float(ts.min() - s), float(ts.max() - s)), const, excess)
 
 
-def _node_kernels(psi1, l, psi2, window, grid, rule):
-    """Yield (weight, kernel array) per window node; kernels in natural order."""
-    xi = grid.xi_stack()
-    pre = np.asarray(psi1(l, xi), dtype=np.complex128)
-    scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
-    if psi2.time_constant:
-        base = np.asarray(psi2(0.0, xi), dtype=np.complex128)
-        for t, w in zip(window.nodes, window.weights):
-            K = np.fft.fftshift(np.fft.ifftn(pre * np.exp((t - window.s) * base))) * scale
-            yield w, K
-    else:
-        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
-        rs = np.concatenate([[window.s], window.nodes])
-        Q = np.zeros(grid.shape, dtype=np.complex128)
-        for lo, hi, w in zip(rs[:-1], rs[1:], window.weights):
-            Q = Q + integrate_symbol(psi2, lo, hi, xi, rule)
-            K = np.fft.fftshift(np.fft.ifftn(pre * np.exp(Q))) * scale
-            yield w, K
-
-
 def _lattice_shift(grid: GridSpec, y: np.ndarray) -> Optional[Tuple[int, ...]]:
     steps = y / grid.spacing
     rounded = np.rint(steps)
@@ -168,8 +148,8 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
 
     ||.||_V is the windowed q-norm with the singular weight.  Shifts are
     exact: lattice-aligned y uses an index roll (the exact phase multiplier
-    for lattice shifts), other y a spectral phase.  All node kernels are
-    materialized once and reused across the y list.
+    for lattice shifts), other y a spectral phase.  Each chunk of node
+    kernels is materialized once and reused across the y list.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
     if not ys:
@@ -184,19 +164,24 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
         raise AuditError("y profile must span at least 6 octaves")
     shifts = [_lattice_shift(grid, y) for y in ys]
     xi = grid.xi_stack()
+    phases = [None if sh is not None else np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
+              for y, sh in zip(ys, shifts)]
+    scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
+    axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
-    for w, K in _node_kernels(psi1, l, psi2, window, grid, rule):
-        for i, (y, sh) in enumerate(zip(ys, shifts)):
+    for w, K in _node_fields(psi1, l, psi2, window, grid, rule):
+        K *= scale  # kernels in fft order: origin at index 0
+        for a, sh, phase in zip(acc, shifts, phases):
             if sh is not None:
-                Ky = np.roll(K, sh, axis=tuple(range(grid.dim)))
+                Ky = np.roll(K, sh, axis=axes)
             else:
-                phase = np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
-                Ky = np.fft.fftshift(np.fft.ifftn(phase * np.fft.fftn(np.fft.ifftshift(K))))
-            acc[i] += w * np.abs(Ky - K) ** q
+                Ky = np.fft.ifftn(phase * np.fft.fftn(K, axes=axes), axes=axes)
+            Ky -= K
+            _accumulate(a, Ky, w, q)
     r = grid.x_norm()
     integrals = []
     for y_mag, a in zip(mags, acc):
-        V = a ** (1.0 / q)
+        V = np.fft.fftshift(a) ** (1.0 / q)
         integrals.append(float((V * (r >= 2.0 * y_mag)).sum() * grid.cell_measure))
     slope = _loglog_fit(np.asarray(mags), np.maximum(np.asarray(integrals), _UNDERFLOW)) \
         if len(ys) >= 2 else float("nan")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from speclp import (Field, GridSpec, TimeIntegralRule, apply_evolution, build_multiplier,
-                    get_symbol, kernel_field, multiplier_values, verify_composition)
+                    get_symbol, kernel_field, multiplier_values, power_t_symbol,
+                    verify_composition)
 from speclp.acceptance import _scaling_identity_error
 from speclp.corpus import generate_corpus
+from speclp.evolution import integrate_symbol
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -109,6 +111,25 @@ def test_composition_time_dependent_gl8():
     rule = TimeIntegralRule.gauss_legendre(8, adaptive=False)
     err = verify_composition(get_symbol("power-t:2"), 0.0, 0.4, 1.0, g, rule)
     assert err <= 1e-12
+
+
+def _trapezoid_errors(sym, grid, panels):
+    xi = grid.xi_stack()
+    ref = integrate_symbol(sym, 0.2, 1.4, xi, TimeIntegralRule.gauss_legendre(8, adaptive=False))
+    return [float(np.abs(integrate_symbol(sym, 0.2, 1.4, xi, TimeIntegralRule.trapezoid(p))
+                         - ref).max() / np.abs(ref).max()) for p in panels]
+
+
+def test_trapezoid_rule_agrees_with_gauss(unit_freq_grid):
+    # power-t:2 is linear in time, where the trapezoid rule is exact
+    for err in _trapezoid_errors(get_symbol("power-t:2"), unit_freq_grid, (4, 64)):
+        assert err <= 1e-14
+    # with k(t) = t^2 the error is exactly (b-a)^3 |psi''| / (12 panels^2):
+    # 1.2^3 * 2 / 12 = 0.288 against the integral's 1.2 + (1.4^3 - 0.2^3)/3 = 2.112
+    curved = power_t_symbol(2.0, k=lambda t: t * t)
+    panels = (8, 16, 32)
+    for p, err in zip(panels, _trapezoid_errors(curved, unit_freq_grid, panels)):
+        assert err == pytest.approx(0.288 / 2.112 / p**2, rel=1e-6)
 
 
 def test_multiplier_ellipticity_envelope():

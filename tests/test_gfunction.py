@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclp import (INF, Field, GridSpec, WindowError, build_time_window,
+from speclp import (INF, Field, GridSpec, TimeIntegralRule, WindowError, build_time_window,
                     explicit_q2_constant, g_function, get_symbol, lp_norm, mean_remove,
                     ratio_report, spectral_shift)
 from speclp.corpus import generate_corpus
@@ -188,3 +188,13 @@ def test_time_dependent_symbol_finite_window(grid):
                               xi_max=grid.nyquist)
     G_ref = g_function(f, HEAT, 0.0, HEAT, w_ref, 2.0)
     assert lp_norm(G, 2) < lp_norm(G_ref, 2)
+
+
+def test_trapezoid_time_rule(grid):
+    # power-t:2 is linear in time, so the trapezoid rule matches Gauss-Legendre
+    pt = get_symbol("power-t:2")
+    f = mean_remove(Field(grid, np.exp(-(grid.x_axis() ** 2) / 2)))
+    w = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, n_nodes=4, kappa2=1.0, xi_max=grid.nyquist)
+    G = g_function(f, HEAT, 0.0, pt, w, 2.0, rule=TimeIntegralRule.trapezoid(4))
+    G_ref = g_function(f, HEAT, 0.0, pt, w, 2.0)
+    assert np.abs(G.values - G_ref.values).max() <= 1e-12 * np.abs(G_ref.values).max()

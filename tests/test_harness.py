@@ -102,6 +102,34 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "abc", "c.cfg:3: n must be an integer, got 'abc'"),
+    ("L", "wide", "c.cfg:3: L must be a number, got 'wide'"),
+    ("a", "forever", "c.cfg:3: a must be a number, got 'forever'"),
+    ("symbol1", "nope", "unknown symbol 'nope'"),
+    ("symbol2", "power:x", "cannot parse symbol parameter in 'power:x'"),
+    ("n", "511", "n must be even"),
+])
+def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
+    p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})
+    assert main(["gfun-ratio", "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_bad_hormander_extra_exits_2(tmp_path, capsys):
+    p = write_cfg(tmp_path / "c.cfg", n=512, L=16, y_oct_lo="abc")
+    assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: y_oct_lo and y_oct_hi must be integers")
+
+
+def test_bad_symbol_rejected_for_every_scenario():
+    for scenario in ("AUDIT_SYMBOL", "LP_DECOMP", "FRACLAP_XCHECK"):
+        with pytest.raises(ConfigError, match="unknown symbol"):
+            ScenarioConfig(scenario=scenario, symbol2="nope").validate()
+
+
 def test_hormander_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="HORMANDER", symbol1="heat", symbol2="heat",
                          n=8192, L=32.0, q=2.0, output_dir=str(tmp_path / "out"))

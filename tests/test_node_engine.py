@@ -1,0 +1,227 @@
+"""The batched time-node engine against the per-node loop it replaced.
+
+The oracles below are the one-node-at-a-time loops: one full complex
+``ifftn`` per window node.  The engine must reproduce them to round-off on
+the real path (half spectrum, ``irfftn``) and on the complex fallback, for
+every chunk size.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from speclp import (INF, Field, GridSpec, SymbolSpec, TimeIntegralRule, build_time_window,
+                    forward_transform, g_function, get_symbol, hormander_report, mean_remove)
+from speclp import gfunction
+from speclp.corpus import generate_corpus
+from speclp.evolution import KERNEL_SCALE, integrate_symbol
+from speclp.kernel_audit import _lattice_shift
+
+HEAT = get_symbol("heat")
+POWER_T = get_symbol("power-t:2")
+# Hermitian everywhere except the Nyquist index, where i xi is not real
+DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
+                   kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
+
+GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
+
+
+# --- oracles: the per-node loops ---------------------------------------------
+
+def _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+    xi = grid.xi_stack()
+    pre = np.asarray(psi1(l, xi), dtype=np.complex128)
+    if psi2.time_constant:
+        base = np.asarray(psi2(0.0, xi), dtype=np.complex128)
+        for t, w in zip(window.nodes, window.weights):
+            yield w, pre * np.exp((t - window.s) * base)
+    else:
+        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
+        rs = np.concatenate([[window.s], window.nodes])
+        Q = np.zeros(grid.shape, dtype=np.complex128)
+        for lo, hi, w in zip(rs[:-1], rs[1:], window.weights):
+            Q = Q + integrate_symbol(psi2, lo, hi, xi, rule)
+            yield w, pre * np.exp(Q)
+
+
+def oracle_g(f, psi1, l, psi2, window, q, rule=None):
+    grid = f.grid
+    F = forward_transform(f)
+    acc = np.zeros(grid.shape)
+    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+        g = np.fft.ifftn(F.coeffs * mult)
+        acc += w * np.abs(g) ** q
+    scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
+    return np.fft.fftshift((scale * acc) ** (1.0 / q))
+
+
+def oracle_hormander(psi1, l, psi2, window, q, ys, grid, rule=None):
+    scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    shifts = [_lattice_shift(grid, y) for y in ys]
+    xi = grid.xi_stack()
+    acc = [np.zeros(grid.shape) for _ in ys]
+    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+        K = np.fft.fftshift(np.fft.ifftn(mult)) * scale
+        for i, (y, sh) in enumerate(zip(ys, shifts)):
+            if sh is not None:
+                Ky = np.roll(K, sh, axis=tuple(range(grid.dim)))
+            else:
+                phase = np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
+                Ky = np.fft.fftshift(np.fft.ifftn(phase * np.fft.fftn(np.fft.ifftshift(K))))
+            acc[i] += w * np.abs(Ky - K) ** q
+    r = grid.x_norm()
+    return [float((a ** (1.0 / q) * (r >= 2.0 * np.linalg.norm(y))).sum() * grid.cell_measure)
+            for y, a in zip(ys, acc)]
+
+
+# --- helpers -----------------------------------------------------------------
+
+def field(d, complex_input=False):
+    grid = GRIDS[d]
+    f = generate_corpus(40 + d, grid, "BANDLIMITED_RANDOM", 1, mean_removed=True)[0].field
+    if complex_input:
+        g = generate_corpus(50 + d, grid, "BANDLIMITED_RANDOM", 1, mean_removed=True)[0].field
+        f = Field(grid, f.values + 0.5j * g.values)
+    return f
+
+
+def finite_window(grid, q, n_nodes=4):
+    return build_time_window(0.0, 1.0, q, 2.0, 2.0, n_nodes=n_nodes, kappa2=1.0,
+                             xi_min=grid.min_freq, xi_max=math.sqrt(grid.dim) * grid.nyquist)
+
+
+def rel_err(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+def chunk_sizes(psi1, psi2, window, grid, f=None):
+    return [w.size for w, _ in gfunction._node_fields(psi1, 0.0, psi2, window, grid, f=f)]
+
+
+def set_chunk(monkeypatch, grid, real, k):
+    """Budget for k nodes per chunk (per-node bytes as in _chunk_nodes)."""
+    per_node = (24 if real else 48) * math.prod(grid.shape)
+    monkeypatch.setattr(gfunction, "_CHUNK_BYTES", k * per_node)
+
+
+# --- g_function --------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T], ids=["heat", "power-t"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_g_function_matches_per_node_loop(d, q, psi2, complex_input):
+    f = field(d, complex_input)
+    w = finite_window(f.grid, q)
+    G = g_function(f, HEAT, 0.0, psi2, w, q)
+    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, psi2, w, q)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_infinite_window_matches_per_node_loop(d):
+    f = field(d)
+    grid = f.grid
+    w = build_time_window(0.0, INF, 2.0, 2.0, 2.0, n_nodes=4, kappa2=1.0,
+                          xi_min=grid.min_freq, xi_max=math.sqrt(d) * grid.nyquist)
+    G = g_function(f, HEAT, 0.0, HEAT, w, 2.0)
+    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, HEAT, w, 2.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_non_hermitian_multiplier_takes_the_complex_path(d):
+    f = field(d)
+    w = finite_window(f.grid, 2.0)
+    _, stack = next(gfunction._node_fields(HEAT, 0.0, DRIFT, w, f.grid, f=f))
+    assert stack.dtype == np.complex128
+    G = g_function(f, HEAT, 0.0, DRIFT, w, 2.0)
+    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, DRIFT, w, 2.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_path_choice_follows_the_input(complex_input):
+    f = field(1, complex_input)
+    w = finite_window(f.grid, 2.0)
+    for psi2 in (HEAT, POWER_T):
+        _, stack = next(gfunction._node_fields(HEAT, 0.0, psi2, w, f.grid, f=f))
+        assert stack.dtype == (np.complex128 if complex_input else np.float64)
+        assert stack.shape[1:] == f.grid.shape
+    _, kernels = next(gfunction._node_fields(HEAT, 0.0, HEAT, w, f.grid))
+    assert kernels.dtype == np.float64
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T], ids=["heat", "power-t"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_chunk_edge_cases(monkeypatch, k, psi2, complex_input):
+    f = field(1, complex_input)
+    w = finite_window(f.grid, 2.0)
+    assert w.nodes.size % 5 != 0
+    set_chunk(monkeypatch, f.grid, not complex_input, k)
+    sizes = chunk_sizes(HEAT, psi2, w, f.grid, f)
+    assert sum(sizes) == w.nodes.size and set(sizes[:-1]) == {k} and sizes[-1] <= k
+    G = g_function(f, HEAT, 0.0, psi2, w, 2.0)
+    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, psi2, w, 2.0)) <= 1e-13
+
+
+def test_default_chunks_share_the_budget():
+    grid = GridSpec(1, 1024, 32.0)
+    w = finite_window(grid, 2.0, n_nodes=16)
+    sizes = chunk_sizes(HEAT, HEAT, w, grid)
+    assert 1 < sizes[0] < w.nodes.size
+    assert sizes[0] * 24 * grid.n <= gfunction._CHUNK_BYTES
+
+
+def test_g_function_peak_memory():
+    grid = GridSpec(2, 256, 32.0)
+    f = mean_remove(Field(grid, np.cos(grid.x_stack()[0] * grid.min_freq * 3.0)
+                          * np.exp(-(grid.x_norm() ** 2) / 8.0)))
+    w = finite_window(grid, 2.0, n_nodes=2)
+    g_function(f, HEAT, 0.0, HEAT, w, 2.0)  # frequency-lattice caches
+    tracemalloc.start()
+    try:
+        g_function(f, HEAT, 0.0, HEAT, w, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+# --- hormander_report --------------------------------------------------------
+
+def _hormander_case(d, psi2, phase):
+    if d == 1:
+        grid = GridSpec(1, 4096, 16.0)
+        ys = [np.array([2.0**k]) for k in range(-4, 3)]
+    else:
+        grid = GridSpec(2, 64, 4.0)
+        ys = [np.array([1.0, 0.0])]
+    if phase:
+        ys = [y * (1.0 + 3e-8) for y in ys]
+    a = INF if psi2.time_constant else 1.0
+    w = build_time_window(0.0, a, 2.0, 2.0, 2.0, n_nodes=2, kappa2=1.0,
+                          xi_min=grid.min_freq, xi_max=math.sqrt(d) * grid.nyquist)
+    return grid, w, ys
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T], ids=["heat", "power-t"])
+@pytest.mark.parametrize("phase", [False, True], ids=["roll", "phase"])
+def test_hormander_matches_per_node_loop(d, psi2, phase):
+    grid, w, ys = _hormander_case(d, psi2, phase)
+    assert all((_lattice_shift(grid, y) is None) == phase for y in ys)
+    rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, ys, grid)
+    ref = oracle_hormander(HEAT, 0.0, psi2, w, 2.0, ys, grid)
+    for got, want in zip(rep.integrals, ref):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_hormander_single_node_chunks(monkeypatch):
+    grid, w, ys = _hormander_case(1, HEAT, False)
+    set_chunk(monkeypatch, grid, True, 1)
+    rep = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, ys, grid)
+    ref = oracle_hormander(HEAT, 0.0, HEAT, w, 2.0, ys, grid)
+    for got, want in zip(rep.integrals, ref):
+        assert abs(got - want) <= 1e-13 * abs(want)
