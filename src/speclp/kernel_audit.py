@@ -169,13 +169,15 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
     axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
+    off_lattice = any(sh is None for sh in shifts)
     for w, K in _node_fields(psi1, l, psi2, window, grid, rule):
         K *= scale  # kernels in fft order: origin at index 0
+        spec = np.fft.fftn(K, axes=axes) if off_lattice else None
         for a, sh, phase in zip(acc, shifts, phases):
             if sh is not None:
                 Ky = np.roll(K, sh, axis=axes)
             else:
-                Ky = np.fft.ifftn(phase * np.fft.fftn(K, axes=axes), axes=axes)
+                Ky = np.fft.ifftn(phase * spec, axes=axes)
             Ky -= K
             _accumulate(a, Ky, w, q)
     r = grid.x_norm()
