@@ -4,9 +4,9 @@ verification on a discretized torus."""
 from .errors import (AuditError, ConfigError, MultiplierError, QuadratureError,
                      SpecLPError, SymbolEvalError, WindowError)
 from .spectral import (Field, GridSpec, SpectralField, apply_multiplier,
-                       apply_multiplier_array, export_field_csv, field_from_values,
-                       forward_transform, inverse_transform, load_field, lp_norm,
-                       mean_remove, refine_field, save_field, spectral_shift)
+                       apply_multiplier_array, export_field_csv, forward_transform,
+                       inverse_transform, load_field, lp_norm, mean_remove, refine_field,
+                       save_field, spectral_shift)
 from .symbols import (AuditReport, SymbolSpec, audit_s1, audit_s2, check_homogeneity,
                       eval_symbol, frac_lap_symbol, get_symbol, heat_symbol,
                       poisson_symbol, power_symbol, power_t_symbol)

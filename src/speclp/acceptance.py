@@ -20,7 +20,7 @@ from .evolution import TimeIntegralRule, apply_evolution, build_multiplier, kern
 from .gfunction import INF, build_time_window, explicit_q2_constant, g_function
 from .kernel_audit import (decay_fit_time, dyadic_l1_envelope, fractional_laplacian_pv,
                            hormander_report)
-from .lp_decomp import block, build_decomposition, bump_profile, low_part
+from .lp_decomp import _partition_defect, block, build_decomposition, low_part
 from .spectral import (Field, GridSpec, SpectralField, forward_transform, inverse_transform,
                        lp_norm, refine_field)
 from .symbols import get_symbol
@@ -35,10 +35,6 @@ class CriterionResult:
     passed: bool
     details: Dict[str, float] = field(default_factory=dict)
     runtime_s: float = 0.0
-
-
-def _grid1(n: int, L: float) -> GridSpec:
-    return GridSpec(1, n, L)
 
 
 def _window_inf(grid: GridSpec, q: float, psi1, psi2, n_nodes: int = 16):
@@ -60,7 +56,7 @@ def criterion_1_exact_q2_constant() -> CriterionResult:
     """Heat pair, q=2, infinite window: every ratio 0.500 within 1e-3 and
     the squared norm under the closed-form bound; wall time below 30 s."""
     t0 = time.perf_counter()
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     heat = get_symbol("heat")
     entries = generate_corpus(101, grid, "GAUSSIAN_MIX", 16, mean_removed=True)
     window = _window_inf(grid, 2.0, heat, heat)
@@ -84,7 +80,7 @@ def criterion_2_poisson_cases() -> CriterionResult:
     """Poisson semigroup cases: first derivative ratio 0.5, second
     derivative ratio sqrt(6)/4, both within 1e-3."""
     t0 = time.perf_counter()
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     poisson = get_symbol("poisson")
     power2 = get_symbol("power:2")  # |psi^2| for the second-derivative case
     entries = generate_corpus(102, grid, "GAUSSIAN_MIX", 8, mean_removed=True)
@@ -104,7 +100,7 @@ def criterion_2_poisson_cases() -> CriterionResult:
 def criterion_3_composition() -> CriterionResult:
     """Two-parameter composition law at the multiplier level."""
     t0 = time.perf_counter()
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     worst_const = 0.0
     for name in ("heat", "poisson", "power:1.5"):
         sym = get_symbol(name)
@@ -124,15 +120,15 @@ def criterion_3_composition() -> CriterionResult:
 def criterion_4_closed_form_kernels() -> CriterionResult:
     """Heat and Poisson kernels reproduced to 1e-6 sup norm on |x| <= L/2."""
     t0 = time.perf_counter()
-    gh = _grid1(1024, 32.0)
+    gh = GridSpec(1, 1024, 32.0)
     x = gh.x_axis()
     K = kernel_field(None, get_symbol("heat"), 0.0, 1.0, gh)
-    heat_err = float(np.abs(K.values.real - (4.0 * np.pi) ** -0.5 * np.exp(-(x**2) / 4.0))
+    heat_err = float(np.abs(K.values - (4.0 * np.pi) ** -0.5 * np.exp(-(x**2) / 4.0))
                      [np.abs(x) <= gh.half_extent / 2].max())
-    gp = _grid1(65536, 1024.0)
+    gp = GridSpec(1, 65536, 1024.0)
     xp = gp.x_axis()
     Kp = kernel_field(None, get_symbol("poisson"), 0.0, 1.0, gp)
-    pois_err = float(np.abs(Kp.values.real - 1.0 / (np.pi * (1.0 + xp**2)))
+    pois_err = float(np.abs(Kp.values - 1.0 / (np.pi * (1.0 + xp**2)))
                      [np.abs(xp) <= gp.half_extent / 2].max())
     dt = time.perf_counter() - t0
     passed = heat_err <= 1e-6 and pois_err <= 1e-6
@@ -144,13 +140,9 @@ def criterion_5_partition_orthogonality() -> CriterionResult:
     """Partition of unity to 1e-14, block orthogonality to 1e-12,
     reconstruction to 1e-10."""
     t0 = time.perf_counter()
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     D = build_decomposition(grid)
-    xi = grid.xi_norm()
-    total = np.zeros(grid.shape)
-    for j in D.j_range:
-        total += bump_profile(xi * 2.0 ** (-j))
-    part = float(np.abs(total[xi > 0] - 1.0).max())
+    part = _partition_defect(D)
     entries = generate_corpus(105, grid, "BANDLIMITED_RANDOM", 6, mean_removed=False)
     worst_orth, worst_rec = 0.0, 0.0
     for e in entries:
@@ -173,7 +165,7 @@ def criterion_5_partition_orthogonality() -> CriterionResult:
 def criterion_6_time_decay() -> CriterionResult:
     """Gradient-kernel sup decays with the exact scaling exponent, 2%."""
     t0 = time.perf_counter()
-    grid = _grid1(4096, 64.0)
+    grid = GridSpec(1, 4096, 64.0)
     heat, poisson = get_symbol("heat"), get_symbol("poisson")
     details = {}
     passed = True
@@ -194,7 +186,7 @@ def criterion_6_time_decay() -> CriterionResult:
 def criterion_7_hormander() -> CriterionResult:
     """Smoothness integral H(y) finite with flat log-log trend over 8 octaves."""
     t0 = time.perf_counter()
-    grid = _grid1(32768, 32.0)
+    grid = GridSpec(1, 32768, 32.0)
     heat = get_symbol("heat")
     window = build_time_window(0.0, INF, 2.0, 2.0, 2.0, n_nodes=8, kappa2=1.0,
                                xi_min=grid.min_freq, xi_max=grid.nyquist)
@@ -210,7 +202,7 @@ def criterion_8_dyadic_envelope() -> CriterionResult:
     """Dyadic block L1 envelope fits with positive rate; low-j slope is the
     outer symbol order within 5%."""
     t0 = time.perf_counter()
-    grid = _grid1(131072, 2048.0)
+    grid = GridSpec(1, 131072, 2048.0)
     heat = get_symbol("heat")
     D = build_decomposition(grid)
     rep = dyadic_l1_envelope(heat, 0.0, heat, 0.0, 1.0, range(-6, 6), grid, D)
@@ -226,7 +218,7 @@ def criterion_8_dyadic_envelope() -> CriterionResult:
 def criterion_9_scaling_identity() -> CriterionResult:
     """Time-dilation identity for homogeneous pairs at the field level, 1e-6."""
     t0 = time.perf_counter()
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     entries = generate_corpus(109, grid, "GAUSSIAN_MIX", 4, mean_removed=True)
     worst = 0.0
     for name in ("heat", "poisson"):
@@ -265,7 +257,7 @@ def criterion_10_ratio_stability() -> CriterionResult:
     """Finite-window ratio maxima move < 5% under grid refinement."""
     t0 = time.perf_counter()
     heat = get_symbol("heat")
-    grid = _grid1(1024, 32.0)
+    grid = GridSpec(1, 1024, 32.0)
     entries = generate_corpus(110, grid, "GAUSSIAN_MIX", 12, mean_removed=True)
     coarse = [e.field for e in entries]
     fine = [refine_field(f, 2) for f in coarse]  # same functions, doubled n
@@ -289,7 +281,7 @@ def criterion_10_ratio_stability() -> CriterionResult:
 def criterion_11_fraclap_dual_route() -> CriterionResult:
     """Principal-value and multiplier fractional Laplacians agree to 1e-3."""
     t0 = time.perf_counter()
-    grid = _grid1(16384, 256.0)
+    grid = GridSpec(1, 16384, 256.0)
     x = grid.x_axis()
     f = Field(grid, np.exp(-(x**2) / 2.0))
     F = forward_transform(f)

@@ -133,7 +133,7 @@ def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
             raw, b = _annulus(rng, grid, j0)
         _check_band(grid, b)
         _check_boundary(grid, raw)
-        f = Field(grid, raw.astype(np.complex128))
+        f = Field(grid, raw)
         if mean_removed:
             f = mean_remove(f)
         entries.append(CorpusEntry(id=i, field=f, band=b, mean_removed=mean_removed))

@@ -16,6 +16,7 @@ convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -24,7 +25,8 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
-from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform
+from .spectral import (Field, GridSpec, SpectralField, _drop_residue, _multiply,
+                       inverse_transform, save_field)
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -174,26 +176,17 @@ def build_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
     )
 
 
-def _maybe_realify(out: Field, input_real: bool, rel: float = 1e-10) -> Field:
-    if not input_real:
-        return out
-    scale = np.abs(out.values).max()
-    if scale == 0.0 or np.abs(out.values.imag).max() <= rel * scale:
-        return out.real_field()
-    return out
-
-
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
     """Apply the evolution operator to a field via its frequency multiplier.
 
-    Real input with a conjugate-symmetric multiplier yields real output; the
-    (sub-1e-10 relative) imaginary residue is discarded in that case.
+    A real f gives a real (float64) output, its imaginary residue discarded,
+    when that residue is at most 1e-10 of the result's largest magnitude, as
+    a conjugate-symmetric multiplier leaves it.  Otherwise, and for any
+    complex f, the output is complex128.
     """
     if f.grid != mult.grid:
         raise ValueError("field and multiplier grids do not match")
-    F = forward_transform(f)
-    out = inverse_transform(SpectralField(f.grid, F.coeffs * mult.values))
-    return _maybe_realify(out, bool(np.abs(f.values.imag).max() == 0.0))
+    return _multiply(f, mult.values)
 
 
 def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
@@ -205,8 +198,7 @@ def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
     a pre-symbol is present, since built-ins vanish at the origin).
     """
     mult = multiplier_values(psi2, s, t, grid, rule, psi1_l)
-    out = inverse_transform(SpectralField(grid, mult * KERNEL_SCALE(grid.dim)))
-    return _maybe_realify(out, True)
+    return _drop_residue(inverse_transform(SpectralField(grid, mult * KERNEL_SCALE(grid.dim))))
 
 
 def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: GridSpec,
@@ -222,49 +214,31 @@ def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: Gri
     return float(err.max())
 
 
+def _write_sidecar(path, rule: Optional[TimeIntegralRule], **meta) -> None:
+    """Write the run metadata plus the rule as JSON next to a dumped field."""
+    meta["rule"] = None if rule is None else {"method": rule.method, "order": rule.order,
+                                              "tolerance": rule.tolerance}
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def dump_multiplier(mult: EvolutionMultiplier, path,
                     rule: Optional[TimeIntegralRule] = None) -> None:
     """Write multiplier values in the field binary format plus a JSON sidecar
     with the run metadata (symbol names, s, t, rule)."""
-    import json
-
-    from .spectral import save_field
     save_field(Field(mult.grid, mult.values), path)
-    meta = {
-        "kind": "multiplier",
-        "psi2": mult.psi2_name,
-        "pre": mult.pre_name,
-        "l": mult.pre_l,
-        "s": mult.s,
-        "t": mult.t,
-        "rule": None if rule is None else {"method": rule.method, "order": rule.order,
-                                           "tolerance": rule.tolerance},
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_sidecar(path, rule, kind="multiplier", psi2=mult.psi2_name, pre=mult.pre_name,
+                   l=mult.pre_l, s=mult.s, t=mult.t)
 
 
 def dump_kernel(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
                 s: float, t: float, grid: GridSpec, path,
                 rule: Optional[TimeIntegralRule] = None) -> Field:
     """Materialize the convolution kernel, write it plus a JSON sidecar."""
-    import json
-
-    from .spectral import save_field
     K = kernel_field(psi1_l, psi2, s, t, grid, rule)
     save_field(K, path)
-    meta = {
-        "kind": "kernel",
-        "psi2": psi2.name,
-        "pre": None if psi1_l is None else psi1_l[0].name,
-        "l": None if psi1_l is None else float(psi1_l[1]),
-        "s": float(s),
-        "t": float(t),
-        "rule": None if rule is None else {"method": rule.method, "order": rule.order,
-                                           "tolerance": rule.tolerance},
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_sidecar(path, rule, kind="kernel", psi2=psi2.name,
+                   pre=None if psi1_l is None else psi1_l[0].name,
+                   l=None if psi1_l is None else float(psi1_l[1]), s=float(s), t=float(t))
     return K

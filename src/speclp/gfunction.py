@@ -42,7 +42,6 @@ inverse FFT over the spatial axes.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -212,7 +211,7 @@ def _input_spectrum(f: Field, real: bool, infinite: bool) -> np.ndarray:
     An infinite window needs a spectral gap, so there f must be mean-free.
     """
     if real:
-        F = np.fft.rfftn(np.fft.ifftshift(f.values.real))
+        F = np.fft.rfftn(np.fft.ifftshift(f.values))
         F *= f.grid.cell_measure / (2.0 * np.pi) ** (f.grid.dim / 2.0)
     else:
         F = forward_transform(f).coeffs
@@ -241,7 +240,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     else:
         rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
         first = _real_if_exact(integrate_symbol(psi2, window.s, window.nodes[0], xi, rule))
-    real = (f is None or not f.values.imag.any()) and _hermitian(pre) and _hermitian(first)
+    real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
         half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
         xi, pre, first = xi[half], pre[half].copy(), first[half].copy()
@@ -294,8 +293,7 @@ def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     # the node transforms omit the (2 pi)^(d/2)/spacing^d factor of the full
     # inverse; restore it on the accumulated q-th powers
     scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
-    G = np.fft.fftshift((scale * acc) ** (1.0 / q))
-    return Field(grid, G.astype(np.complex128))
+    return Field(grid, np.fft.fftshift((scale * acc) ** (1.0 / q)))
 
 
 def explicit_q2_constant(mu1: float, kappa2: float, gamma1: float, gamma2: float) -> float:
@@ -339,9 +337,6 @@ class RatioReport:
             "median": self.median_ratio,
             "refinement_drift": self.refinement_drift,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def ratio_report(corpus: Sequence[Field], p: float, q: float,

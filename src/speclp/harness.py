@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .gfunction import INF, build_time_window, check_infinite_window_legal, ratio_report
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
-from .lp_decomp import block, build_decomposition, bump_profile, low_part
+from .lp_decomp import _partition_defect, block, build_decomposition, low_part
 from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform, lp_norm
 from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 
@@ -280,11 +280,7 @@ def _run_gfun_ratio(cfg: ScenarioConfig, out: str) -> int:
 def _run_lp_decomp(cfg: ScenarioConfig, out: str) -> int:
     grid = cfg.grid()
     D = build_decomposition(grid)
-    xi = grid.xi_norm()
-    total = np.zeros(grid.shape)
-    for j in D.j_range:
-        total += bump_profile(xi * 2.0 ** (-j))
-    part_defect = float(np.abs(total[xi > 0] - 1.0).max())
+    part_defect = _partition_defect(D)
     entries = generate_corpus(cfg.seed, grid, cfg.corpus_kind, cfg.corpus_count,
                               mean_removed=False)
     worst_orth, worst_rec = 0.0, 0.0

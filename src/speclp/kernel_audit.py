@@ -78,7 +78,7 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
         c = inverse_transform(SpectralField(grid, 1j * xi[k] * mult * scale))
         comps.append(c)
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in comps))
-    return comps, Field(grid, mag.astype(np.complex128))
+    return comps, Field(grid, mag)
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> float:
@@ -315,7 +315,8 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
     convolution), which accounts for the whole-line tail exactly against the
     periodic extension of the input.  The image-kernel contribution on the
     near range is omitted; it is bounded by sup|f''| * zeta(1+eta) *
-    (2L)^(-1-eta), far below the quadrature tolerances for sane grids.
+    (2L)^(-1-eta), far below the quadrature tolerances for sane grids.  A
+    real f gives the real part of the result.
     """
     if not (0.0 < eta < 2.0):
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
@@ -357,8 +358,5 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
     conv = np.fft.ifft(np.fft.fft(np.fft.ifftshift(f.values)) * np.fft.fft(np.fft.ifftshift(cell)))
     smooth = np.fft.fftshift(conv) - cell.sum() * f.values
 
-    C = pv_normalization(1, eta)
-    out = Field(grid, C * (acc + smooth))
-    if np.abs(f.values.imag).max() == 0.0:
-        out = out.real_field()
-    return out
+    out = pv_normalization(1, eta) * (acc + smooth)
+    return Field(grid, out.real if np.isrealobj(f.values) else out)

@@ -10,6 +10,10 @@ exactly in {1/2 <= |xi| <= 2}, is nonnegative, and telescopes:
 identically 1 for 2^m <= |xi| <= 2^M.  The low-frequency part is implemented
 as the single multiplier chi(|xi|) (equal to the tail sum of blocks, with the
 zero mode passed through).
+
+All multipliers here are real radial profiles, conjugate-symmetric on the
+lattice, so a real field gives real blocks: the real part of the transform
+result, which drops only round-off.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform, lp_norm
+from .spectral import Field, GridSpec, _multiply, lp_norm
 
 __all__ = [
     "DyadicDecomposition",
@@ -71,14 +75,6 @@ class DyadicDecomposition:
     def j_range(self):
         return range(self.j_min, self.j_max + 1)
 
-    @property
-    def chi(self):
-        return chi_profile
-
-    @property
-    def phi(self):
-        return bump_profile
-
 
 def build_decomposition(grid: GridSpec) -> DyadicDecomposition:
     """Choose the dyadic range covering [min nonzero |xi|, max lattice |xi|]."""
@@ -93,14 +89,13 @@ def block_multiplier(D: DyadicDecomposition, j: int) -> np.ndarray:
     return bump_profile(D.grid.xi_norm() * 2.0 ** (-j))
 
 
-def _apply_real_aware(f: Field, mult: np.ndarray) -> Field:
-    F = forward_transform(f)
-    out = inverse_transform(SpectralField(f.grid, F.coeffs * mult))
-    if np.abs(f.values.imag).max() == 0.0:
-        scale = np.abs(out.values).max()
-        if scale == 0.0 or np.abs(out.values.imag).max() <= 1e-10 * scale:
-            return out.real_field()
-    return out
+def _partition_defect(D: DyadicDecomposition) -> float:
+    """Largest |sum_j Phi(2^-j xi) - 1| over the nonzero lattice frequencies."""
+    xi = D.grid.xi_norm()
+    total = np.zeros(D.grid.shape)
+    for j in D.j_range:
+        total += block_multiplier(D, j)
+    return float(np.abs(total[xi > 0] - 1.0).max())
 
 
 def block(f: Field, j: int, D: DyadicDecomposition) -> Field:
@@ -109,14 +104,14 @@ def block(f: Field, j: int, D: DyadicDecomposition) -> Field:
         raise ValueError(f"j={j} outside active range [{D.j_min}, {D.j_max}]")
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _apply_real_aware(f, block_multiplier(D, j))
+    return _multiply(f, block_multiplier(D, j), real_part=True)
 
 
 def low_part(f: Field, D: DyadicDecomposition) -> Field:
     """Low-frequency part: multiplier chi(|xi|); passes the zero mode through."""
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _apply_real_aware(f, chi_profile(f.grid.xi_norm()))
+    return _multiply(f, chi_profile(f.grid.xi_norm()), real_part=True)
 
 
 def besov_norm0(f: Field, q: float, D: DyadicDecomposition) -> float:
@@ -135,7 +130,7 @@ def sobolev_norm(f: Field, alpha: float, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     mult = (1.0 + f.grid.xi_norm() ** 2) ** (alpha / 2.0)
-    return lp_norm(_apply_real_aware(f, mult), p)
+    return lp_norm(_multiply(f, mult, real_part=True), p)
 
 
 def block_energy_table(f: Field, q: float, D: DyadicDecomposition):

@@ -39,7 +39,6 @@ __all__ = [
     "mean_remove",
     "spectral_shift",
     "refine_field",
-    "field_from_values",
     "save_field",
     "load_field",
     "export_field_csv",
@@ -155,8 +154,8 @@ def _xi_norm(grid: GridSpec) -> np.ndarray:
     return out
 
 
-def _as_grid_array(grid: GridSpec, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+def _as_grid_array(grid: GridSpec, values, dtype=np.complex128) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.shape != grid.shape:
         raise ValueError(f"array shape {arr.shape} does not match grid shape {grid.shape}")
     if not np.all(np.isfinite(arr)):
@@ -166,16 +165,23 @@ def _as_grid_array(grid: GridSpec, values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Physical-space samples on a grid.  Treated as immutable once built."""
+    """Physical-space samples on a grid.  Treated as immutable once built.
+
+    Whether a field is real is decided here, by value: samples with no
+    nonzero imaginary part are stored as C-contiguous float64, whatever dtype
+    they arrive in, and all others as complex128.  ``np.isrealobj(f.values)``
+    is therefore the test for a real field.
+    """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_grid_array(self.grid, self.values))
-
-    def real_field(self) -> "Field":
-        return Field(self.grid, self.values.real.astype(np.complex128))
+        values = np.asarray(self.values)
+        if np.iscomplexobj(values) and not values.imag.any():
+            values = values.real
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        object.__setattr__(self, "values", _as_grid_array(self.grid, values, dtype))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +193,6 @@ class SpectralField:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_grid_array(self.grid, self.coeffs))
-
-
-def field_from_values(grid: GridSpec, values) -> Field:
-    return Field(grid, values)
 
 
 def forward_transform(f: Field) -> SpectralField:
@@ -210,6 +212,40 @@ def inverse_transform(F: SpectralField) -> Field:
     d = F.grid.dim
     vals = np.fft.fftshift(np.fft.ifftn(F.coeffs)) * (_two_pi_pow(d) / F.grid.cell_measure)
     return Field(F.grid, vals)
+
+
+# imaginary residue, relative to the result's largest magnitude, that the
+# result of a real input may carry and still come out real
+_RESIDUE = 1e-10
+
+
+def _drop_residue(out: Field) -> Field:
+    """The real part of out when its imaginary residue is negligible, else out.
+
+    This is the real-output rule for multipliers of unknown symmetry: a
+    result whose imaginary residue is at most 1e-10 of its own largest
+    magnitude comes out real.  A conjugate-symmetric multiplier leaves only
+    round-off there, unless the result itself is round-off.
+    """
+    scale = np.abs(out.values).max()
+    if scale == 0.0 or np.abs(out.values.imag).max() <= _RESIDUE * scale:
+        return Field(out.grid, out.values.real)
+    return out
+
+
+def _multiply(f: Field, mult: np.ndarray, real_part: bool = False) -> Field:
+    """Finv(mult * F(f)), with a real-output rule for a real f.
+
+    With ``real_part`` a real f gives the real part of the result: the rule
+    for multipliers that are conjugate-symmetric by construction, at least
+    off the self-paired Nyquist planes (real radial profiles, a shift
+    phase).  Otherwise a real f gives a real result when
+    :func:`_drop_residue` allows it.
+    """
+    out = inverse_transform(SpectralField(f.grid, forward_transform(f).coeffs * mult))
+    if not np.isrealobj(f.values):
+        return out
+    return Field(f.grid, out.values.real) if real_part else _drop_residue(out)
 
 
 def apply_multiplier(F: SpectralField, m) -> SpectralField:
@@ -249,17 +285,17 @@ def mean_remove(f: Field) -> Field:
 
 
 def spectral_shift(f: Field, y) -> Field:
-    """Translate f by y: returns g with g(x) = f(x - y), exact for lattice content."""
+    """Translate f by y: returns g with g(x) = f(x - y), exact for lattice content.
+
+    A real f gives the real part of the exact result.  The phase is not
+    Hermitian on the self-paired Nyquist planes, so only content there is
+    dropped.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
         raise ValueError(f"shift vector must have length {f.grid.dim}")
     xi = f.grid.xi_stack()
-    phase = np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
-    F = forward_transform(f)
-    out = inverse_transform(SpectralField(f.grid, F.coeffs * phase))
-    if np.abs(f.values.imag).max() == 0.0:
-        out = out.real_field()
-    return out
+    return _multiply(f, np.exp(-1j * np.tensordot(y, xi, axes=(0, 0))), real_part=True)
 
 
 def refine_field(f: Field, factor: int = 2) -> Field:
@@ -267,7 +303,9 @@ def refine_field(f: Field, factor: int = 2) -> Field:
 
     Exact trigonometric refinement: coefficients are copied to the matching
     frequencies of the finer lattice.  Intended for content below Nyquist/2,
-    where the coarse lattice determines the function.
+    where the coarse lattice determines the function.  A real f gives the real
+    part of the exact result; as for :func:`spectral_shift`, the part dropped
+    sits on the coarse lattice's self-paired Nyquist planes.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
@@ -281,9 +319,7 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     out_sh = np.fft.fftshift(out)
     out_sh[sl] = shifted
     vals = inverse_transform(SpectralField(fine, np.fft.ifftshift(out_sh)))
-    if np.abs(f.values.imag).max() == 0.0:
-        vals = vals.real_field()
-    return vals
+    return Field(fine, vals.values.real) if np.isrealobj(f.values) else vals
 
 
 # --- serialization ----------------------------------------------------------
@@ -309,7 +345,7 @@ def load_field(path) -> Field:
         raw = np.frombuffer(fh.read(), dtype="<c8")
     if raw.size != n**dim:
         raise ValueError(f"{path}: truncated payload")
-    return Field(grid, raw.reshape(grid.shape).astype(np.complex128))
+    return Field(grid, raw.reshape(grid.shape))
 
 
 def export_field_csv(f: Field, path) -> None:
