@@ -3,10 +3,9 @@ verification on a discretized torus."""
 
 from .errors import (AuditError, ConfigError, MultiplierError, QuadratureError,
                      SpecLPError, SymbolEvalError, WindowError)
-from .spectral import (Field, GridSpec, SpectralField, apply_multiplier,
-                       apply_multiplier_array, export_field_csv, forward_transform,
-                       inverse_transform, load_field, lp_norm, mean_remove, refine_field,
-                       save_field, spectral_shift)
+from .spectral import (Field, GridSpec, SpectralField, apply_multiplier, export_field_csv,
+                       forward_transform, inverse_transform, load_field, lp_norm, mean_remove,
+                       refine_field, save_field, spectral_shift)
 from .symbols import (AuditReport, SymbolSpec, audit_s1, audit_s2, check_homogeneity,
                       eval_symbol, frac_lap_symbol, get_symbol, heat_symbol,
                       poisson_symbol, power_symbol, power_t_symbol)
@@ -21,8 +20,8 @@ from .gfunction import (INF, RatioReport, TimeWindow, build_time_window,
                         g_function, ratio_report)
 from .kernel_audit import (DecayFitReport, EnvelopeReport, HormanderReport,
                            decay_fit_space, decay_fit_time, dyadic_l1_envelope,
-                           fractional_laplacian_pv, gradient_kernel,
-                           hormander_integral, hormander_report, pv_normalization)
+                           fractional_laplacian_pv, gradient_kernel, hormander_report,
+                           pv_normalization)
 from .corpus import (ANNULUS, BANDLIMITED_RANDOM, GAUSSIAN_MIX, CorpusEntry,
                      generate_corpus)
 

@@ -344,30 +344,17 @@ def ratio_report(corpus: Sequence[Field], p: float, q: float,
                  refine: bool = True, workers: int = 1) -> RatioReport:
     """Ratio statistics over a corpus, with grid-refinement drift of the max.
 
-    Fields are independent, so ``workers`` > 1 fans them out over a thread
-    pool (the FFT work releases the GIL); results keep corpus order either way.
+    ``workers`` > 1 fans the fields out over a thread pool (see :func:`_ratios`).
     """
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-
-    def one(f):
-        G = g_function(f, psi1, l, psi2, window, q)
-        return lp_norm(G, p) / lp_norm(f, p)
-
-    def ratios(fields):
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                return list(ex.map(one, fields))
-        return [one(f) for f in fields]
-
-    per = ratios(corpus)
+    per = _ratios(corpus, (p,), q, psi1, l, psi2, window, workers)[p]
     drift = None
     if refine:
         fine = [refine_field(f, 2) for f in corpus]
-        m2 = max(ratios(fine))
+        m2 = max(_ratios(fine, (p,), q, psi1, l, psi2, window, workers)[p])
         drift = abs(m2 - max(per)) / max(per)
     return RatioReport(
         pair=(getattr(psi1, "name", "?"), getattr(psi2, "name", "?")),
@@ -375,3 +362,37 @@ def ratio_report(corpus: Sequence[Field], p: float, q: float,
         per_field=per, max_ratio=max(per), median_ratio=float(statistics.median(per)),
         refinement_drift=drift,
     )
+
+
+def _ratios(fields: Sequence[Field], ps: Sequence[float], q: float, psi1: SymbolSpec,
+            l: float, psi2: SymbolSpec, window: TimeWindow, workers: int = 1) -> dict:
+    """{p: per-field ratios ||G(f)||_p / ||f||_p} for every p in ps, one G per field.
+
+    Fields are independent, so ``workers`` > 1 fans them out over a thread
+    pool (the FFT work releases the GIL); results keep field order either way.
+    """
+    def one(f):
+        G = g_function(f, psi1, l, psi2, window, q)
+        return [lp_norm(G, p) / lp_norm(f, p) for p in ps]
+
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            rows = list(ex.map(one, fields))
+    else:
+        rows = [one(f) for f in fields]
+    return {p: [r[i] for r in rows] for i, p in enumerate(ps)}
+
+
+def _grid_window(grid, psi1: SymbolSpec, psi2: SymbolSpec, s: float = 0.0, a: float = INF,
+                 q: float = 2.0, n_nodes: int = 16) -> TimeWindow:
+    """The window for a pair on a grid: truncation at the grid's spectral gap
+    and panel depth down to its largest frequency magnitude."""
+    return build_time_window(s, a, q, psi1.gamma, psi2.gamma, n_nodes, kappa2=psi2.kappa,
+                             xi_min=grid.min_freq, xi_max=math.sqrt(grid.dim) * grid.nyquist)
+
+
+def _exact_ratio(psi1: SymbolSpec, psi2: SymbolSpec) -> float:
+    """||G(f)||_2 / ||f||_2 for q = 2 on an infinite window, exact for the
+    power families: the square root of :func:`explicit_q2_constant`."""
+    return math.sqrt(explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma))

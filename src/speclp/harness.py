@@ -18,10 +18,13 @@ ignored).  Core keys, all optional unless a scenario needs them:
     workers       parallelism cap for embarrassingly parallel loops
     j_min, j_max  dyadic range for DYADIC_ENVELOPE
 
-Every scenario writes ``summary.json`` (schema_version tagged, no
-timestamps) plus scenario CSV tables, and ``run_meta.json`` holding the
-timestamp and the echoed config.  Exit status 0 means every scenario pass
-criterion held.
+Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
+writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
+summary tagged with schema_version, scenario and passed, no timestamps), the
+CSV tables, and ``run_meta.json`` holding the timestamp and the echoed
+config.  Exit status 0 means the scenario's pass criterion held.  The
+acceptance criteria with a scenario twin run the same measure steps
+(``acceptance.TWINS``), so each check exists once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import numpy as np
 
 from .corpus import generate_corpus
 from .errors import ConfigError
-from .gfunction import INF, build_time_window, check_infinite_window_legal, ratio_report
+from .gfunction import (INF, _exact_ratio, _grid_window, check_infinite_window_legal,
+                        ratio_report)
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
 from .lp_decomp import _partition_defect, block, build_decomposition, low_part
@@ -161,7 +165,7 @@ def _sample_xis(grid: GridSpec, rng) -> list:
     return out
 
 
-def _run_audit_symbol(cfg: ScenarioConfig, out: str) -> int:
+def _measure_audit_symbol(cfg: ScenarioConfig):
     grid = cfg.grid()
     rng = np.random.default_rng(cfg.seed)
     xis = _sample_xis(grid, rng)
@@ -180,41 +184,43 @@ def _run_audit_symbol(cfg: ScenarioConfig, out: str) -> int:
             rows.append((name, cond, rep.worst_violation, rep.sample_count, rep.passed))
         summary[name] = {c: {"worst_violation": r.worst_violation, "passed": r.passed}
                          for c, r in checks.items()}
-    _write_csv(os.path.join(out, "audits.csv"),
-               ("symbol", "condition", "worst_violation", "samples", "passed"), rows)
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "AUDIT_SYMBOL",
-                 "symbols": summary, "passed": ok}, os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+    return ({"symbols": summary},
+            {"audits.csv": (("symbol", "condition", "worst_violation", "samples", "passed"),
+                            rows)}, ok)
 
 
-def _run_kernel_decay(cfg: ScenarioConfig, out: str) -> int:
-    grid = cfg.grid()
+def _time_fit(cfg: ScenarioConfig):
+    """KERNEL_DECAY's time step: the gradient-kernel sup on t 2^(-1..2) fitted
+    against its scaling exponent.  Returns (t_list, fit, relative error,
+    passed); the fit passes within 2 %."""
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     t_list = [cfg.t * 2.0**k for k in (-1, 0, 1, 2)]
-    tdec = decay_fit_time(psi1, cfg.l, psi2, cfg.s, grid, t_list)
+    tdec = decay_fit_time(psi1, cfg.l, psi2, cfg.s, cfg.grid(), t_list)
+    rel = abs(tdec.fitted_exponent - tdec.target_exponent) / abs(tdec.target_exponent)
+    return t_list, tdec, rel, rel <= 0.02
+
+
+def _measure_kernel_decay(cfg: ScenarioConfig):
+    grid = cfg.grid()
+    psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
+    t_list, tdec, _, time_ok = _time_fit(cfg)
     consts = [decay_fit_space(psi1, cfg.l, psi2, cfg.s, cfg.s + dt, grid,
                               fit_window=(4.0, grid.half_extent / 2.0)).fitted_constant
               for dt in (cfg.t / 2.0, cfg.t, 2.0 * cfg.t)]
     spread = (max(consts) - min(consts)) / min(consts)
-    time_ok = abs(tdec.fitted_exponent - tdec.target_exponent) <= 0.02 * abs(tdec.target_exponent)
-    space_ok = spread <= 0.10
-    _write_csv(os.path.join(out, "time_decay.csv"), ("t", "fitted", "target"),
-               [(t, tdec.fitted_exponent, tdec.target_exponent) for t in t_list])
-    _write_csv(os.path.join(out, "space_constants.csv"), ("t_multiple", "constant"),
-               list(zip((0.5, 1.0, 2.0), consts)))
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "KERNEL_DECAY",
-                 "time_fit": dataclasses.asdict(tdec), "space_constants": consts,
-                 "space_constant_spread": spread, "passed": bool(time_ok and space_ok)},
-                os.path.join(out, "summary.json"))
-    return 0 if (time_ok and space_ok) else 1
+    tables = {"time_decay.csv": (("t", "fitted", "target"),
+                                 [(t, tdec.fitted_exponent, tdec.target_exponent)
+                                  for t in t_list]),
+              "space_constants.csv": (("t_multiple", "constant"),
+                                      list(zip((0.5, 1.0, 2.0), consts)))}
+    return ({"time_fit": dataclasses.asdict(tdec), "space_constants": consts,
+             "space_constant_spread": spread}, tables, time_ok and spread <= 0.10)
 
 
-def _run_hormander(cfg: ScenarioConfig, out: str) -> int:
+def _measure_hormander(cfg: ScenarioConfig):
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
-    window = build_time_window(cfg.s, cfg.a, cfg.q, psi1.gamma, psi2.gamma, n_nodes=8,
-                               kappa2=psi2.kappa, xi_min=grid.min_freq,
-                               xi_max=math.sqrt(grid.dim) * grid.nyquist)
+    window = _grid_window(grid, psi1, psi2, cfg.s, cfg.a, cfg.q, n_nodes=8)
     try:
         k_lo = int(cfg.extras.get("y_oct_lo", "-6"))
         k_hi = int(cfg.extras.get("y_oct_hi", "2"))
@@ -223,15 +229,11 @@ def _run_hormander(cfg: ScenarioConfig, out: str) -> int:
     ys = [np.array([2.0**k] + [0.0] * (grid.dim - 1)) for k in range(k_lo, k_hi + 1)]
     rep = hormander_report(psi1, cfg.l, psi2, cfg.s, window, cfg.q, ys, grid)
     ok = math.isfinite(rep.sup) and abs(rep.trend_slope) <= 0.1
-    _write_csv(os.path.join(out, "hormander.csv"), ("y", "H"),
-               list(zip(rep.y_values, rep.integrals)))
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "HORMANDER",
-                 "sup": rep.sup, "trend_slope": rep.trend_slope, "passed": bool(ok)},
-                os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+    return ({"sup": rep.sup, "trend_slope": rep.trend_slope},
+            {"hormander.csv": (("y", "H"), list(zip(rep.y_values, rep.integrals)))}, ok)
 
 
-def _run_dyadic_envelope(cfg: ScenarioConfig, out: str) -> int:
+def _measure_dyadic_envelope(cfg: ScenarioConfig):
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     D = build_decomposition(grid)
@@ -240,109 +242,93 @@ def _run_dyadic_envelope(cfg: ScenarioConfig, out: str) -> int:
     rep = dyadic_l1_envelope(psi1, cfg.l, psi2, cfg.s, cfg.s + cfg.t,
                              range(j_lo, j_hi + 1), grid, D)
     slope_ok = rep.low_j_slope is not None and \
-        abs(rep.low_j_slope - psi1.gamma) <= 0.05 * psi1.gamma
-    ok = rep.rate > 0.0 and slope_ok
-    _write_csv(os.path.join(out, "envelope.csv"), ("j", "l1_norm", "envelope", "slack"),
-               [(r.j, r.l1_norm, r.envelope, r.slack) for r in rep.rows])
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "DYADIC_ENVELOPE",
-                 "constant": rep.constant, "rate": rep.rate, "low_j_slope": rep.low_j_slope,
-                 "passed": bool(ok)}, os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+        abs(rep.low_j_slope - psi1.gamma) / psi1.gamma <= 0.05
+    return ({"constant": rep.constant, "rate": rep.rate, "low_j_slope": rep.low_j_slope},
+            {"envelope.csv": (("j", "l1_norm", "envelope", "slack"),
+                              [(r.j, r.l1_norm, r.envelope, r.slack) for r in rep.rows])},
+            rep.rate > 0.0 and slope_ok)
 
 
-def _run_gfun_ratio(cfg: ScenarioConfig, out: str) -> int:
+def _measure_gfun_ratio(cfg: ScenarioConfig):
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     entries = generate_corpus(cfg.seed, grid, cfg.corpus_kind, cfg.corpus_count,
                               mean_removed=True)
-    window = build_time_window(cfg.s, cfg.a, cfg.q, psi1.gamma, psi2.gamma,
-                               kappa2=psi2.kappa, xi_min=grid.min_freq,
-                               xi_max=math.sqrt(grid.dim) * grid.nyquist)
-    fields = [e.field for e in entries]
-    rep = ratio_report(fields, cfg.p, cfg.q, psi1, cfg.l, psi2, window,
+    window = _grid_window(grid, psi1, psi2, cfg.s, cfg.a, cfg.q)
+    rep = ratio_report([e.field for e in entries], cfg.p, cfg.q, psi1, cfg.l, psi2, window,
                        workers=cfg.workers)
-    exact = (cfg.p == 2.0 and cfg.q == 2.0 and math.isinf(cfg.a)
-             and psi1.homogeneous and psi2.homogeneous)
-    if exact:
-        from .gfunction import explicit_q2_constant
-        target = math.sqrt(explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma))
+    if (cfg.p == 2.0 and cfg.q == 2.0 and math.isinf(cfg.a)
+            and psi1.homogeneous and psi2.homogeneous):
+        target = _exact_ratio(psi1, psi2)
         ok = all(abs(r - target) <= 1e-3 for r in rep.per_field)
     else:
         ok = rep.refinement_drift is not None and rep.refinement_drift < 0.05
-    _write_csv(os.path.join(out, "ratios.csv"), ("field_id", "ratio"),
-               list(enumerate(rep.per_field)))
-    summary = rep.to_json_dict()
-    summary.update({"scenario": "GFUN_RATIO", "passed": bool(ok)})
-    _write_json(summary, os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+    return (rep.to_json_dict(),
+            {"ratios.csv": (("field_id", "ratio"), list(enumerate(rep.per_field)))}, ok)
 
 
-def _run_lp_decomp(cfg: ScenarioConfig, out: str) -> int:
+def _measure_lp_decomp(cfg: ScenarioConfig):
+    """Partition of unity, block orthogonality on six pairs of blocks two or
+    more apart, and reconstruction error, the larger of relative L2 and sup."""
     grid = cfg.grid()
     D = build_decomposition(grid)
     part_defect = _partition_defect(D)
     entries = generate_corpus(cfg.seed, grid, cfg.corpus_kind, cfg.corpus_count,
                               mean_removed=False)
+    pairs = ((D.j_min, D.j_min + 2), (D.j_min + 1, D.j_min + 3), (0, 2), (1, 4),
+             (D.j_max - 3, D.j_max), (D.j_max - 2, D.j_max))
     worst_orth, worst_rec = 0.0, 0.0
     for e in entries:
         f = e.field
         l2 = lp_norm(f, 2)
-        for i, j in ((D.j_min + 1, D.j_min + 3), (0, 2), (D.j_max - 3, D.j_max)):
+        for i, j in pairs:
             worst_orth = max(worst_orth, lp_norm(block(block(f, j, D), i, D), 2) / l2)
-        rec = low_part(f, D).values.copy()
-        for j in range(1, D.j_max + 1):
-            rec += block(f, j, D).values
-        worst_rec = max(worst_rec, float(np.abs(rec - f.values).max() /
-                                         np.abs(f.values).max()))
+        err = sum((block(f, j, D).values for j in range(1, D.j_max + 1)),
+                  low_part(f, D).values) - f.values
+        worst_rec = max(worst_rec, float(np.linalg.norm(err) / np.linalg.norm(f.values)),
+                        float(np.abs(err).max() / np.abs(f.values).max()))
     ok = part_defect <= 1e-14 and worst_orth <= 1e-12 and worst_rec <= 1e-10
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "LP_DECOMP",
-                 "partition_defect": part_defect, "worst_orthogonality": worst_orth,
-                 "worst_reconstruction": worst_rec, "passed": bool(ok)},
-                os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+    return ({"partition_defect": part_defect, "worst_orthogonality": worst_orth,
+             "worst_reconstruction": worst_rec}, {}, ok)
 
 
-def _run_fraclap_xcheck(cfg: ScenarioConfig, out: str) -> int:
+def _measure_fraclap_xcheck(cfg: ScenarioConfig):
+    """Relative L2 discrepancy of the principal-value fractional Laplacian
+    against the |xi|^eta multiplier on a unit Gaussian, eta = 0.5, 1, 1.5."""
     grid = cfg.grid()
     x = grid.x_axis()
     f = Field(grid, np.exp(-(x**2) / 2.0))
     F = forward_transform(f)
     xi = grid.freq_axis()
-    rows, ok = [], True
+    rows = []
     for eta in (0.5, 1.0, 1.5):
-        A = inverse_transform(SpectralField(grid, -np.abs(xi) ** eta * F.coeffs))
-        B = fractional_laplacian_pv(f, eta)
-        num = math.sqrt(float((np.abs(A.values - B.values) ** 2).sum()) * grid.cell_measure)
-        den = math.sqrt(float((np.abs(A.values) ** 2).sum()) * grid.cell_measure)
-        rel = num / den
-        rows.append((eta, rel))
-        ok = ok and rel < 1e-3
-    _write_csv(os.path.join(out, "fraclap.csv"), ("eta", "rel_l2_discrepancy"), rows)
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "FRACLAP_XCHECK",
-                 "discrepancies": {repr(e): r for e, r in rows}, "passed": bool(ok)},
-                os.path.join(out, "summary.json"))
-    return 0 if ok else 1
+        A = inverse_transform(SpectralField(grid, -np.abs(xi) ** eta * F.coeffs)).values
+        B = fractional_laplacian_pv(f, eta).values
+        rows.append((eta, math.sqrt(float((np.abs(A - B) ** 2).sum()))
+                     / math.sqrt(float((np.abs(A) ** 2).sum()))))
+    return ({"discrepancies": {repr(e): r for e, r in rows}},
+            {"fraclap.csv": (("eta", "rel_l2_discrepancy"), rows)},
+            all(r < 1e-3 for _, r in rows))
 
 
-def _run_reproduce(cfg: ScenarioConfig, out: str) -> int:
+def _measure_reproduce(cfg: ScenarioConfig):
     from .acceptance import run_all
     results = run_all(echo=print)
-    _write_json({"schema_version": SCHEMA_VERSION, "scenario": "REPRODUCE",
-                 "criteria": [dataclasses.asdict(r) for r in results],
-                 "passed": all(r.passed for r in results)},
-                os.path.join(out, "summary.json"))
-    return 0 if all(r.passed for r in results) else 1
+    return ({"criteria": [dataclasses.asdict(r) for r in results]}, {},
+            all(r.passed for r in results))
 
 
-_RUNNERS = {
-    "AUDIT_SYMBOL": _run_audit_symbol,
-    "KERNEL_DECAY": _run_kernel_decay,
-    "HORMANDER": _run_hormander,
-    "DYADIC_ENVELOPE": _run_dyadic_envelope,
-    "GFUN_RATIO": _run_gfun_ratio,
-    "LP_DECOMP": _run_lp_decomp,
-    "FRACLAP_XCHECK": _run_fraclap_xcheck,
-    "REPRODUCE": _run_reproduce,
+# each measure step returns (summary, tables, passed): the scenario's summary
+# entries, its CSV tables as {file name: (header, rows)}, and whether it passed
+_MEASURES = {
+    "AUDIT_SYMBOL": _measure_audit_symbol,
+    "KERNEL_DECAY": _measure_kernel_decay,
+    "HORMANDER": _measure_hormander,
+    "DYADIC_ENVELOPE": _measure_dyadic_envelope,
+    "GFUN_RATIO": _measure_gfun_ratio,
+    "LP_DECOMP": _measure_lp_decomp,
+    "FRACLAP_XCHECK": _measure_fraclap_xcheck,
+    "REPRODUCE": _measure_reproduce,
 }
 
 
@@ -351,6 +337,10 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     cfg.validate()
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    status = _RUNNERS[cfg.scenario](cfg, out)
+    summary, tables, passed = _MEASURES[cfg.scenario](cfg)
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out, name), header, rows)
+    _write_json({**summary, "schema_version": SCHEMA_VERSION, "scenario": cfg.scenario,
+                 "passed": bool(passed)}, os.path.join(out, "summary.json"))
     _write_json(_report_meta(cfg), os.path.join(out, "run_meta.json"))
-    return status
+    return 0 if passed else 1

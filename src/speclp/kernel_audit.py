@@ -21,7 +21,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, TimeIntegralRule, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _node_fields
 from .lp_decomp import DyadicDecomposition, bump_profile
-from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform, lp_norm
+from .spectral import Field, GridSpec, SpectralField, _multiply, inverse_transform, lp_norm
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "gradient_kernel",
     "decay_fit_space",
     "decay_fit_time",
-    "hormander_integral",
     "hormander_report",
     "dyadic_l1_envelope",
     "fractional_laplacian_pv",
@@ -190,12 +189,6 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     return HormanderReport(mags, integrals, max(integrals), slope)
 
 
-def hormander_integral(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
-                       window: TimeWindow, q: float, y, grid: GridSpec,
-                       rule: Optional[TimeIntegralRule] = None) -> float:
-    return hormander_report(psi1, l, psi2, s, window, q, [y], grid, rule).integrals[0]
-
-
 @dataclass(frozen=True)
 class EnvelopeRow:
     j: int
@@ -306,17 +299,23 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
                             nodes_per_panel: int = 8, y_split: float = 1.0) -> Field:
     """Principal-value form of -(-Laplacian)^(eta/2) f in one dimension.
 
-    Evaluates C(eta) * int_0^inf (f(x+y) + f(x-y) - 2 f(x)) y^(-1-eta) dy in
-    three pieces: the near range (0, y_split] by Gauss-Legendre on ``quad``
-    dyadic panels, where the symmetric difference tames the singularity and
-    off-lattice shifts are evaluated by exact trigonometric interpolation;
-    and the far range [y_split, L] by product integration over lattice
-    shifts with cell-exact masses of the periodized kernel (one circular
-    convolution), which accounts for the whole-line tail exactly against the
-    periodic extension of the input.  The image-kernel contribution on the
-    near range is omitted; it is bounded by sup|f''| * zeta(1+eta) *
-    (2L)^(-1-eta), far below the quadrature tolerances for sane grids.  A
-    real f gives the real part of the result.
+    Evaluates C(eta) * int_0^inf (f(x+y) + f(x-y) - 2 f(x)) y^(-1-eta) dy as
+    one Fourier multiplier built from two pieces:
+
+    * the near range (0, y_split], by Gauss-Legendre on ``quad`` dyadic
+      panels, where the symmetric difference tames the singularity.  The
+      exact trigonometric interpolation of the shifted samples makes node y
+      contribute -4 sin^2(y xi / 2), so the nodes add, in node order, into
+      one real multiplier -4 sum_k c_k sin^2(y_k xi / 2);
+    * the far range [y_split, L], by product integration over lattice shifts
+      with cell-exact masses of the periodized kernel, which accounts for the
+      whole-line tail exactly against the periodic extension of the input.
+      That circular convolution minus the masses' total times f is the
+      multiplier fft(cell masses) - sum(cell masses).
+
+    The image-kernel contribution on the near range is omitted; it is bounded
+    by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
+    tolerances for sane grids.  A real f gives the real part of the result.
     """
     if not (0.0 < eta < 2.0):
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
@@ -328,9 +327,7 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
     h = grid.spacing
     if not (h <= y_split <= grid.half_extent / 4.0):
         raise ValueError("y_split must lie between one spacing and L/4")
-    F = forward_transform(f)
     xi = grid.freq_axis()
-    back = (2.0 * np.pi) ** 0.5 / grid.cell_measure
 
     # split point aligned with a lattice cell edge (m0 - 1/2) h
     m0 = max(1, round(y_split / h))
@@ -338,25 +335,20 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
 
     # near range (0, edge0]: symmetric difference on dyadic panels
     z, w = roots_legendre(nodes_per_panel)
-    edges = [edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)]
-    acc = np.zeros(grid.shape, dtype=np.complex128)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for zz, ww in zip(z, w):
-            y = mid + half * zz
-            sym = -4.0 * np.sin(0.5 * y * xi) ** 2 * F.coeffs
-            S = np.fft.fftshift(np.fft.ifft(sym)) * back
-            acc += (half * ww) * (y ** (-1.0 - eta)) * S
+    edges = np.array([edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)])
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    ys = (mid[:, None] + half[:, None] * z).ravel()
+    cs = (half[:, None] * w).ravel() * ys ** (-1.0 - eta)
+    near = np.zeros(grid.n)
+    for y, c in zip(ys, cs):
+        near += c * np.sin(0.5 * y * xi) ** 2
 
     # far range [edge0, L]: cell-exact periodized kernel masses on lattice shifts
-    x = grid.x_axis()
-    r = np.abs(x)
+    r = np.abs(grid.x_axis())
     active = r >= m0 * h - 0.25 * h
     lo_edge = np.where(active, np.maximum(r - 0.5 * h, edge0), 1.0)
     hi_edge = np.where(active, np.minimum(r + 0.5 * h, grid.half_extent), 2.0)
     cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta), 0.0)
-    conv = np.fft.ifft(np.fft.fft(np.fft.ifftshift(f.values)) * np.fft.fft(np.fft.ifftshift(cell)))
-    smooth = np.fft.fftshift(conv) - cell.sum() * f.values
+    far = np.fft.fft(np.fft.ifftshift(cell)) - cell.sum()
 
-    out = pv_normalization(1, eta) * (acc + smooth)
-    return Field(grid, out.real if np.isrealobj(f.values) else out)
+    return _multiply(f, pv_normalization(1, eta) * (far - 4.0 * near), real_part=True)

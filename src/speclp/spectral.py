@@ -34,7 +34,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
-    "apply_multiplier_array",
     "lp_norm",
     "mean_remove",
     "spectral_shift",
@@ -255,14 +254,6 @@ def apply_multiplier(F: SpectralField, m) -> SpectralField:
     and must return a complex array of the grid shape (broadcasting allowed).
     """
     values = np.broadcast_to(np.asarray(m(F.grid.xi_stack()), dtype=np.complex128), F.grid.shape)
-    return apply_multiplier_array(F, values)
-
-
-def apply_multiplier_array(F: SpectralField, values: np.ndarray) -> SpectralField:
-    """Multiply coefficients by a precomputed multiplier array (fft order)."""
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != F.grid.shape:
-        raise ValueError("multiplier array shape does not match grid")
     bad = ~np.isfinite(values)
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])

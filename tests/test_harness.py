@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
+from speclp import acceptance
 from speclp.cli import main
 from speclp.errors import ConfigError
 from speclp.harness import ScenarioConfig, parse_config, run_scenario
@@ -152,3 +154,22 @@ def test_dyadic_envelope_scenario(tmp_path):
     assert run_scenario(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["rate"] > 0
+
+
+@pytest.mark.parametrize("cid, criterion", [
+    (5, acceptance.criterion_5_partition_orthogonality),
+    (11, acceptance.criterion_11_fraclap_dual_route),
+])
+def test_twin_scenario_summary_equals_criterion_details(tmp_path, cid, criterion):
+    # a criterion with a scenario twin reports exactly what the scenario does
+    cfg = dataclasses.replace(acceptance.TWINS[cid], output_dir=str(tmp_path))
+    assert run_scenario(cfg) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    if cid == 11:
+        summary = {f"eta_{eta}_rel_l2": r for eta, r in summary["discrepancies"].items()}
+    else:
+        summary = {k: v for k, v in summary.items()
+                   if k not in ("schema_version", "scenario", "passed")}
+    res = criterion()
+    assert res.passed
+    assert summary == res.details

@@ -4,7 +4,7 @@ import pytest
 from speclp import (INF, AuditError, Field, GridSpec, SpectralField, build_decomposition,
                     build_time_window, decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                     forward_transform, fractional_laplacian_pv, get_symbol, gradient_kernel,
-                    hormander_integral, hormander_report, inverse_transform, kernel_field,
+                    hormander_report, inverse_transform, kernel_field,
                     mean_remove, pv_normalization)
 
 HEAT = get_symbol("heat")
@@ -94,9 +94,9 @@ def test_hormander_preconditions():
     g = GridSpec(1, 4096, 32.0)
     w = hormander_window(g)
     with pytest.raises(ValueError):
-        hormander_integral(HEAT, 0.0, HEAT, 0.0, w, 2.0, np.array([0.0]), g)
+        hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([0.0])], g)
     with pytest.raises(AuditError, match="resolve"):
-        hormander_integral(HEAT, 0.0, HEAT, 0.0, w, 2.0, np.array([g.spacing]), g)
+        hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([g.spacing])], g)
     with pytest.raises(AuditError, match="octaves"):
         hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0,
                          [np.array([1.0]), np.array([2.0])], g)
@@ -109,9 +109,9 @@ def test_hormander_shift_paths_agree(monkeypatch):
     g = GridSpec(1, 2048, 32.0)
     w = hormander_window(g)
     y = np.array([0.5])
-    rolled = hormander_integral(HEAT, 0.0, HEAT, 0.0, w, 2.0, y, g)
+    rolled = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [y], g).integrals[0]
     monkeypatch.setattr(ka, "_lattice_shift", lambda grid, yy: None)
-    phased = hormander_integral(HEAT, 0.0, HEAT, 0.0, w, 2.0, y, g)
+    phased = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [y], g).integrals[0]
     assert phased == pytest.approx(rolled, rel=1e-9)
 
 
