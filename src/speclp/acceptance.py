@@ -3,7 +3,9 @@
 Each criterion is a standalone function returning a :class:`CriterionResult`
 with the measured quantities frozen into ``details``.  The pytest suite and
 the ``speclp reproduce`` command both run exactly these functions, so there
-is a single source of truth for what "passing" means.
+is a single source of truth for what "passing" means.  A criterion is
+written as a measure step ``() -> (passed, details)``; the :func:`_criterion`
+decorator times it, builds the result and registers it in :data:`CRITERIA`.
 
 A criterion with a scenario twin is that scenario's config (:data:`TWINS`)
 run through the scenario's measure step, with the summary mapped onto the
@@ -17,6 +19,7 @@ scenario adds a refinement pass and takes one p per square function.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -52,8 +55,26 @@ TWINS: Dict[int, ScenarioConfig] = {
     11: ScenarioConfig(scenario="FRACLAP_XCHECK", n=16384, L=256.0),
 }
 
+# the criteria in order, each registered by _criterion
+CRITERIA: List[Callable[[], CriterionResult]] = []
 
-def criterion_1_exact_q2_constant() -> CriterionResult:
+
+def _criterion(cid: int, name: str):
+    """Register a measure step ``() -> (passed, details)`` as criterion cid,
+    timed, returning a CriterionResult."""
+    def register(measure):
+        @functools.wraps(measure)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = measure()
+            return CriterionResult(cid, name, passed, details, time.perf_counter() - t0)
+        CRITERIA.append(run)
+        return run
+    return register
+
+
+@_criterion(1, "exact q=2 square-function constant (heat pair)")
+def criterion_1_exact_q2_constant():
     """Heat pair, q=2, infinite window: every ratio 0.500 within 1e-3 and
     the squared norm under the closed-form bound; wall time below 30 s."""
     t0 = time.perf_counter()
@@ -68,17 +89,14 @@ def criterion_1_exact_q2_constant() -> CriterionResult:
     worst_bound_excess = max(r**2 - bound * (1.0 + 1e-3) for r in ratios)
     dt = time.perf_counter() - t0
     passed = worst_ratio_err <= 1e-3 and worst_bound_excess <= 0.0 and dt < 30.0
-    return CriterionResult(1, "exact q=2 square-function constant (heat pair)", passed,
-                           {"worst_ratio_err": worst_ratio_err,
-                            "explicit_constant": bound,
-                            "worst_bound_excess": worst_bound_excess,
-                            "runtime_s": dt}, dt)
+    return passed, {"worst_ratio_err": worst_ratio_err, "explicit_constant": bound,
+                    "worst_bound_excess": worst_bound_excess, "runtime_s": dt}
 
 
-def criterion_2_poisson_cases() -> CriterionResult:
+@_criterion(2, "Poisson classical ratios (k=1, k=2)")
+def criterion_2_poisson_cases():
     """Poisson semigroup cases: first derivative ratio 0.5, second
     derivative ratio sqrt(6)/4, both within 1e-3."""
-    t0 = time.perf_counter()
     grid = GridSpec(1, 1024, 32.0)
     poisson = get_symbol("poisson")
     power2 = get_symbol("power:2")  # |psi^2| for the second-derivative case
@@ -90,16 +108,14 @@ def criterion_2_poisson_cases() -> CriterionResult:
         ratios = _ratios(fields, (2.0,), 2.0, psi1, 0.0, poisson,
                          _grid_window(grid, psi1, poisson))[2.0]
         errs.append(max(abs(r - target) for r in ratios))
-    dt = time.perf_counter() - t0
     passed = errs[0] <= 1e-3 and errs[1] <= 1e-3
-    return CriterionResult(2, "Poisson classical ratios (k=1, k=2)", passed,
-                           {"k1_worst_err": errs[0], "k2_worst_err": errs[1],
-                            "k2_target": _exact_ratio(power2, poisson)}, dt)
+    return passed, {"k1_worst_err": errs[0], "k2_worst_err": errs[1],
+                    "k2_target": _exact_ratio(power2, poisson)}
 
 
-def criterion_3_composition() -> CriterionResult:
+@_criterion(3, "evolution composition law")
+def criterion_3_composition():
     """Two-parameter composition law at the multiplier level."""
-    t0 = time.perf_counter()
     grid = GridSpec(1, 1024, 32.0)
     worst_const = 0.0
     for name in ("heat", "poisson", "power:1.5"):
@@ -110,16 +126,13 @@ def criterion_3_composition() -> CriterionResult:
     rule = TimeIntegralRule.gauss_legendre(8, adaptive=False)
     worst_t = max(verify_composition(pt, s, r, t, grid, rule)
                   for s, r, t in ((0.0, 0.3, 1.0), (0.1, 0.8, 1.6)))
-    dt = time.perf_counter() - t0
     passed = worst_const <= 1e-12 and worst_t <= 1e-10
-    return CriterionResult(3, "evolution composition law", passed,
-                           {"worst_time_constant": worst_const,
-                            "worst_time_dependent": worst_t}, dt)
+    return passed, {"worst_time_constant": worst_const, "worst_time_dependent": worst_t}
 
 
-def criterion_4_closed_form_kernels() -> CriterionResult:
+@_criterion(4, "closed-form heat and Poisson kernels")
+def criterion_4_closed_form_kernels():
     """Heat and Poisson kernels reproduced to 1e-6 sup norm on |x| <= L/2."""
-    t0 = time.perf_counter()
     gh = GridSpec(1, 1024, 32.0)
     x = gh.x_axis()
     K = kernel_field(None, get_symbol("heat"), 0.0, 1.0, gh)
@@ -130,32 +143,28 @@ def criterion_4_closed_form_kernels() -> CriterionResult:
     Kp = kernel_field(None, get_symbol("poisson"), 0.0, 1.0, gp)
     pois_err = float(np.abs(Kp.values - 1.0 / (np.pi * (1.0 + xp**2)))
                      [np.abs(xp) <= gp.half_extent / 2].max())
-    dt = time.perf_counter() - t0
     passed = heat_err <= 1e-6 and pois_err <= 1e-6
-    return CriterionResult(4, "closed-form heat and Poisson kernels", passed,
-                           {"heat_sup_err": heat_err, "poisson_sup_err": pois_err}, dt)
+    return passed, {"heat_sup_err": heat_err, "poisson_sup_err": pois_err}
 
 
 def _twin(cid: int):
-    """(summary, passed) of the criterion's twin scenario."""
+    """(passed, summary) of the criterion's twin scenario."""
     cfg = TWINS[cid]
     summary, _, passed = _MEASURES[cfg.scenario](cfg)
-    return summary, passed
+    return passed, summary
 
 
-def criterion_5_partition_orthogonality() -> CriterionResult:
+@_criterion(5, "partition of unity / almost orthogonality / reconstruction")
+def criterion_5_partition_orthogonality():
     """Partition of unity to 1e-14, block orthogonality to 1e-12,
     reconstruction to 1e-10: the LP_DECOMP scenario."""
-    t0 = time.perf_counter()
-    details, passed = _twin(5)
-    return CriterionResult(5, "partition of unity / almost orthogonality / reconstruction",
-                           passed, details, time.perf_counter() - t0)
+    return _twin(5)
 
 
-def criterion_6_time_decay() -> CriterionResult:
+@_criterion(6, "time-decay exponent of the gradient kernel")
+def criterion_6_time_decay():
     """Gradient-kernel sup decays with the exact scaling exponent, 2%: the
     time fit of the KERNEL_DECAY scenario for three pairs."""
-    t0 = time.perf_counter()
     details = {}
     passed = True
     for tag, p1, p2 in (("heat_heat", "heat", "heat"),
@@ -167,36 +176,30 @@ def criterion_6_time_decay() -> CriterionResult:
         details[f"{tag}_target"] = rep.target_exponent
         details[f"{tag}_rel_err"] = rel
         passed = passed and ok
-    dt = time.perf_counter() - t0
-    return CriterionResult(6, "time-decay exponent of the gradient kernel", passed,
-                           details, dt)
+    return passed, details
 
 
-def criterion_7_hormander() -> CriterionResult:
+@_criterion(7, "smoothness (Hormander-type) integral uniform in y")
+def criterion_7_hormander():
     """Smoothness integral H(y) finite with flat log-log trend over 8 octaves:
     the HORMANDER scenario."""
-    t0 = time.perf_counter()
-    details, passed = _twin(7)
-    return CriterionResult(7, "smoothness (Hormander-type) integral uniform in y", passed,
-                           details, time.perf_counter() - t0)
+    return _twin(7)
 
 
-def criterion_8_dyadic_envelope() -> CriterionResult:
+@_criterion(8, "dyadic block L1 envelope")
+def criterion_8_dyadic_envelope():
     """Dyadic block L1 envelope fits with positive rate; low-j slope is the
     outer symbol order within 5%: the DYADIC_ENVELOPE scenario."""
-    t0 = time.perf_counter()
-    summary, passed = _twin(8)
+    passed, summary = _twin(8)
     slope = summary["low_j_slope"]
     slope_err = abs(slope - 2.0) / 2.0 if slope is not None else math.inf
-    return CriterionResult(8, "dyadic block L1 envelope", passed,
-                           {"rate": summary["rate"], "constant": summary["constant"],
-                            "low_j_slope": slope or math.nan,
-                            "low_j_slope_rel_err": slope_err}, time.perf_counter() - t0)
+    return passed, {"rate": summary["rate"], "constant": summary["constant"],
+                    "low_j_slope": slope or math.nan, "low_j_slope_rel_err": slope_err}
 
 
-def criterion_9_scaling_identity() -> CriterionResult:
+@_criterion(9, "homogeneous time-dilation identity")
+def criterion_9_scaling_identity():
     """Time-dilation identity for homogeneous pairs at the field level, 1e-6."""
-    t0 = time.perf_counter()
     grid = GridSpec(1, 1024, 32.0)
     entries = generate_corpus(109, grid, "GAUSSIAN_MIX", 4, mean_removed=True)
     worst = 0.0
@@ -206,9 +209,7 @@ def criterion_9_scaling_identity() -> CriterionResult:
             for e in entries[:2]:
                 worst = max(worst, _scaling_identity_error(e.field, sym, sym, b,
                                                            s=0.3, t=0.7))
-    dt = time.perf_counter() - t0
-    return CriterionResult(9, "homogeneous time-dilation identity", worst <= 1e-6,
-                           {"worst_rel_err": worst}, dt)
+    return worst <= 1e-6, {"worst_rel_err": worst}
 
 
 def _scaling_identity_error(f: Field, psi1, psi2, b: float, s: float, t: float) -> float:
@@ -232,9 +233,9 @@ def _scaling_identity_error(f: Field, psi1, psi2, b: float, s: float, t: float) 
     return float(np.abs(lhs.values - rhs).max() / scale)
 
 
-def criterion_10_ratio_stability() -> CriterionResult:
+@_criterion(10, "ratio stability under refinement")
+def criterion_10_ratio_stability():
     """Finite-window ratio maxima move < 5% under grid refinement."""
-    t0 = time.perf_counter()
     heat = get_symbol("heat")
     grid = GridSpec(1, 1024, 32.0)
     entries = generate_corpus(110, grid, "GAUSSIAN_MIX", 12, mean_removed=True)
@@ -252,33 +253,15 @@ def criterion_10_ratio_stability() -> CriterionResult:
             details[f"p{p}_q{q}_max"] = m1
             details[f"p{p}_q{q}_drift"] = drift
             passed = passed and drift < 0.05
-    dt = time.perf_counter() - t0
-    return CriterionResult(10, "ratio stability under refinement", passed, details, dt)
+    return passed, details
 
 
-def criterion_11_fraclap_dual_route() -> CriterionResult:
+@_criterion(11, "fractional Laplacian dual route")
+def criterion_11_fraclap_dual_route():
     """Principal-value and multiplier fractional Laplacians agree to 1e-3:
     the FRACLAP_XCHECK scenario."""
-    t0 = time.perf_counter()
-    summary, passed = _twin(11)
-    details = {f"eta_{eta}_rel_l2": rel for eta, rel in summary["discrepancies"].items()}
-    return CriterionResult(11, "fractional Laplacian dual route", passed, details,
-                           time.perf_counter() - t0)
-
-
-CRITERIA: List[Callable[[], CriterionResult]] = [
-    criterion_1_exact_q2_constant,
-    criterion_2_poisson_cases,
-    criterion_3_composition,
-    criterion_4_closed_form_kernels,
-    criterion_5_partition_orthogonality,
-    criterion_6_time_decay,
-    criterion_7_hormander,
-    criterion_8_dyadic_envelope,
-    criterion_9_scaling_identity,
-    criterion_10_ratio_stability,
-    criterion_11_fraclap_dual_route,
-]
+    passed, summary = _twin(11)
+    return passed, {f"eta_{eta}_rel_l2": rel for eta, rel in summary["discrepancies"].items()}
 
 
 def run_all(echo: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:

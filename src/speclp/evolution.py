@@ -79,8 +79,8 @@ class TimeIntegralRule:
         return cls(method="gauss", order=order, tolerance=tolerance, adaptive=adaptive)
 
     @classmethod
-    def trapezoid(cls, panels: int = 64, tolerance: float = 1e-10) -> "TimeIntegralRule":
-        return cls(method="trapezoid", order=panels, tolerance=tolerance, adaptive=False)
+    def trapezoid(cls, panels: int = 64) -> "TimeIntegralRule":
+        return cls(method="trapezoid", order=panels, adaptive=False)
 
 
 def default_rule(psi: SymbolSpec) -> TimeIntegralRule:
@@ -96,12 +96,21 @@ def _legendre(order: int):
     return nodes, weights
 
 
+def _dyadic_panels(edges, order: int):
+    """Gauss-Legendre points and weights with ``order`` nodes on each panel
+    [edges[k], edges[k + 1]], concatenated panel by panel."""
+    z, w = _legendre(order)
+    edges = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * z).ravel(), (half[:, None] * w).ravel()
+
+
 def _gauss_integral(psi: SymbolSpec, s: float, t: float, xi: np.ndarray, order: int) -> np.ndarray:
     nodes, weights = _legendre(order)
     mid, half = 0.5 * (s + t), 0.5 * (t - s)
-    acc = np.zeros(xi.shape[1:], dtype=np.complex128)
+    acc = 0.0
     for z, w in zip(nodes, weights):
-        acc += w * psi(mid + half * z, xi)
+        acc = acc + w * psi(mid + half * z, xi)
     return half * acc
 
 
@@ -111,11 +120,11 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
     if rule.method == "exact":
         if not psi.time_constant:
             raise ValueError("exact rule requires a time-constant symbol")
-        return (t - s) * np.asarray(psi(s, xi), dtype=np.complex128)
+        return (t - s) * psi(s, xi)
     if rule.method == "trapezoid":
         from scipy.integrate import trapezoid  # np.trapz is gone in numpy 2
         rs = np.linspace(s, t, rule.order + 1)
-        vals = np.stack([np.asarray(psi(r, xi), dtype=np.complex128) for r in rs])
+        vals = np.stack([psi(r, xi) for r in rs])
         return trapezoid(vals, rs, axis=0)
     est = _gauss_integral(psi, s, t, xi, rule.order)
     if not rule.adaptive:
@@ -157,7 +166,7 @@ def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
     vals = np.exp(integrate_symbol(psi2, s, t, xi, rule))
     if pre is not None:
         psi1, l = pre
-        vals = vals * np.asarray(psi1(l, xi), dtype=np.complex128)
+        vals = vals * psi1(l, xi)
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = tuple(np.argwhere(bad)[0])
@@ -207,9 +216,8 @@ def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: Gri
     if not (s <= r <= t):
         raise ValueError(f"need s <= r <= t, got {s}, {r}, {t}")
     full = multiplier_values(psi2, s, t, grid, rule)
-    ones = np.ones(grid.shape, dtype=np.complex128)
-    left = ones if r == t else multiplier_values(psi2, r, t, grid, rule)
-    right = ones if r == s else multiplier_values(psi2, s, r, grid, rule)
+    left = 1.0 if r == t else multiplier_values(psi2, r, t, grid, rule)
+    right = 1.0 if r == s else multiplier_values(psi2, s, r, grid, rule)
     err = np.abs(full - left * right) / (np.abs(full) + _REL_FLOOR)
     return float(err.max())
 

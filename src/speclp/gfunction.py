@@ -26,10 +26,12 @@ inverse FFT over the spatial axes.
   multipliers psi1(l,.) and psi2 (or the first time increment of its
   integral) are exactly Hermitian on the lattice, m(-xi) = conj(m(xi)), every
   node field is real.  The stack then lives on the half spectrum of
-  ``rfftn`` (last axis 0..n/2), the exponential runs on reals when the
-  symbol values have no imaginary part, the input enters through one
-  ``rfftn`` of its samples, and each chunk goes through one ``irfftn``.
-  Time-dependent symbols are integrated on the half lattice only.
+  ``rfftn`` (last axis 0..n/2), the exponential runs on reals for
+  real-valued symbols (their values are float64, see
+  :func:`speclp.symbols.eval_symbol`), the input enters through one ``rfftn``
+  of its samples (``spectral._spectrum``), and each chunk goes through one
+  ``irfftn``.  Time-dependent symbols are integrated on the half lattice
+  only.
 * Complex fallback: complex input, or a multiplier that is not Hermitian
   (for instance a drift term i xi, which is not real at the Nyquist index),
   runs the same chunk loop on the full lattice with ``ifftn``.
@@ -49,11 +51,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
 from .errors import WindowError
-from .evolution import TimeIntegralRule, integrate_symbol
-from .spectral import Field, forward_transform, lp_norm, refine_field
+from .evolution import TimeIntegralRule, _dyadic_panels, integrate_symbol
+from .spectral import Field, _spectrum, lp_norm, refine_field
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -144,20 +145,12 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
     else:
         n_panels = 60
 
-    z, w = roots_legendre(n_nodes)
     edges = [0.0] + [u_max * 2.0 ** (-k) for k in range(n_panels, -1, -1)]
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        u = mid + half * z
-        nodes.append(s + u ** (1.0 / omega))
-        weights.append(half * w / omega)
-    t_nodes = np.concatenate(nodes)
-    t_weights = np.concatenate(weights)
+    u, w = _dyadic_panels(edges, n_nodes)
     return TimeWindow(
         s=float(s), a=float(a), q=float(q), gamma1=float(gamma1), gamma2=float(gamma2),
         kappa2=float(kappa2), weight_exponent=omega - 1.0,
-        nodes=t_nodes, weights=t_weights, truncation_t=T,
+        nodes=s + u ** (1.0 / omega), weights=w / omega, truncation_t=T,
     )
 
 
@@ -192,11 +185,6 @@ def _hermitian(m: np.ndarray) -> bool:
     return bool(np.array_equal(mirror, np.conj(m)))
 
 
-def _real_if_exact(a: np.ndarray) -> np.ndarray:
-    """A contiguous copy of a, real when a has no imaginary part."""
-    return np.array(a if a.imag.any() else a.real)
-
-
 def _chunk_nodes(grid, real: bool) -> int:
     """Nodes per chunk.  A real-path node holds about three real lattices of
     temporaries (exponent and multiplier on the half spectrum, the real
@@ -210,11 +198,7 @@ def _input_spectrum(f: Field, real: bool, infinite: bool) -> np.ndarray:
 
     An infinite window needs a spectral gap, so there f must be mean-free.
     """
-    if real:
-        F = np.fft.rfftn(np.fft.ifftshift(f.values))
-        F *= f.grid.cell_measure / (2.0 * np.pi) ** (f.grid.dim / 2.0)
-    else:
-        F = forward_transform(f).coeffs
+    F = _spectrum(f, half=real)
     if infinite:
         scale = np.abs(F).max()
         if scale > 0.0 and abs(F[(0,) * f.grid.dim]) > 1e-9 * scale:
@@ -233,13 +217,13 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     fallback; see the module docstring.
     """
     xi = grid.xi_stack()
-    pre = _real_if_exact(psi1(l, xi))
+    pre = psi1(l, xi)
     # psi2 itself when time-constant, else its integral up to the first node
     if psi2.time_constant:
-        first = _real_if_exact(psi2(0.0, xi))
+        first = psi2(0.0, xi)
     else:
         rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
-        first = _real_if_exact(integrate_symbol(psi2, window.s, window.nodes[0], xi, rule))
+        first = integrate_symbol(psi2, window.s, window.nodes[0], xi, rule)
     real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
         half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
@@ -260,13 +244,12 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         if psi2.time_constant:
             E = np.multiply.outer(dt[sl], first)
         else:
-            E = np.empty((window.nodes[sl].size,) + first.shape, dtype=np.complex128)
+            E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
             for j, i in enumerate(range(lo, lo + len(E))):
                 E[j] = first if i == 0 else integrate_symbol(psi2, rs[i], rs[i + 1], xi, rule)
             E[0] += Q
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()
-            E = _real_if_exact(E)
         np.exp(E, out=E)
         yield window.weights[sl], inverse(pre * E, s=grid.shape, axes=axes)
 

@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.special import roots_legendre
 
 from .errors import AuditError
-from .evolution import KERNEL_SCALE, TimeIntegralRule, multiplier_values
+from .evolution import KERNEL_SCALE, TimeIntegralRule, _dyadic_panels, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _node_fields
 from .lp_decomp import DyadicDecomposition, bump_profile
-from .spectral import Field, GridSpec, SpectralField, _multiply, inverse_transform, lp_norm
+from .spectral import (Field, GridSpec, SpectralField, _multiply, _shift_phase,
+                       inverse_transform, lp_norm)
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -84,6 +84,13 @@ def _loglog_fit(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def _decay_fit(x: np.ndarray, v: np.ndarray, target: float, window) -> DecayFitReport:
+    """Fit v ~ x^e and bound v by the smallest C x^target covering every sample."""
+    const = float((v * x ** (-target)).max())
+    excess = float((v / (const * x ** target)).max() - 1.0)
+    return DecayFitReport(_loglog_fit(x, v), target, window, const, excess)
+
+
 def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                     s: float, t: float, grid: GridSpec,
                     fit_window: Optional[Tuple[float, float]] = None,
@@ -95,7 +102,6 @@ def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     informative outputs are the fitted exponent and the constant itself
     (stable across t for self-similar kernels).
     """
-    d = grid.dim
     r_lo, r_hi = fit_window if fit_window is not None else (1.0, grid.half_extent / 2.0)
     if r_hi / r_lo < 8.0:
         raise AuditError("fit window must span at least 3 octaves")
@@ -105,11 +111,7 @@ def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     sel = (r >= r_lo) & (r <= r_hi) & (v > _UNDERFLOW)
     if sel.sum() < 8:
         raise AuditError("too few usable points in the fit window; enlarge the grid")
-    target = -(d + 1.0 + psi1.gamma)
-    fitted = _loglog_fit(r[sel], v[sel])
-    const = float((v[sel] * r[sel] ** (d + 1.0 + psi1.gamma)).max())
-    excess = float((v[sel] / (const * r[sel] ** target)).max() - 1.0)
-    return DecayFitReport(fitted, target, (r_lo, r_hi), const, excess)
+    return _decay_fit(r[sel], v[sel], -(grid.dim + 1.0 + psi1.gamma), (r_lo, r_hi))
 
 
 def decay_fit_time(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
@@ -123,13 +125,8 @@ def decay_fit_time(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     for t in ts:
         _, mag = gradient_kernel(psi1, l, psi2, s, t, grid, rule)
         sups.append(np.abs(mag.values).max())
-    sups = np.asarray(sups)
-    d = grid.dim
-    target = -(d + 1.0 + psi1.gamma) / psi2.gamma
-    fitted = _loglog_fit(ts - s, sups)
-    const = float((sups * (ts - s) ** (-target)).max())
-    excess = float((sups / (const * (ts - s) ** target)).max() - 1.0)
-    return DecayFitReport(fitted, target, (float(ts.min() - s), float(ts.max() - s)), const, excess)
+    target = -(grid.dim + 1.0 + psi1.gamma) / psi2.gamma
+    return _decay_fit(ts - s, np.asarray(sups), target, (float(ts.min() - s), float(ts.max() - s)))
 
 
 def _lattice_shift(grid: GridSpec, y: np.ndarray) -> Optional[Tuple[int, ...]]:
@@ -148,7 +145,8 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     ||.||_V is the windowed q-norm with the singular weight.  Shifts are
     exact: lattice-aligned y uses an index roll (the exact phase multiplier
     for lattice shifts), other y a spectral phase.  Each chunk of node
-    kernels is materialized once and reused across the y list.
+    kernels is materialized once and reused across the y list.  Every |y|
+    must stay below L/2, so that the region |x| >= 2|y| holds lattice points.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
     if not ys:
@@ -159,12 +157,13 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
             raise ValueError("y must be nonzero")
         if grid.spacing > m / 8.0:
             raise AuditError(f"grid cannot resolve |y|={m}: spacing {grid.spacing} > |y|/8")
+        if 2.0 * m >= grid.half_extent:
+            raise AuditError(f"no lattice region |x| >= 2|y| for |y|={m}: "
+                             f"need |y| < L/2 = {grid.half_extent / 2.0}")
     if len(mags) >= 2 and max(mags) / min(mags) < 2.0**6:
         raise AuditError("y profile must span at least 6 octaves")
     shifts = [_lattice_shift(grid, y) for y in ys]
-    xi = grid.xi_stack()
-    phases = [None if sh is not None else np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
-              for y, sh in zip(ys, shifts)]
+    phases = [None if sh is not None else _shift_phase(grid, y) for y, sh in zip(ys, shifts)]
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
     axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
@@ -334,11 +333,8 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
     edge0 = (m0 - 0.5) * h
 
     # near range (0, edge0]: symmetric difference on dyadic panels
-    z, w = roots_legendre(nodes_per_panel)
-    edges = np.array([edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)])
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    ys = (mid[:, None] + half[:, None] * z).ravel()
-    cs = (half[:, None] * w).ravel() * ys ** (-1.0 - eta)
+    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)], nodes_per_panel)
+    cs = ws * ys ** (-1.0 - eta)
     near = np.zeros(grid.n)
     for y, c in zip(ys, cs):
         near += c * np.sin(0.5 * y * xi) ** 2

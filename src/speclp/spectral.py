@@ -194,16 +194,22 @@ class SpectralField:
         object.__setattr__(self, "coeffs", _as_grid_array(self.grid, self.coeffs))
 
 
+def _spectrum(f: Field, half: bool = False) -> np.ndarray:
+    """The coefficients of :func:`forward_transform`, or with ``half`` (real
+    f only) their ``rfftn`` half spectrum: last axis 0..n/2."""
+    g = np.fft.ifftshift(f.values)
+    F = np.fft.rfftn(g) if half else np.fft.fftn(g)
+    F *= f.grid.cell_measure / _two_pi_pow(f.grid.dim)
+    return F
+
+
 def forward_transform(f: Field) -> SpectralField:
     """Discrete Fourier transform approximating the continuum F(f).
 
     The result samples (2 pi)^(-d/2) * sum_x e^(-i x.xi) f(x) spacing^d on
     the frequency lattice, coefficients in fft order.
     """
-    g = np.fft.ifftshift(f.values)
-    d = f.grid.dim
-    coeffs = np.fft.fftn(g) * (f.grid.cell_measure / _two_pi_pow(d))
-    return SpectralField(f.grid, coeffs)
+    return SpectralField(f.grid, _spectrum(f))
 
 
 def inverse_transform(F: SpectralField) -> Field:
@@ -285,8 +291,12 @@ def spectral_shift(f: Field, y) -> Field:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
         raise ValueError(f"shift vector must have length {f.grid.dim}")
-    xi = f.grid.xi_stack()
-    return _multiply(f, np.exp(-1j * np.tensordot(y, xi, axes=(0, 0))), real_part=True)
+    return _multiply(f, _shift_phase(f.grid, y), real_part=True)
+
+
+def _shift_phase(grid: GridSpec, y: np.ndarray) -> np.ndarray:
+    """The translation multiplier exp(-i y.xi) on the lattice, fft order."""
+    return np.exp(-1j * np.tensordot(y, grid.xi_stack(), axes=(0, 0)))
 
 
 def refine_field(f: Field, factor: int = 2) -> Field:
@@ -302,14 +312,9 @@ def refine_field(f: Field, factor: int = 2) -> Field:
         raise ValueError("factor must be a positive integer")
     g = f.grid
     fine = GridSpec(g.dim, g.n * factor, g.half_extent)
-    coarse = forward_transform(f).coeffs
-    shifted = np.fft.fftshift(coarse)
-    out = np.zeros(fine.shape, dtype=np.complex128)
-    lo = fine.n // 2 - g.n // 2
-    sl = tuple(slice(lo, lo + g.n) for _ in range(g.dim))
-    out_sh = np.fft.fftshift(out)
-    out_sh[sl] = shifted
-    vals = inverse_transform(SpectralField(fine, np.fft.ifftshift(out_sh)))
+    # the centred coarse spectrum sits in the middle of the centred fine one
+    centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
+    vals = inverse_transform(SpectralField(fine, np.fft.ifftshift(centred)))
     return Field(fine, vals.values.real) if np.isrealobj(f.values) else vals
 
 

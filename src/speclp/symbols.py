@@ -79,20 +79,23 @@ class SymbolSpec:
 def eval_symbol(spec: SymbolSpec, t: float, xi):
     """Evaluate psi(t, xi); raises SymbolEvalError on non-finite output.
 
-    ``xi`` may be a single point of shape (d,) (returns a complex scalar) or
-    a stacked array of shape (d, ...) (returns an array).
+    ``xi`` may be a single point of shape (d,) (returns a Python scalar) or
+    a stacked array of shape (d, ...) (returns an array).  Values keep the
+    symbol's own kind: float64 (a float) when ``eval_fn`` returns real
+    values, complex128 (a complex) only when it returns complex ones.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     single = arr.ndim == 1
     pts = arr[:, None] if single else arr
-    out = np.asarray(spec.eval_fn(float(t), pts), dtype=np.complex128)
+    out = np.asarray(spec.eval_fn(float(t), pts))
+    out = out.astype(np.result_type(out, np.float64), copy=False)
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0])
         where = tuple(pts[(slice(None),) + bad])
         raise SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, xi={where}")
-    return complex(out.reshape(-1)[0]) if single else out
+    return out.reshape(-1)[0].item() if single else out
 
 
 @dataclass(frozen=True)

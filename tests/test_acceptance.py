@@ -14,6 +14,12 @@ def _run(fn):
     return res
 
 
+def test_criteria_registered_in_order():
+    names = [fn.__name__ for fn in acceptance.CRITERIA]
+    assert [int(n.split("_")[1]) for n in names] == list(range(1, 12))
+    assert all(getattr(acceptance, n) is fn for n, fn in zip(names, acceptance.CRITERIA))
+
+
 def test_criterion_01_exact_q2_constant():
     res = _run(acceptance.criterion_1_exact_q2_constant)
     assert res.details["worst_ratio_err"] <= 1e-3

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from speclp import (Field, GridSpec, TimeIntegralRule, apply_evolution, build_multiplier,
-                    get_symbol, kernel_field, multiplier_values, power_t_symbol,
-                    verify_composition)
+from speclp import (Field, GridSpec, SymbolSpec, TimeIntegralRule, apply_evolution,
+                    build_multiplier, get_symbol, kernel_field, multiplier_values,
+                    power_t_symbol, verify_composition)
 from speclp.acceptance import _scaling_identity_error
 from speclp.corpus import generate_corpus
 from speclp.evolution import integrate_symbol
@@ -130,6 +130,38 @@ def test_trapezoid_rule_agrees_with_gauss(unit_freq_grid):
     panels = (8, 16, 32)
     for p, err in zip(panels, _trapezoid_errors(curved, unit_freq_grid, panels)):
         assert err == pytest.approx(0.288 / 2.112 / p**2, rel=1e-6)
+
+
+# Hermitian on the lattice except at the Nyquist index, where i xi is not real
+DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
+                   kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
+RULES = {"exact": TimeIntegralRule.exact(), "gauss": TimeIntegralRule.gauss_legendre(),
+         "trapezoid": TimeIntegralRule.trapezoid(8)}
+
+
+@pytest.mark.parametrize("method", list(RULES))
+def test_real_symbols_integrate_to_float64(unit_freq_grid, method):
+    xi = unit_freq_grid.xi_stack()
+    rule = RULES[method]
+    syms = (HEAT, POISSON) if method == "exact" else (HEAT, get_symbol("power-t:2"))
+    for sym in syms:
+        assert integrate_symbol(sym, 0.2, 1.4, xi, rule).dtype == np.float64
+        assert multiplier_values(sym, 0.2, 1.4, unit_freq_grid, rule).dtype == np.float64
+        mult = multiplier_values(sym, 0.2, 1.4, unit_freq_grid, rule, pre=(POISSON, 0.0))
+        assert mult.dtype == np.float64
+
+
+@pytest.mark.parametrize("method", list(RULES))
+def test_complex_symbol_stays_complex128(unit_freq_grid, method):
+    xi = unit_freq_grid.xi_stack()
+    rule = RULES[method]
+    integral = integrate_symbol(DRIFT, 0.2, 1.4, xi, rule)
+    assert integral.dtype == np.complex128
+    assert integral[8] == pytest.approx(1.2 * (-1.0 + 1.0j), rel=1e-12)  # xi = 1
+    mult = multiplier_values(DRIFT, 0.2, 1.4, unit_freq_grid, rule)
+    assert mult.dtype == np.complex128
+    assert np.abs(mult.imag).max() > 0.1
+    assert verify_composition(DRIFT, 0.2, 0.7, 1.4, unit_freq_grid, rule) <= 1e-12
 
 
 def test_multiplier_ellipticity_envelope():

@@ -44,6 +44,32 @@ def test_nodes_inside_window():
     assert w.nodes[0] > 0.5 and w.nodes[-1] < 2.5
 
 
+def _oracle_window(s, T, omega, n_nodes, n_panels):
+    """The per-panel loop that built windows before the shared panel builder."""
+    from scipy.special import roots_legendre
+
+    z, w = roots_legendre(n_nodes)
+    edges = [0.0] + [T**omega * 2.0 ** (-k) for k in range(n_panels, -1, -1)]
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(s + (mid + half * z) ** (1.0 / omega))
+        weights.append(half * w / omega)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("s, a, q, g1, g2, n_nodes", [
+    (0.0, INF, 2.0, 2.0, 2.0, 16), (0.0, INF, 2.0, 1.0, 1.0, 8),
+    (0.3, 1.0, 4.0, 2.0, 2.0, 4), (0.5, 2.0, 3.0, 1.0, 2.0, 5)])
+def test_window_matches_per_panel_loop(grid, s, a, q, g1, g2, n_nodes):
+    for xi_max in (None, grid.nyquist):
+        w = build_time_window(s, a, q, g1, g2, n_nodes, xi_min=grid.min_freq, xi_max=xi_max)
+        n_panels = w.nodes.size // n_nodes - 1  # panels of the edges [0, 2^-n u, ..., u]
+        nodes, weights = _oracle_window(s, w.truncation_t, q * g1 / g2, n_nodes, n_panels)
+        assert w.nodes.tobytes() == nodes.tobytes()
+        assert w.weights.tobytes() == weights.tobytes()
+
+
 def test_infinite_window_truncation(grid):
     w = window_inf(grid, 2.0, HEAT, HEAT)
     # truncation solves exp(-kappa T ximin^gamma) = 1e-16

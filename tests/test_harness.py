@@ -126,6 +126,13 @@ def test_cli_bad_hormander_extra_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: y_oct_lo and y_oct_hi must be integers")
 
 
+def test_cli_hormander_shift_beyond_half_extent_exits_2(tmp_path, capsys):
+    # y = 2^3 = L/2 leaves no lattice point in |x| >= 2|y|
+    p = write_cfg(tmp_path / "c.cfg", n=2048, L=16, y_oct_lo=-3, y_oct_hi=3)
+    assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
+    assert "need |y| < L/2" in capsys.readouterr().err
+
+
 def test_bad_symbol_rejected_for_every_scenario():
     for scenario in ("AUDIT_SYMBOL", "LP_DECOMP", "FRACLAP_XCHECK"):
         with pytest.raises(ConfigError, match="unknown symbol"):

@@ -102,6 +102,18 @@ def test_hormander_preconditions():
                          [np.array([1.0]), np.array([2.0])], g)
 
 
+def test_hormander_needs_a_region_beyond_2y():
+    # |x| >= 2|y| holds no lattice point once 2|y| >= L: H would read 0.0
+    g = GridSpec(1, 8192, 32.0)
+    w = build_time_window(0.0, INF, 2.0, 2.0, 2.0, n_nodes=2, kappa2=1.0,
+                          xi_min=g.min_freq, xi_max=g.nyquist)
+    for y in (40.0, 16.0):
+        with pytest.raises(AuditError, match="L/2"):
+            hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([y])], g)
+    rep = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([15.5])], g)
+    assert rep.integrals[0] > 0.0
+
+
 def test_hormander_shift_paths_agree(monkeypatch):
     # the fall-back spectral phase shift must reproduce the index-roll path
     import speclp.kernel_audit as ka

@@ -24,6 +24,9 @@ POWER_T = get_symbol("power-t:2")
 # Hermitian everywhere except the Nyquist index, where i xi is not real
 DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
                    kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
+DRIFT_T = SymbolSpec(name="drift-t",
+                     eval_fn=lambda t, xi: -(1.0 + t) * (xi**2).sum(axis=0) + 1j * xi[0],
+                     kappa=1.0, mu=30.0, gamma=2.0, n_cert=2)
 
 GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
 
@@ -134,10 +137,11 @@ def test_infinite_window_matches_per_node_loop(d):
 def test_non_hermitian_multiplier_takes_the_complex_path(d):
     f = field(d)
     w = finite_window(f.grid, 2.0)
-    _, stack = next(gfunction._node_fields(HEAT, 0.0, DRIFT, w, f.grid, f=f))
-    assert stack.dtype == np.complex128
-    G = g_function(f, HEAT, 0.0, DRIFT, w, 2.0)
-    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, DRIFT, w, 2.0)) <= 1e-13
+    for drift in (DRIFT, DRIFT_T):
+        _, stack = next(gfunction._node_fields(HEAT, 0.0, drift, w, f.grid, f=f))
+        assert stack.dtype == np.complex128
+        G = g_function(f, HEAT, 0.0, drift, w, 2.0)
+        assert rel_err(G.values, oracle_g(f, HEAT, 0.0, drift, w, 2.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])

@@ -48,6 +48,26 @@ def test_time_constant_families_ignore_t():
         assert eval_symbol(sym, 0.0, vec(1.3)) == eval_symbol(sym, 5.0, vec(1.3))
 
 
+@pytest.mark.parametrize("name", ["heat", "poisson", "power:1.5", "power-t:2", "frac-lap:0.5"])
+def test_builtin_symbols_evaluate_to_float64(name):
+    sym = get_symbol(name)
+    assert sym(0.5, np.ones((2, 3, 4))).dtype == np.float64
+    assert type(eval_symbol(sym, 0.5, vec(1.0, 2.0))) is float
+
+
+def test_symbol_values_keep_their_kind():
+    lat = np.ones((1, 5))
+    drift = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
+                       kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
+    assert drift(0.0, lat).dtype == np.complex128
+    assert eval_symbol(drift, 0.0, vec(2.0)) == -4.0 + 2.0j
+    # narrower or integer values widen to float64, never to complex
+    single = dataclasses.replace(drift, eval_fn=lambda t, xi: -np.float32(1.0) * xi[0] ** 2)
+    assert single(0.0, lat).dtype == np.float64
+    ints = dataclasses.replace(drift, eval_fn=lambda t, xi: np.zeros(xi.shape[1:], dtype=int))
+    assert ints(0.0, lat).dtype == np.float64
+
+
 def test_eval_rejects_negative_time_and_nonfinite():
     heat = get_symbol("heat")
     with pytest.raises(ValueError):
