@@ -3,18 +3,15 @@ verification on a discretized torus."""
 
 from .errors import (AuditError, ConfigError, MultiplierError, QuadratureError,
                      SpecLPError, SymbolEvalError, WindowError)
-from .spectral import (Field, GridSpec, SpectralField, apply_multiplier, export_field_csv,
-                       forward_transform, inverse_transform, load_field, lp_norm, mean_remove,
-                       refine_field, save_field, spectral_shift)
+from .spectral import (Field, GridSpec, SpectralField, apply_multiplier, forward_transform,
+                       inverse_transform, lp_norm, mean_remove, refine_field, spectral_shift)
 from .symbols import (AuditReport, SymbolSpec, audit_s1, audit_s2, check_homogeneity,
                       eval_symbol, frac_lap_symbol, get_symbol, heat_symbol,
                       poisson_symbol, power_symbol, power_t_symbol)
 from .evolution import (EvolutionMultiplier, TimeIntegralRule, apply_evolution,
-                        build_multiplier, dump_kernel, dump_multiplier, kernel_field,
-                        multiplier_values, verify_composition)
+                        build_multiplier, kernel_field, multiplier_values, verify_composition)
 from .lp_decomp import (DyadicDecomposition, besov_norm0, block, block_energy_table,
-                        build_decomposition, bump_profile, chi_profile,
-                        export_block_energy_csv, low_part, sobolev_norm)
+                        build_decomposition, bump_profile, chi_profile, low_part, sobolev_norm)
 from .gfunction import (INF, RatioReport, TimeWindow, build_time_window,
                         check_infinite_window_legal, explicit_q2_constant,
                         g_function, ratio_report)

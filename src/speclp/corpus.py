@@ -78,9 +78,8 @@ def _gaussian_mix(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]
     return vals, (grid.min_freq, band_hi)
 
 
-def _bandlimited_random(rng, grid: GridSpec,
-                        band: Optional[Tuple[float, float]]) -> Tuple[np.ndarray, Tuple[float, float]]:
-    lo, hi = band if band is not None else (grid.nyquist / 16.0, grid.nyquist / 4.0)
+def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]:
+    lo, hi = grid.nyquist / 16.0, grid.nyquist / 4.0
     xi = grid.xi_norm()
     env = np.exp(-1.0 / np.maximum(1e-12, 1.0 - (2.0 * (xi - lo) / (hi - lo) - 1.0) ** 2))
     env[(xi <= lo) | (xi >= hi)] = 0.0
@@ -113,9 +112,7 @@ def _annulus(rng, grid: GridSpec, j0: Optional[int]) -> Tuple[np.ndarray, Tuple[
 
 
 def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
-                    mean_removed: bool = True,
-                    band: Optional[Tuple[float, float]] = None,
-                    j0: Optional[int] = None) -> List[CorpusEntry]:
+                    mean_removed: bool = True, j0: Optional[int] = None) -> List[CorpusEntry]:
     """Seed-deterministic corpus of ``count`` fields of the requested kind."""
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -128,7 +125,7 @@ def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
         if kind == GAUSSIAN_MIX:
             raw, b = _gaussian_mix(rng, grid)
         elif kind == BANDLIMITED_RANDOM:
-            raw, b = _bandlimited_random(rng, grid, band)
+            raw, b = _bandlimited_random(rng, grid)
         else:
             raw, b = _annulus(rng, grid, j0)
         _check_band(grid, b)

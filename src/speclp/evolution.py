@@ -16,7 +16,6 @@ convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -25,8 +24,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
-from .spectral import (Field, GridSpec, SpectralField, _drop_residue, _multiply,
-                       inverse_transform, save_field)
+from .spectral import Field, GridSpec, SpectralField, _drop_residue, _multiply, inverse_transform
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -147,12 +145,7 @@ class EvolutionMultiplier:
     """Frequency multiplier of psi1(l, .) T_psi2(t, s) on a grid's lattice."""
 
     grid: GridSpec
-    s: float
-    t: float
     values: np.ndarray
-    psi2_name: str
-    pre_name: Optional[str] = None
-    pre_l: Optional[float] = None
 
 
 def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
@@ -177,12 +170,7 @@ def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
 def build_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
                      rule: Optional[TimeIntegralRule] = None,
                      pre: Optional[Tuple[SymbolSpec, float]] = None) -> EvolutionMultiplier:
-    vals = multiplier_values(psi2, s, t, grid, rule, pre)
-    return EvolutionMultiplier(
-        grid=grid, s=float(s), t=float(t), values=vals, psi2_name=psi2.name,
-        pre_name=None if pre is None else pre[0].name,
-        pre_l=None if pre is None else float(pre[1]),
-    )
+    return EvolutionMultiplier(grid, multiplier_values(psi2, s, t, grid, rule, pre))
 
 
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
@@ -220,33 +208,3 @@ def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: Gri
     right = 1.0 if r == s else multiplier_values(psi2, s, r, grid, rule)
     err = np.abs(full - left * right) / (np.abs(full) + _REL_FLOOR)
     return float(err.max())
-
-
-def _write_sidecar(path, rule: Optional[TimeIntegralRule], **meta) -> None:
-    """Write the run metadata plus the rule as JSON next to a dumped field."""
-    meta["rule"] = None if rule is None else {"method": rule.method, "order": rule.order,
-                                              "tolerance": rule.tolerance}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def dump_multiplier(mult: EvolutionMultiplier, path,
-                    rule: Optional[TimeIntegralRule] = None) -> None:
-    """Write multiplier values in the field binary format plus a JSON sidecar
-    with the run metadata (symbol names, s, t, rule)."""
-    save_field(Field(mult.grid, mult.values), path)
-    _write_sidecar(path, rule, kind="multiplier", psi2=mult.psi2_name, pre=mult.pre_name,
-                   l=mult.pre_l, s=mult.s, t=mult.t)
-
-
-def dump_kernel(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
-                s: float, t: float, grid: GridSpec, path,
-                rule: Optional[TimeIntegralRule] = None) -> Field:
-    """Materialize the convolution kernel, write it plus a JSON sidecar."""
-    K = kernel_field(psi1_l, psi2, s, t, grid, rule)
-    save_field(K, path)
-    _write_sidecar(path, rule, kind="kernel", psi2=psi2.name,
-                   pre=None if psi1_l is None else psi1_l[0].name,
-                   l=None if psi1_l is None else float(psi1_l[1]), s=float(s), t=float(t))
-    return K

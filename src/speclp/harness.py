@@ -201,6 +201,16 @@ def _time_fit(cfg: ScenarioConfig):
 
 
 def _measure_kernel_decay(cfg: ScenarioConfig):
+    """KERNEL_DECAY: the time fit of :func:`_time_fit`, and the space envelope
+    constant of the gradient kernel over r in (4, L/2) at t/2, t and 2t, whose
+    spread must stay within 10 %.
+
+    The space check suits pairs whose gradient kernel has a power-law tail,
+    such as poisson-poisson.  With heat as symbol2 the gradient kernel decays
+    like a Gaussian, so a power-law constant over (4, L/2) is not stable in
+    t: on n = 4096, L = 64 the spread is 2.7 for heat-heat and 0.17 for
+    poisson-heat, and both fail the space check.
+    """
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     t_list, tdec, _, time_ok = _time_fit(cfg)
@@ -335,9 +345,9 @@ _MEASURES = {
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario; writes artifacts to cfg.output_dir, returns exit status."""
     cfg.validate()
+    summary, tables, passed = _MEASURES[cfg.scenario](cfg)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    summary, tables, passed = _MEASURES[cfg.scenario](cfg)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(out, name), header, rows)
     _write_json({**summary, "schema_version": SCHEMA_VERSION, "scenario": cfg.scenario,

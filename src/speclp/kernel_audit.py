@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import AuditError
-from .evolution import KERNEL_SCALE, TimeIntegralRule, _dyadic_panels, multiplier_values
+from .evolution import KERNEL_SCALE, _dyadic_panels, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _node_fields
 from .lp_decomp import DyadicDecomposition, bump_profile
 from .spectral import (Field, GridSpec, SpectralField, _multiply, _shift_phase,
@@ -61,15 +61,14 @@ class HormanderReport:
 
 
 def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
-                    s: float, t: float, grid: GridSpec,
-                    rule: Optional[TimeIntegralRule] = None):
+                    s: float, t: float, grid: GridSpec):
     """Gradient of the convolution kernel of psi1(l,.) T_psi2(t,s).
 
     Returns (components, magnitude): a list of d Fields with the partial
     derivatives (spectral multipliers i xi_k) and the pointwise Euclidean
     magnitude field.
     """
-    mult = multiplier_values(psi2, s, t, grid, rule, pre=(psi1, l))
+    mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
     xi = grid.xi_stack()
     scale = KERNEL_SCALE(grid.dim)
     comps = []
@@ -93,19 +92,19 @@ def _decay_fit(x: np.ndarray, v: np.ndarray, target: float, window) -> DecayFitR
 
 def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                     s: float, t: float, grid: GridSpec,
-                    fit_window: Optional[Tuple[float, float]] = None,
-                    rule: Optional[TimeIntegralRule] = None) -> DecayFitReport:
-    """Fit |grad K| ~ |x|^e on a tail window and bound it by C |x|^-(d+1+g1).
+                    fit_window: Tuple[float, float]) -> DecayFitReport:
+    """Fit |grad K| ~ |x|^e on the tail window r_lo <= |x| <= r_hi and bound
+    it by C |x|^-(d+1+g1).
 
     fitted_constant is the smallest constant covering the window, so the
     pointwise excess against that envelope is zero by construction; the
     informative outputs are the fitted exponent and the constant itself
     (stable across t for self-similar kernels).
     """
-    r_lo, r_hi = fit_window if fit_window is not None else (1.0, grid.half_extent / 2.0)
+    r_lo, r_hi = fit_window
     if r_hi / r_lo < 8.0:
         raise AuditError("fit window must span at least 3 octaves")
-    _, mag = gradient_kernel(psi1, l, psi2, s, t, grid, rule)
+    _, mag = gradient_kernel(psi1, l, psi2, s, t, grid)
     r = grid.x_norm().reshape(-1)
     v = np.abs(mag.values).reshape(-1)
     sel = (r >= r_lo) & (r <= r_hi) & (v > _UNDERFLOW)
@@ -115,15 +114,14 @@ def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
 
 
 def decay_fit_time(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
-                   s: float, grid: GridSpec, t_list: Sequence[float],
-                   rule: Optional[TimeIntegralRule] = None) -> DecayFitReport:
+                   s: float, grid: GridSpec, t_list: Sequence[float]) -> DecayFitReport:
     """Fit sup_x |grad K(t, .)| ~ (t-s)^e against the target -(d+1+g1)/g2."""
     ts = np.asarray(sorted(t_list), dtype=float)
     if ts.size < 3 or (ts.max() - s) / (ts.min() - s) < 8.0:
         raise AuditError("t_list must span at least 3 octaves of t - s")
     sups = []
     for t in ts:
-        _, mag = gradient_kernel(psi1, l, psi2, s, t, grid, rule)
+        _, mag = gradient_kernel(psi1, l, psi2, s, t, grid)
         sups.append(np.abs(mag.values).max())
     target = -(grid.dim + 1.0 + psi1.gamma) / psi2.gamma
     return _decay_fit(ts - s, np.asarray(sups), target, (float(ts.min() - s), float(ts.max() - s)))
@@ -138,8 +136,7 @@ def _lattice_shift(grid: GridSpec, y: np.ndarray) -> Optional[Tuple[int, ...]]:
 
 
 def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
-                     window: TimeWindow, q: float, y_list, grid: GridSpec,
-                     rule: Optional[TimeIntegralRule] = None) -> HormanderReport:
+                     window: TimeWindow, q: float, y_list, grid: GridSpec) -> HormanderReport:
     """H(y) = int_{|x| >= 2|y|} ||K(., x-y) - K(., x)||_V dx for each y.
 
     ||.||_V is the windowed q-norm with the singular weight.  Shifts are
@@ -168,7 +165,7 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
     off_lattice = any(sh is None for sh in shifts)
-    for w, K in _node_fields(psi1, l, psi2, window, grid, rule):
+    for w, K in _node_fields(psi1, l, psi2, window, grid):
         K *= scale  # kernels in fft order: origin at index 0
         spec = np.fft.fftn(K, axes=axes) if off_lattice else None
         for a, sh, phase in zip(acc, shifts, phases):
@@ -202,21 +199,18 @@ class EnvelopeReport:
     constant: float       # C
     rate: float           # c
     low_j_slope: Optional[float]
-    gamma1: float
 
 
 def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                        s: float, t: float, j_range: Sequence[int], grid: GridSpec,
-                       D: DyadicDecomposition,
-                       rule: Optional[TimeIntegralRule] = None,
-                       low_j_threshold: float = 1.0 / 32.0) -> EnvelopeReport:
+                       D: DyadicDecomposition) -> EnvelopeReport:
     """L1 norms of the dyadic kernel blocks with fitted envelope C 2^(j g1) e^(-c (t-s) 2^(j g2)).
 
     The decay rate c is pinned by regressing log(measured / 2^(j g1)) against
     (t-s) 2^(j g2); C is then the smallest constant covering every block, so
     all rows sit under the envelope by construction.  The low-j growth slope
-    (log2 measured per unit j, over blocks with (t-s) 2^((j+1) g2) below
-    ``low_j_threshold``) estimates g1.
+    (log2 measured per unit j, over blocks with (t-s) 2^((j+1) g2) at most
+    1/32, where the decay factor is still near 1) estimates g1.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
@@ -224,7 +218,7 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     if js[0] < D.j_min or js[-1] > D.j_max:
         raise ValueError(f"j range {js[0]}..{js[-1]} outside active range "
                          f"[{D.j_min}, {D.j_max}]")
-    mult = multiplier_values(psi2, s, t, grid, rule, pre=(psi1, l))
+    mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
     xi_norm = grid.xi_norm()
     scale = KERNEL_SCALE(grid.dim)
     g1, g2 = psi1.gamma, psi2.gamma
@@ -247,11 +241,11 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
         env = C * 2.0 ** (j * g1) * math.exp(-c * (t - s) * 2.0 ** (j * g2))
         slack = env / measured[j] if measured[j] > 0 else float("inf")
         rows.append(EnvelopeRow(j, measured[j], env, slack))
-    low = [j for j in usable if (t - s) * 2.0 ** ((j + 1) * g2) <= low_j_threshold]
+    low = [j for j in usable if (t - s) * 2.0 ** ((j + 1) * g2) <= 1.0 / 32.0]
     low_slope = None
     if len(low) >= 2:
         low_slope = float(np.polyfit(low, [math.log2(measured[j]) for j in low], 1)[0])
-    return EnvelopeReport(rows, C, c, low_slope, g1)
+    return EnvelopeReport(rows, C, c, low_slope)
 
 
 def pv_normalization(d: int, eta: float) -> float:
@@ -294,19 +288,18 @@ def _folded_cell_masses(lo_edge, hi_edge, period: float, eta: float):
     return base + period**-eta * (plus + minus) / eta
 
 
-def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
-                            nodes_per_panel: int = 8, y_split: float = 1.0) -> Field:
+def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     """Principal-value form of -(-Laplacian)^(eta/2) f in one dimension.
 
     Evaluates C(eta) * int_0^inf (f(x+y) + f(x-y) - 2 f(x)) y^(-1-eta) dy as
     one Fourier multiplier built from two pieces:
 
-    * the near range (0, y_split], by Gauss-Legendre on ``quad`` dyadic
-      panels, where the symmetric difference tames the singularity.  The
-      exact trigonometric interpolation of the shifted samples makes node y
+    * the near range (0, 1], by Gauss-Legendre with 8 nodes on each of 48
+      dyadic panels, where the symmetric difference tames the singularity.
+      The exact trigonometric interpolation of the shifted samples makes node y
       contribute -4 sin^2(y xi / 2), so the nodes add, in node order, into
       one real multiplier -4 sum_k c_k sin^2(y_k xi / 2);
-    * the far range [y_split, L], by product integration over lattice shifts
+    * the far range [1, L], by product integration over lattice shifts
       with cell-exact masses of the periodized kernel, which accounts for the
       whole-line tail exactly against the periodic extension of the input.
       That circular convolution minus the masses' total times f is the
@@ -314,26 +307,26 @@ def fractional_laplacian_pv(f: Field, eta: float, quad: int = 48,
 
     The image-kernel contribution on the near range is omitted; it is bounded
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
-    tolerances for sane grids.  A real f gives the real part of the result.
+    tolerances for sane grids.  The split at y = 1 needs spacing <= 1 <= L/4.
+    A real f gives the real part of the result.
     """
     if not (0.0 < eta < 2.0):
         raise ValueError(f"eta must lie in (0, 2), got {eta}")
     if f.grid.dim != 1:
         raise ValueError("principal-value route is implemented for d = 1")
-    if quad < 8:
-        raise ValueError("quad (panel count) must be at least 8")
     grid = f.grid
     h = grid.spacing
-    if not (h <= y_split <= grid.half_extent / 4.0):
-        raise ValueError("y_split must lie between one spacing and L/4")
+    if not (h <= 1.0 <= grid.half_extent / 4.0):
+        raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
+                         f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
     xi = grid.freq_axis()
 
-    # split point aligned with a lattice cell edge (m0 - 1/2) h
-    m0 = max(1, round(y_split / h))
+    # split point y = 1 aligned with a lattice cell edge (m0 - 1/2) h
+    m0 = round(1.0 / h)
     edge0 = (m0 - 0.5) * h
 
     # near range (0, edge0]: symmetric difference on dyadic panels
-    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)], nodes_per_panel)
+    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(48, -1, -1)], 8)
     cs = ws * ys ** (-1.0 - eta)
     near = np.zeros(grid.n)
     for y, c in zip(ys, cs):

@@ -134,12 +134,5 @@ def sobolev_norm(f: Field, alpha: float, p: float) -> float:
 
 
 def block_energy_table(f: Field, q: float, D: DyadicDecomposition):
-    """Rows (j, ||block_j f||_q) across the active range, for CSV export."""
+    """Rows (j, ||block_j f||_q) across the active range."""
     return [(j, lp_norm(block(f, j, D), q)) for j in D.j_range]
-
-
-def export_block_energy_csv(f: Field, q: float, D: DyadicDecomposition, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("j,block_norm\n")
-        for j, e in block_energy_table(f, q, D):
-            fh.write(f"{j},{e!r}\n")

@@ -19,7 +19,6 @@ spectral coefficients are stored in ``numpy.fft`` frequency order.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,9 +37,6 @@ __all__ = [
     "mean_remove",
     "spectral_shift",
     "refine_field",
-    "save_field",
-    "load_field",
-    "export_field_csv",
 ]
 
 
@@ -316,38 +312,3 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
     vals = inverse_transform(SpectralField(fine, np.fft.ifftshift(centred)))
     return Field(fine, vals.values.real) if np.isrealobj(f.values) else vals
-
-
-# --- serialization ----------------------------------------------------------
-
-_MAGIC = b"SPLF"
-_HEADER = "<4sII d"  # magic, dim, n, L
-
-
-def save_field(f: Field, path) -> None:
-    """Write a field as little-endian complex64 with a (d, n, L) header."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADER, _MAGIC, f.grid.dim, f.grid.n, f.grid.half_extent))
-        fh.write(np.ascontiguousarray(f.values.astype("<c8")).tobytes())
-
-
-def load_field(path) -> Field:
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize(_HEADER))
-        magic, dim, n, L = struct.unpack(_HEADER, head)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a field file")
-        grid = GridSpec(dim, n, L)
-        raw = np.frombuffer(fh.read(), dtype="<c8")
-    if raw.size != n**dim:
-        raise ValueError(f"{path}: truncated payload")
-    return Field(grid, raw.reshape(grid.shape))
-
-
-def export_field_csv(f: Field, path) -> None:
-    """Write (flat index, re, im) rows for plotting."""
-    flat = f.values.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write("index,re,im\n")
-        for i, v in enumerate(flat):
-            fh.write(f"{i},{v.real!r},{v.imag!r}\n")

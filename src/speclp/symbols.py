@@ -42,7 +42,7 @@ __all__ = [
 
 S1_DEFAULT_TOL = 1e-6  # absolute
 S2_DEFAULT_TOL = 1e-3  # relative; finite-difference noise dominates
-S2_DEFAULT_STEP = 1e-4  # step factor: h = step * max(|xi|, 1) per axis
+S2_DEFAULT_STEP = 1e-4  # step factor: h = S2_DEFAULT_STEP * max(|xi|, 1) per axis
 HOMOGENEITY_DEFAULT_TOL = 1e-8
 
 
@@ -125,9 +125,9 @@ def _check_samples(xi_samples, dim=None, off_hyperplanes=False):
     return pts
 
 
-def audit_s1(spec: SymbolSpec, t_samples: Sequence[float], xi_samples,
-             tolerance: float = S1_DEFAULT_TOL) -> AuditReport:
-    """Worst signed defect of Re psi(t, xi) + kappa |xi|^gamma over the samples."""
+def audit_s1(spec: SymbolSpec, t_samples: Sequence[float], xi_samples) -> AuditReport:
+    """Worst signed defect of Re psi(t, xi) + kappa |xi|^gamma over the samples;
+    passes when it is at most S1_DEFAULT_TOL."""
     if len(t_samples) == 0:
         raise ValueError("empty time sample set")
     pts = _check_samples(xi_samples)
@@ -140,7 +140,7 @@ def audit_s1(spec: SymbolSpec, t_samples: Sequence[float], xi_samples,
             count += 1
             if defect > worst:
                 worst, worst_pt = defect, (float(t), tuple(x), None)
-    return AuditReport("S1", worst, worst_pt, count, worst <= tolerance, tolerance)
+    return AuditReport("S1", worst, worst_pt, count, worst <= S1_DEFAULT_TOL, S1_DEFAULT_TOL)
 
 
 def _fd_partial(spec, t, xi, alpha, h):
@@ -162,14 +162,14 @@ def _multi_indices(d, max_order):
                 yield combo
 
 
-def audit_s2(spec: SymbolSpec, max_order: int, t_samples: Sequence[float], xi_samples,
-             tolerance: float = S2_DEFAULT_TOL, step: float = S2_DEFAULT_STEP) -> AuditReport:
+def audit_s2(spec: SymbolSpec, max_order: int, t_samples: Sequence[float],
+             xi_samples) -> AuditReport:
     """Audit |d^alpha psi| <= mu |xi|^(gamma-|alpha|) for |alpha| <= max_order.
 
     Derivatives are estimated with nested central differences with per-axis
-    step h = step * max(|xi|, 1).  The reported worst_violation is the
-    largest absolute defect |est| - bound; the pass decision compares each
-    defect against ``tolerance`` relative to its bound.
+    step h = S2_DEFAULT_STEP * max(|xi|, 1).  The reported worst_violation
+    is the largest absolute defect |est| - bound; the pass decision compares
+    each defect against S2_DEFAULT_TOL relative to its bound.
     """
     if max_order > spec.n_cert:
         raise ValueError(f"max_order {max_order} exceeds certified depth {spec.n_cert}")
@@ -186,24 +186,23 @@ def audit_s2(spec: SymbolSpec, max_order: int, t_samples: Sequence[float], xi_sa
         for t in t_samples:
             for x in pts:
                 r = np.linalg.norm(x)
-                h = np.full(d, step * max(r, 1.0))
+                h = np.full(d, S2_DEFAULT_STEP * max(r, 1.0))
                 if np.any(x + h == x) or np.any(x - h == x):
                     raise AuditError(f"finite-difference step underflow at xi={tuple(x)}")
                 est = abs(_fd_partial(spec, t, x, alpha, h))
                 bound = spec.mu * r ** (spec.gamma - order)
                 defect = est - bound
                 count += 1
-                if defect > tolerance * max(bound, 1e-300):
+                if defect > S2_DEFAULT_TOL * max(bound, 1e-300):
                     passed = False
                 if defect > worst:
                     worst, worst_pt = defect, (float(t), tuple(x), alpha)
-    return AuditReport("S2", worst, worst_pt, count, passed, tolerance)
+    return AuditReport("S2", worst, worst_pt, count, passed, S2_DEFAULT_TOL)
 
 
-def check_homogeneity(spec: SymbolSpec, lambdas: Sequence[float], xi_samples,
-                      tolerance: float = HOMOGENEITY_DEFAULT_TOL,
-                      eps_floor: float = 1e-30) -> AuditReport:
-    """Relative defect of psi(lambda xi) = lambda^gamma psi(xi)."""
+def check_homogeneity(spec: SymbolSpec, lambdas: Sequence[float], xi_samples) -> AuditReport:
+    """Relative defect of psi(lambda xi) = lambda^gamma psi(xi); passes when it
+    is at most HOMOGENEITY_DEFAULT_TOL."""
     if not spec.time_constant:
         raise ValueError("homogeneity check requires a time-constant symbol")
     if len(lambdas) == 0:
@@ -217,11 +216,12 @@ def check_homogeneity(spec: SymbolSpec, lambdas: Sequence[float], xi_samples,
             raise ValueError("lambdas must be positive")
         for x in pts:
             ref = lam**spec.gamma * eval_symbol(spec, 0.0, x)
-            viol = abs(eval_symbol(spec, 0.0, lam * x) - ref) / (abs(ref) + eps_floor)
+            viol = abs(eval_symbol(spec, 0.0, lam * x) - ref) / (abs(ref) + 1e-30)
             count += 1
             if viol > worst:
                 worst, worst_pt = viol, (float(lam), tuple(x), None)
-    return AuditReport("HOMOGENEITY", worst, worst_pt, count, worst <= tolerance, tolerance)
+    return AuditReport("HOMOGENEITY", worst, worst_pt, count, worst <= HOMOGENEITY_DEFAULT_TOL,
+                       HOMOGENEITY_DEFAULT_TOL)
 
 
 # --- built-in families ------------------------------------------------------

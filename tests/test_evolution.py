@@ -187,24 +187,3 @@ def test_scaling_identity_field_level():
     for sym in (HEAT, POISSON):
         for b in (2.0, 4.0):
             assert _scaling_identity_error(f, sym, sym, b, s=0.3, t=0.7) <= 1e-6
-
-
-def test_dump_multiplier_and_kernel(tmp_path):
-    import json
-
-    from speclp import dump_kernel, dump_multiplier, load_field
-
-    g = GridSpec(1, 512, 16.0)
-    mult = build_multiplier(HEAT, 0.0, 1.0, g, pre=(POISSON, 0.5))
-    mp = tmp_path / "mult.splf"
-    dump_multiplier(mult, mp)
-    loaded = load_field(mp)
-    assert np.abs(loaded.values - mult.values).max() <= 1e-6 * np.abs(mult.values).max()
-    meta = json.loads((tmp_path / "mult.splf.json").read_text())
-    assert meta["psi2"] == "heat" and meta["pre"] == "poisson" and meta["l"] == 0.5
-
-    kp = tmp_path / "kernel.splf"
-    K = dump_kernel(None, HEAT, 0.0, 1.0, g, kp)
-    assert np.abs(load_field(kp).values - K.values).max() <= 1e-6
-    kmeta = json.loads((tmp_path / "kernel.splf.json").read_text())
-    assert kmeta["kind"] == "kernel" and kmeta["s"] == 0.0

@@ -131,6 +131,7 @@ def test_cli_hormander_shift_beyond_half_extent_exits_2(tmp_path, capsys):
     p = write_cfg(tmp_path / "c.cfg", n=2048, L=16, y_oct_lo=-3, y_oct_hi=3)
     assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
     assert "need |y| < L/2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_symbol_rejected_for_every_scenario():

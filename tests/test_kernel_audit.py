@@ -203,3 +203,10 @@ def test_fraclap_eta_range_checked():
     for eta in (0.0, 2.0, -0.5):
         with pytest.raises(ValueError):
             fractional_laplacian_pv(f, eta)
+
+
+def test_fraclap_grid_must_hold_the_split_at_one():
+    # L / 4 = 0.5 < 1: the far range [1, L] has no room on this grid
+    f = Field(GridSpec(1, 64, 2.0), np.zeros(64))
+    with pytest.raises(ValueError, match=r"spacing <= 1 <= L/4"):
+        fractional_laplacian_pv(f, 1.0)

@@ -145,16 +145,9 @@ def test_besov_sobolev_embedding_constant_stable(grid):
     assert abs(fine - coarse) <= 0.05 * coarse
 
 
-def test_block_energy_table(grid, tmp_path):
-    from speclp import export_block_energy_csv
-
+def test_block_energy_table(grid):
     D = build_decomposition(grid)
     f = bandlimited(grid, 18)
     rows = block_energy_table(f, 2.0, D)
     assert [j for j, _ in rows] == list(D.j_range)
     assert all(v >= 0.0 for _, v in rows)
-    path = tmp_path / "blocks.csv"
-    export_block_energy_csv(f, 2.0, D, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "j,block_norm"
-    assert len(lines) == len(rows) + 1

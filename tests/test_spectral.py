@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from speclp import (Field, GridSpec, MultiplierError, SpectralField, apply_multiplier,
-                    export_field_csv, forward_transform, inverse_transform, load_field,
-                    lp_norm, mean_remove, refine_field, save_field, spectral_shift)
+                    forward_transform, inverse_transform, lp_norm, mean_remove, refine_field,
+                    spectral_shift)
 
 
 @pytest.fixture
@@ -162,21 +162,6 @@ def test_refine_preserves_samples(grid):
     fine = refine_field(f, 2)
     assert fine.grid.n == 2 * grid.n
     assert np.abs(fine.values[::2] - f.values).max() < 1e-12
-
-
-def test_serialization_round_trip(tmp_path, grid):
-    x = grid.x_axis()
-    f = Field(grid, np.exp(-(x**2) / 2) + 0.3j * np.sin(x))
-    path = tmp_path / "field.splf"
-    save_field(f, path)
-    g = load_field(path)
-    assert g.grid == grid
-    assert np.abs(g.values - f.values).max() < 1e-6  # complex64 payload
-    csv_path = tmp_path / "field.csv"
-    export_field_csv(f, csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "index,re,im"
-    assert len(lines) == grid.n + 1
 
 
 def test_2d_round_trip_and_plancherel():
