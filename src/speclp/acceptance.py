@@ -90,7 +90,7 @@ def criterion_1_exact_q2_constant():
     dt = time.perf_counter() - t0
     passed = worst_ratio_err <= 1e-3 and worst_bound_excess <= 0.0 and dt < 30.0
     return passed, {"worst_ratio_err": worst_ratio_err, "explicit_constant": bound,
-                    "worst_bound_excess": worst_bound_excess, "runtime_s": dt}
+                    "worst_bound_excess": worst_bound_excess}
 
 
 @_criterion(2, "Poisson classical ratios (k=1, k=2)")

@@ -20,10 +20,10 @@ ignored).  Core keys, all optional unless a scenario needs them:
 
 Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
 writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
-summary tagged with schema_version, scenario and passed, no timestamps), the
-CSV tables, and ``run_meta.json`` holding the timestamp and the echoed
-config.  Exit status 0 means the scenario's pass criterion held.  The
-acceptance criteria with a scenario twin run the same measure steps
+summary tagged with schema_version, scenario and passed, no times), the CSV
+tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config).
+Exit status 0 means the scenario's pass criterion held.  The acceptance
+criteria with a scenario twin run the same measure steps
 (``acceptance.TWINS``), so each check exists once.
 """
 
@@ -148,11 +148,12 @@ def _write_csv(path: str, header, rows) -> None:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _report_meta(cfg: ScenarioConfig) -> dict:
+def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
     public = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
               for k, v in dataclasses.asdict(cfg).items() if k != "extras"}
     public.update(cfg.extras)
-    return {"config": public, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    return {"config": public, "measure_s": measure_s,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
 def _sample_xis(grid: GridSpec, rng) -> list:
@@ -324,8 +325,8 @@ def _measure_fraclap_xcheck(cfg: ScenarioConfig):
 def _measure_reproduce(cfg: ScenarioConfig):
     from .acceptance import run_all
     results = run_all(echo=print)
-    return ({"criteria": [dataclasses.asdict(r) for r in results]}, {},
-            all(r.passed for r in results))
+    return ({"criteria": [{k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_s"}
+                          for r in results]}, {}, all(r.passed for r in results))
 
 
 # each measure step returns (summary, tables, passed): the scenario's summary
@@ -345,12 +346,14 @@ _MEASURES = {
 def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario; writes artifacts to cfg.output_dir, returns exit status."""
     cfg.validate()
+    t0 = time.perf_counter()
     summary, tables, passed = _MEASURES[cfg.scenario](cfg)
+    meta = _report_meta(cfg, time.perf_counter() - t0)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     for name, (header, rows) in tables.items():
         _write_csv(os.path.join(out, name), header, rows)
     _write_json({**summary, "schema_version": SCHEMA_VERSION, "scenario": cfg.scenario,
                  "passed": bool(passed)}, os.path.join(out, "summary.json"))
-    _write_json(_report_meta(cfg), os.path.join(out, "run_meta.json"))
+    _write_json(meta, os.path.join(out, "run_meta.json"))
     return 0 if passed else 1

@@ -20,8 +20,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _node_fields
 from .lp_decomp import DyadicDecomposition, bump_profile
-from .spectral import (Field, GridSpec, SpectralField, _multiply, _shift_phase,
-                       inverse_transform, lp_norm)
+from .spectral import Field, GridSpec, SpectralField, _multiply, inverse_transform, lp_norm
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -127,23 +126,28 @@ def decay_fit_time(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     return _decay_fit(ts - s, np.asarray(sups), target, (float(ts.min() - s), float(ts.max() - s)))
 
 
-def _lattice_shift(grid: GridSpec, y: np.ndarray) -> Optional[Tuple[int, ...]]:
-    steps = y / grid.spacing
-    rounded = np.rint(steps)
-    if np.max(np.abs(steps - rounded)) < 1e-9:
-        return tuple(int(m) for m in rounded)
-    return None
+def _shift_stencil(grid: GridSpec, y: np.ndarray) -> List[Tuple[float, Tuple[int, ...]]]:
+    """K(x - y) as lattice rolls [(weight, steps)], multilinear in y: one roll
+    on an axis within 1e-9 of a cell of the lattice, else the rolls by m and
+    m + 1 for y = (m + theta) spacing, weighted 1 - theta and theta."""
+    stencil = [(1.0, ())]
+    for step in y / grid.spacing:
+        m, theta = math.floor(step), step - math.floor(step)
+        taps = (((1.0, round(step)),) if abs(step - round(step)) < 1e-9
+                else ((1.0 - theta, m), (theta, m + 1)))
+        stencil = [(wt * bw, sh + (k,)) for wt, sh in stencil for bw, k in taps]
+    return stencil
 
 
 def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                      window: TimeWindow, q: float, y_list, grid: GridSpec) -> HormanderReport:
     """H(y) = int_{|x| >= 2|y|} ||K(., x-y) - K(., x)||_V dx for each y.
 
-    ||.||_V is the windowed q-norm with the singular weight.  Shifts are
-    exact: lattice-aligned y uses an index roll (the exact phase multiplier
-    for lattice shifts), other y a spectral phase.  Each chunk of node
-    kernels is materialized once and reused across the y list.  Every |y|
-    must stay below L/2, so that the region |x| >= 2|y| holds lattice points.
+    ||.||_V is the windowed q-norm with the singular weight.  K(x - y) is an
+    index roll for lattice y, else a blend of the neighbouring rolls
+    (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
+    kernels across the region.  Each chunk of node kernels is materialized
+    once and reused across the y list.  Every |y| must stay below L/2.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
     if not ys:
@@ -159,20 +163,18 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                              f"need |y| < L/2 = {grid.half_extent / 2.0}")
     if len(mags) >= 2 and max(mags) / min(mags) < 2.0**6:
         raise AuditError("y profile must span at least 6 octaves")
-    shifts = [_lattice_shift(grid, y) for y in ys]
-    phases = [None if sh is not None else _shift_phase(grid, y) for y, sh in zip(ys, shifts)]
+    stencils = [_shift_stencil(grid, y) for y in ys]
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
     axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
-    off_lattice = any(sh is None for sh in shifts)
     for w, K in _node_fields(psi1, l, psi2, window, grid):
         K *= scale  # kernels in fft order: origin at index 0
-        spec = np.fft.fftn(K, axes=axes) if off_lattice else None
-        for a, sh, phase in zip(acc, shifts, phases):
-            if sh is not None:
-                Ky = np.roll(K, sh, axis=axes)
-            else:
-                Ky = np.fft.ifftn(phase * spec, axes=axes)
+        for a, ((w0, sh0), *blend) in zip(acc, stencils):
+            Ky = np.roll(K, sh0, axis=axes)
+            if blend:
+                Ky *= w0
+                for wt, sh in blend:
+                    Ky += wt * np.roll(K, sh, axis=axes)
             Ky -= K
             _accumulate(a, Ky, w, q)
     r = grid.x_norm()

@@ -287,12 +287,8 @@ def spectral_shift(f: Field, y) -> Field:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
         raise ValueError(f"shift vector must have length {f.grid.dim}")
-    return _multiply(f, _shift_phase(f.grid, y), real_part=True)
-
-
-def _shift_phase(grid: GridSpec, y: np.ndarray) -> np.ndarray:
-    """The translation multiplier exp(-i y.xi) on the lattice, fft order."""
-    return np.exp(-1j * np.tensordot(y, grid.xi_stack(), axes=(0, 0)))
+    return _multiply(f, np.exp(-1j * np.tensordot(y, f.grid.xi_stack(), axes=(0, 0))),
+                     real_part=True)
 
 
 def refine_field(f: Field, factor: int = 2) -> Field:

@@ -272,12 +272,11 @@ def frac_lap_symbol(eta: float) -> SymbolSpec:
     return power_symbol(eta, name=f"frac-lap:{eta:g}")
 
 
-def power_t_symbol(gamma: float, kappa: float = 1.0,
-                   k: Optional[Callable[[float], float]] = None,
-                   k_bound: float = 4.0, name: Optional[str] = None) -> SymbolSpec:
-    """psi(t, xi) = -(kappa + k(t)) |xi|^gamma with nonnegative bounded k.
+def power_t_symbol(gamma: float, k: Optional[Callable[[float], float]] = None) -> SymbolSpec:
+    """psi(t, xi) = -(1 + k(t)) |xi|^gamma with nonnegative bounded k, named power-t:gamma.
 
-    Default k(t) = t; the mu certificate covers t in [0, k_bound].
+    Default k(t) = t.  The constant part is kappa = 1, and the mu certificate
+    covers k(t) <= 4 (t in [0, 4] for the default k).
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
@@ -287,13 +286,13 @@ def power_t_symbol(gamma: float, kappa: float = 1.0,
         c = kfun(t)
         if c < 0:
             raise ValueError(f"k(t) must be nonnegative, got k({t})={c}")
-        return -(kappa + c) * _radial_norm(xi) ** gamma
+        return -(1.0 + c) * _radial_norm(xi) ** gamma
 
     return SymbolSpec(
-        name=name or f"power-t:{gamma:g}",
+        name=f"power-t:{gamma:g}",
         eval_fn=fn,
-        kappa=kappa,
-        mu=_power_mu(gamma, scale=kappa + k_bound),
+        kappa=1.0,
+        mu=_power_mu(gamma, scale=1.0 + 4.0),
         gamma=gamma,
         n_cert=8,
         time_constant=False,

@@ -77,6 +77,21 @@ def test_gfun_ratio_scenario_and_determinism(tmp_path):
     assert "timestamp" in meta
 
 
+def test_reproduce_summary_is_byte_reproducible(tmp_path, monkeypatch):
+    # two fast criteria; wall times go to run_meta.json, never to summary.json
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_3_composition,
+                                                acceptance.criterion_4_closed_form_kernels])
+    summaries = []
+    for tag in ("a", "b"):
+        assert run_scenario(ScenarioConfig(scenario="REPRODUCE",
+                                           output_dir=str(tmp_path / tag))) == 0
+        summaries.append((tmp_path / tag / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert b"runtime_s" not in summaries[0]
+    assert [c["cid"] for c in json.loads(summaries[0])["criteria"]] == [3, 4]
+    assert json.loads((tmp_path / "a" / "run_meta.json").read_text())["measure_s"] > 0.0
+
+
 def test_lp_decomp_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="LP_DECOMP", n=512, L=16.0, corpus_count=2,
                          corpus_kind="BANDLIMITED_RANDOM",

@@ -114,17 +114,26 @@ def test_hormander_needs_a_region_beyond_2y():
     assert rep.integrals[0] > 0.0
 
 
-def test_hormander_shift_paths_agree(monkeypatch):
-    # the fall-back spectral phase shift must reproduce the index-roll path
-    import speclp.kernel_audit as ka
-
+def test_hormander_shift_paths_agree():
+    # just below a lattice value the two-roll blend meets the single roll;
+    # from above, the cutoff r >= 2|y| would drop a lattice point
     g = GridSpec(1, 2048, 32.0)
     w = hormander_window(g)
-    y = np.array([0.5])
-    rolled = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [y], g).integrals[0]
-    monkeypatch.setattr(ka, "_lattice_shift", lambda grid, yy: None)
-    phased = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [y], g).integrals[0]
-    assert phased == pytest.approx(rolled, rel=1e-9)
+    rolled = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([0.5])], g).integrals[0]
+    blended = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0,
+                               [np.array([0.5 * (1.0 - 1e-6)])], g).integrals[0]
+    assert blended == pytest.approx(rolled, rel=2e-6)
+
+
+def test_hormander_off_lattice_stays_near_lattice_value():
+    # kernels at the window's smallest t are narrower than a cell; a
+    # spectral-phase shift rang them across the region (H up to 3.9x)
+    g = GridSpec(1, 8192, 64.0)
+    w = hormander_window(g)
+    H = [hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0,
+                          [np.array([0.125 + theta * g.spacing])], g).integrals[0]
+         for theta in (0.0, 0.07, 0.25, 0.5, 0.75, 0.93)]
+    assert all(abs(h - H[0]) <= 0.08 * H[0] for h in H[1:])
 
 
 def test_dyadic_envelope_heat_pair():

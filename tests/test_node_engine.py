@@ -6,6 +6,7 @@ the real path (half spectrum, ``irfftn``) and on the complex fallback, for
 every chunk size.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from speclp import (INF, Field, GridSpec, SymbolSpec, TimeIntegralRule, build_ti
 from speclp import gfunction
 from speclp.corpus import generate_corpus
 from speclp.evolution import KERNEL_SCALE, integrate_symbol
-from speclp.kernel_audit import _lattice_shift
+from speclp.kernel_audit import _shift_stencil
 
 HEAT = get_symbol("heat")
 POWER_T = get_symbol("power-t:2")
@@ -60,21 +61,27 @@ def oracle_g(f, psi1, l, psi2, window, q, rule=None):
     return np.fft.fftshift((scale * acc) ** (1.0 / q))
 
 
+def oracle_shift(K, y, grid):
+    """K(x - y) as the rolls to the 2^d lattice corners around y, each
+    weighted by the product of 1 - |distance| in cells over the axes."""
+    steps = y / grid.spacing
+    Ky = np.zeros_like(K)
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        shift = np.floor(steps) + corner
+        weight = np.prod(1.0 - np.abs(steps - shift))
+        if weight > 0.0:
+            Ky += weight * np.roll(K, tuple(int(m) for m in shift), axis=tuple(range(grid.dim)))
+    return Ky
+
+
 def oracle_hormander(psi1, l, psi2, window, q, ys, grid, rule=None):
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
-    shifts = [_lattice_shift(grid, y) for y in ys]
-    xi = grid.xi_stack()
     acc = [np.zeros(grid.shape) for _ in ys]
     for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
         K = np.fft.fftshift(np.fft.ifftn(mult)) * scale
-        for i, (y, sh) in enumerate(zip(ys, shifts)):
-            if sh is not None:
-                Ky = np.roll(K, sh, axis=tuple(range(grid.dim)))
-            else:
-                phase = np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
-                Ky = np.fft.fftshift(np.fft.ifftn(phase * np.fft.fftn(np.fft.ifftshift(K))))
-            acc[i] += w * np.abs(Ky - K) ** q
+        for i, y in enumerate(ys):
+            acc[i] += w * np.abs(oracle_shift(K, y, grid) - K) ** q
     r = grid.x_norm()
     return [float((a ** (1.0 / q) * (r >= 2.0 * np.linalg.norm(y))).sum() * grid.cell_measure)
             for y, a in zip(ys, acc)]
@@ -215,11 +222,22 @@ def _hormander_case(d, psi2, phase):
 @pytest.mark.parametrize("phase", [False, True], ids=["roll", "phase"])
 def test_hormander_matches_per_node_loop(d, psi2, phase):
     grid, w, ys = _hormander_case(d, psi2, phase)
-    assert all((_lattice_shift(grid, y) is None) == phase for y in ys)
+    # "phase" shifts sit 3e-8 relative off the lattice: a blend of two rolls
+    assert all(len(_shift_stencil(grid, y)) == (2 if phase else 1) for y in ys)
     rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, ys, grid)
     ref = oracle_hormander(HEAT, 0.0, psi2, w, 2.0, ys, grid)
     for got, want in zip(rep.integrals, ref):
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T], ids=["heat", "power-t"])
+def test_hormander_blend_on_both_axes_matches_per_node_loop(psi2):
+    grid, w, _ = _hormander_case(2, psi2, False)
+    ys = [np.array([1.0375, 0.825])]  # 8.3 and 6.6 cells: a stencil of 4 rolls
+    assert len(_shift_stencil(grid, ys[0])) == 4
+    rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, ys, grid)
+    ref = oracle_hormander(HEAT, 0.0, psi2, w, 2.0, ys, grid)
+    assert abs(rep.integrals[0] - ref[0]) <= 1e-13 * abs(ref[0])
 
 
 def test_hormander_single_node_chunks(monkeypatch):
