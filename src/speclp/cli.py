@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    speclp <scenario> --config FILE [--seed N] [--out DIR] [--workers K]
+    speclp <scenario> --config FILE [--seed N] [--out DIR]
     speclp reproduce [--out DIR]
 
 Scenario names are case-insensitive; hyphens and underscores are
@@ -31,7 +31,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key = value config file")
     ap.add_argument("--seed", type=int, help="override the corpus seed")
     ap.add_argument("--out", help="override the output directory")
-    ap.add_argument("--workers", type=int, help="cap parallel workers")
     return ap
 
 
@@ -51,9 +50,6 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
-        if args.workers is not None:
-            cfg.workers = args.workers
-        cfg.validate()
         return run_scenario(cfg)
     except SpecLPError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -308,7 +308,6 @@ class RatioReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "1",
             "pair": list(self.pair),
             "p": self.p,
             "q": self.q,

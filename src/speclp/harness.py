@@ -16,7 +16,11 @@ ignored).  Core keys, all optional unless a scenario needs them:
     corpus_count  number of corpus fields
     output_dir    where reports are written
     workers       parallelism cap for embarrassingly parallel loops
-    j_min, j_max  dyadic range for DYADIC_ENVELOPE
+
+These are the fields of :class:`ScenarioConfig`, each read by its field's
+type; any other key is a :class:`ConfigError`.  Ranges follow from the grid:
+HORMANDER shifts by |y| = 2^k for every k with 8 * spacing <= 2^k <= L/8;
+DYADIC_ENVELOPE fits the grid's blocks max(j_min+2, -6)..min(j_max-2, 5).
 
 Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
 writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
@@ -34,8 +38,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,9 +56,6 @@ from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "SCENARIOS", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
-
-SCENARIOS = ("AUDIT_SYMBOL", "KERNEL_DECAY", "HORMANDER", "DYADIC_ENVELOPE",
-             "GFUN_RATIO", "LP_DECOMP", "FRACLAP_XCHECK", "REPRODUCE")
 
 
 @dataclass
@@ -76,9 +77,6 @@ class ScenarioConfig:
     corpus_count: int = 8
     output_dir: str = "out"
     workers: int = 1
-    j_min: Optional[int] = None
-    j_max: Optional[int] = None
-    extras: Dict[str, str] = field(default_factory=dict)
 
     def grid(self) -> GridSpec:
         return GridSpec(self.d, self.n, self.L)
@@ -101,13 +99,9 @@ class ScenarioConfig:
                 raise ConfigError(f"illegal (q, a) combination: {exc}") from exc
 
 
-_FLOAT_KEYS = {"L", "p", "q", "s", "l", "t"}
-_INT_KEYS = {"d", "n", "seed", "corpus_count", "workers", "j_min", "j_max"}
-
-
 def parse_config(path) -> ScenarioConfig:
     cfg = ScenarioConfig()
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)} - {"extras"}
+    types = typing.get_type_hints(ScenarioConfig)
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -116,19 +110,12 @@ def parse_config(path) -> ScenarioConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key not in types:
+                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
             try:
-                if key == "a":
-                    cfg.a = INF if value.lower() in ("inf", "infinity") else float(value)
-                elif key in _FLOAT_KEYS:
-                    setattr(cfg, key, float(value))
-                elif key in _INT_KEYS:
-                    setattr(cfg, key, int(value))
-                elif key in known:
-                    setattr(cfg, key, value)
-                else:
-                    cfg.extras[key] = value
+                setattr(cfg, key, types[key](value))
             except ValueError:
-                kind = "an integer" if key in _INT_KEYS else "a number"
+                kind = "an integer" if types[key] is int else "a number"
                 raise ConfigError(f"{path}:{lineno}: {key} must be {kind}, "
                                   f"got {value!r}") from None
     cfg.validate()
@@ -150,8 +137,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
     public = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
-              for k, v in dataclasses.asdict(cfg).items() if k != "extras"}
-    public.update(cfg.extras)
+              for k, v in dataclasses.asdict(cfg).items()}
     return {"config": public, "measure_s": measure_s,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
@@ -230,13 +216,16 @@ def _measure_kernel_decay(cfg: ScenarioConfig):
 
 def _measure_hormander(cfg: ScenarioConfig):
     grid = cfg.grid()
+    # hormander_report resolves |y| >= 8 * spacing; |y| <= L/8 keeps the region
+    # |x| >= 2|y| at three quarters of the box
+    k_lo = math.ceil(math.log2(8.0 * grid.spacing))
+    k_hi = math.floor(math.log2(grid.half_extent / 8.0))
+    if k_hi - k_lo < 6:
+        raise ConfigError(f"HORMANDER shifts |y| = 2^k with 8*spacing <= 2^k <= L/8 must "
+                          f"span at least 6 octaves; n = {cfg.n}, L = {cfg.L} gives "
+                          f"k = {k_lo}..{k_hi}")
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     window = _grid_window(grid, psi1, psi2, cfg.s, cfg.a, cfg.q, n_nodes=8)
-    try:
-        k_lo = int(cfg.extras.get("y_oct_lo", "-6"))
-        k_hi = int(cfg.extras.get("y_oct_hi", "2"))
-    except ValueError as exc:
-        raise ConfigError(f"y_oct_lo and y_oct_hi must be integers: {exc}") from None
     ys = [np.array([2.0**k] + [0.0] * (grid.dim - 1)) for k in range(k_lo, k_hi + 1)]
     rep = hormander_report(psi1, cfg.l, psi2, cfg.s, window, cfg.q, ys, grid)
     ok = math.isfinite(rep.sup) and abs(rep.trend_slope) <= 0.1
@@ -248,10 +237,8 @@ def _measure_dyadic_envelope(cfg: ScenarioConfig):
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     D = build_decomposition(grid)
-    j_lo = cfg.j_min if cfg.j_min is not None else max(D.j_min + 2, -6)
-    j_hi = cfg.j_max if cfg.j_max is not None else min(D.j_max - 2, 5)
-    rep = dyadic_l1_envelope(psi1, cfg.l, psi2, cfg.s, cfg.s + cfg.t,
-                             range(j_lo, j_hi + 1), grid, D)
+    js = range(max(D.j_min + 2, -6), min(D.j_max - 2, 5) + 1)
+    rep = dyadic_l1_envelope(psi1, cfg.l, psi2, cfg.s, cfg.s + cfg.t, js, grid, D)
     slope_ok = rep.low_j_slope is not None and \
         abs(rep.low_j_slope - psi1.gamma) / psi1.gamma <= 0.05
     return ({"constant": rep.constant, "rate": rep.rate, "low_j_slope": rep.low_j_slope},
@@ -341,6 +328,8 @@ _MEASURES = {
     "FRACLAP_XCHECK": _measure_fraclap_xcheck,
     "REPRODUCE": _measure_reproduce,
 }
+
+SCENARIOS = tuple(_MEASURES)
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:

@@ -62,15 +62,14 @@ class SymbolSpec:
     mu: float
     gamma: float
     n_cert: int
-    dim_hint: int = 1
     time_constant: bool = False
     homogeneous: bool = False
 
     def __post_init__(self):
         if not (self.kappa > 0 and self.mu > 0 and self.gamma > 0):
             raise ValueError("kappa, mu, gamma must be positive")
-        if self.n_cert < math.floor(self.dim_hint / 2) + 1:
-            raise ValueError("n_cert must be at least floor(d/2) + 1")
+        if self.n_cert < 1:
+            raise ValueError("n_cert must be at least 1")
 
     def __call__(self, t: float, xi) -> np.ndarray:
         return eval_symbol(self, t, xi)

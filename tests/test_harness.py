@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from speclp.cli import main
 from speclp.errors import ConfigError
 from speclp.harness import ScenarioConfig, parse_config, run_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def write_cfg(path, **kv):
     lines = ["# test config"]
@@ -22,12 +24,18 @@ def test_parse_config_round_trip(tmp_path):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", symbol1="heat",
                   symbol2="poisson", d=1, n=512, L=16, p=2, q=2, s=0, a="inf",
                   seed=3, corpus_kind="GAUSSIAN_MIX", corpus_count=2,
-                  output_dir=str(tmp_path / "out"), custom_key="hello")
+                  output_dir=str(tmp_path / "out"))
     cfg = parse_config(p)
     assert cfg.symbol2 == "poisson"
     assert math.isinf(cfg.a)
     assert cfg.n == 512 and cfg.seed == 3
-    assert cfg.extras == {"custom_key": "hello"}
+
+
+def test_demo_config_parses():
+    # the strict parser reads the shipped demo config without an unknown key
+    cfg = parse_config(str(ROOT / "demos" / "gfun_ratio.cfg"))
+    assert cfg.scenario == "GFUN_RATIO" and cfg.corpus_count == 16
+    assert math.isinf(cfg.a) and cfg.output_dir == "out/gfun_ratio"
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -126,6 +134,8 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("symbol1", "nope", "unknown symbol 'nope'"),
     ("symbol2", "power:x", "cannot parse symbol parameter in 'power:x'"),
     ("n", "511", "n must be even"),
+    ("y_oct_lo", "-3", "c.cfg:3: unknown key 'y_oct_lo'"),
+    ("corpus_cnt", "4", "c.cfg:3: unknown key 'corpus_cnt'"),
 ])
 def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})
@@ -135,18 +145,15 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_bad_hormander_extra_exits_2(tmp_path, capsys):
-    p = write_cfg(tmp_path / "c.cfg", n=512, L=16, y_oct_lo="abc")
-    assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: y_oct_lo and y_oct_hi must be integers")
-
-
-def test_cli_hormander_shift_beyond_half_extent_exits_2(tmp_path, capsys):
-    # y = 2^3 = L/2 leaves no lattice point in |x| >= 2|y|
-    p = write_cfg(tmp_path / "c.cfg", n=2048, L=16, y_oct_lo=-3, y_oct_hi=3)
-    assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
-    assert "need |y| < L/2" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+def test_cli_hormander_coarse_grid_exits_2(tmp_path, capsys):
+    # 8 * spacing <= 2^k <= L/8 spans under 6 octaves (no k at all on n = 64, L = 4)
+    for n, L, ks in ((1024, 32, "k = -1..2"), (64, 4, "k = 0..-1")):
+        p = write_cfg(tmp_path / f"{n}.cfg", n=n, L=L)
+        assert main(["hormander", "--config", p, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: HORMANDER shifts |y| = 2^k with 8*spacing <= 2^k "
+                              "<= L/8 must span at least 6 octaves") and ks in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_bad_symbol_rejected_for_every_scenario():
@@ -158,10 +165,9 @@ def test_bad_symbol_rejected_for_every_scenario():
 def test_hormander_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="HORMANDER", symbol1="heat", symbol2="heat",
                          n=8192, L=32.0, q=2.0, output_dir=str(tmp_path / "out"))
-    cfg.extras["y_oct_lo"] = "-4"
-    cfg.extras["y_oct_hi"] = "2"
     assert run_scenario(cfg) == 0
-    assert (tmp_path / "out" / "hormander.csv").exists()
+    lines = (tmp_path / "out" / "hormander.csv").read_text().splitlines()
+    assert [float(row.split(",")[0]) for row in lines[1:]] == [2.0**k for k in range(-4, 3)]
 
 
 def test_kernel_decay_scenario(tmp_path):
@@ -172,11 +178,12 @@ def test_kernel_decay_scenario(tmp_path):
 
 def test_dyadic_envelope_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="DYADIC_ENVELOPE", symbol1="heat", symbol2="heat",
-                         n=131072, L=2048.0, t=1.0, j_min=-6, j_max=5,
-                         output_dir=str(tmp_path / "out"))
+                         n=131072, L=2048.0, t=1.0, output_dir=str(tmp_path / "out"))
     assert run_scenario(cfg) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["rate"] > 0
+    lines = (tmp_path / "out" / "envelope.csv").read_text().splitlines()
+    assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(-6, 6))
 
 
 @pytest.mark.parametrize("cid, criterion", [
