@@ -124,8 +124,8 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError("gamma1, gamma2, kappa2 must be positive")
     if not a > 0:
         raise ValueError("a must be positive (possibly inf)")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and nonnegative, got {s}")
 
     omega = q * gamma1 / gamma2
     if math.isinf(a):

@@ -86,9 +86,16 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        for key, ok, rule in (("p", self.p > 1, "exceed 1"), ("t", self.t > 0, "be positive"),
+                              ("l", self.l >= 0, "be nonnegative"),
+                              ("seed", self.seed >= 0, "be nonnegative"),
+                              ("corpus_count", self.corpus_count >= 1, "be at least 1")):
+            if not ok:
+                raise ConfigError(f"{key} must {rule}, got {getattr(self, key)!r}")
         try:
-            self.grid()
+            grid = self.grid()
             psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
+            _grid_window(grid, psi1, psi2, self.s, self.a, self.q)  # checks q, a and s
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if math.isinf(self.a):
@@ -130,9 +137,9 @@ def _write_json(obj: dict, path: str) -> None:
 
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        for row in [header, *rows]:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:

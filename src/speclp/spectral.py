@@ -24,15 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MultiplierError
-
 __all__ = [
     "GridSpec",
     "Field",
     "SpectralField",
     "forward_transform",
     "inverse_transform",
-    "apply_multiplier",
     "lp_norm",
     "mean_remove",
     "spectral_shift",
@@ -247,21 +244,6 @@ def _multiply(f: Field, mult: np.ndarray, real_part: bool = False) -> Field:
     if not np.isrealobj(f.values):
         return out
     return Field(f.grid, out.values.real) if real_part else _drop_residue(out)
-
-
-def apply_multiplier(F: SpectralField, m) -> SpectralField:
-    """Multiply coefficients pointwise by m(xi).
-
-    ``m`` is called with the stacked frequency array of shape (dim,) + shape
-    and must return a complex array of the grid shape (broadcasting allowed).
-    """
-    values = np.broadcast_to(np.asarray(m(F.grid.xi_stack()), dtype=np.complex128), F.grid.shape)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
-        xi = tuple(F.grid.xi_stack()[(slice(None),) + idx])
-        raise MultiplierError(f"multiplier non-finite at xi={xi}")
-    return SpectralField(F.grid, F.coeffs * values)
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -8,15 +8,17 @@ A symbol is a function psi(t, xi) -> C together with certificate parameters
   for every multi-index with |alpha| <= n_cert, off the coordinate
   hyperplanes.
 
+Symbols are evaluated on stacks: xi of shape (d, ...) gives values of shape
+(...), so a single point of shape (d,) gives a 0-d array.
+
 The audits below are falsifiers over finite sample sets, not proofs: they
 search for the worst violation of each certificate on the supplied (t, xi)
-samples and report it.
+samples, evaluated as one (d, N) stack, and report it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -50,10 +52,11 @@ HOMOGENEITY_DEFAULT_TOL = 1e-8
 class SymbolSpec:
     """A symbol psi(t, xi) with its certificate parameters.
 
-    ``eval_fn(t, xi)`` takes a scalar time and an array whose first axis
-    indexes the d frequency components; it returns an array of the remaining
-    shape.  Symbols must be defined at xi = 0 (built-ins use psi(t, 0) = 0,
-    the limit of the power families).
+    ``eval_fn(t, xi)`` takes a scalar time and a stack xi of shape (d, ...)
+    whose first axis indexes the d frequency components; it returns an
+    array of the remaining shape, 0-d for a single point of shape (d,).
+    Symbols must be defined at xi = 0 (built-ins use psi(t, 0) = 0, the
+    limit of the power families).
     """
 
     name: str
@@ -75,26 +78,25 @@ class SymbolSpec:
         return eval_symbol(self, t, xi)
 
 
-def eval_symbol(spec: SymbolSpec, t: float, xi):
-    """Evaluate psi(t, xi); raises SymbolEvalError on non-finite output.
+def eval_symbol(spec: SymbolSpec, t: float, xi) -> np.ndarray:
+    """Evaluate psi(t, xi) on a stack; raises SymbolEvalError on non-finite output.
 
-    ``xi`` may be a single point of shape (d,) (returns a Python scalar) or
-    a stacked array of shape (d, ...) (returns an array).  Values keep the
-    symbol's own kind: float64 (a float) when ``eval_fn`` returns real
-    values, complex128 (a complex) only when it returns complex ones.
+    ``xi`` has shape (d, ...), its first axis holding the d frequency
+    components, and the result has the remaining shape: a single point of
+    shape (d,) gives a 0-d array.  Values keep the symbol's own kind: float64
+    when ``eval_fn`` returns real values, complex128 only when it returns
+    complex ones.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    single = arr.ndim == 1
-    pts = arr[:, None] if single else arr
-    out = np.asarray(spec.eval_fn(float(t), pts))
+    xi = np.asarray(xi, dtype=float)
+    out = np.asarray(spec.eval_fn(float(t), xi))
     out = out.astype(np.result_type(out, np.float64), copy=False)
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0])
-        where = tuple(pts[(slice(None),) + bad])
-        raise SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, xi={where}")
-    return out.reshape(-1)[0].item() if single else out
+        raise SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, "
+                              f"xi={tuple(xi[(slice(None),) + bad])}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,19 +111,35 @@ class AuditReport:
     tolerance: float
 
 
-def _check_samples(xi_samples, dim=None, off_hyperplanes=False):
-    pts = [np.atleast_1d(np.asarray(x, dtype=float)) for x in xi_samples]
-    if not pts:
+def _check_samples(xi_samples, off_hyperplanes=False) -> np.ndarray:
+    """The frequency samples as one (d, N) stack, sample i in column i."""
+    pts = np.asarray(xi_samples, dtype=float)  # ValueError if their sizes differ
+    if pts.size == 0:
         raise ValueError("empty frequency sample set")
-    d = pts[0].size if dim is None else dim
-    for x in pts:
-        if x.size != d:
-            raise ValueError("inconsistent sample dimensions")
-        if np.linalg.norm(x) == 0.0:
-            raise ValueError("samples must avoid xi = 0")
-        if off_hyperplanes and np.any(x == 0.0):
-            raise ValueError("samples must avoid the coordinate hyperplanes")
+    pts = pts.reshape(len(pts), -1).T
+    if np.any(_norms(pts) == 0.0):
+        raise ValueError("samples must avoid xi = 0")
+    if off_hyperplanes and np.any(pts == 0.0):
+        raise ValueError("samples must avoid the coordinate hyperplanes")
     return pts
+
+
+def _norms(pts: np.ndarray) -> np.ndarray:
+    # |xi| per column by a dot product, as np.linalg.norm takes it for one point
+    rows = np.ascontiguousarray(pts.T)[:, None, :]
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(-1)
+
+
+def _report(condition: str, defects: np.ndarray, rows: list, pts: np.ndarray,
+            tolerance: float, passed: Optional[bool] = None) -> AuditReport:
+    """Report the first largest defect in row-major order: row k is at
+    ``rows[k]`` = (t or lambda, multi-index or None), column i at ``pts[:, i]``.
+    Unless ``passed`` is given, the audit passes when it is at most ``tolerance``."""
+    k, i = np.unravel_index(np.argmax(defects), defects.shape)
+    worst = float(defects[k, i])
+    label, alpha = rows[k]
+    return AuditReport(condition, worst, (float(label), tuple(pts[:, i]), alpha), defects.size,
+                       worst <= tolerance if passed is None else passed, tolerance)
 
 
 def audit_s1(spec: SymbolSpec, t_samples: Sequence[float], xi_samples) -> AuditReport:
@@ -130,27 +148,31 @@ def audit_s1(spec: SymbolSpec, t_samples: Sequence[float], xi_samples) -> AuditR
     if len(t_samples) == 0:
         raise ValueError("empty time sample set")
     pts = _check_samples(xi_samples)
-    worst = -np.inf
-    worst_pt = None
-    count = 0
-    for t in t_samples:
-        for x in pts:
-            defect = float((eval_symbol(spec, t, x)).real + spec.kappa * np.linalg.norm(x) ** spec.gamma)
-            count += 1
-            if defect > worst:
-                worst, worst_pt = defect, (float(t), tuple(x), None)
-    return AuditReport("S1", worst, worst_pt, count, worst <= S1_DEFAULT_TOL, S1_DEFAULT_TOL)
+    # float_power rounds as scalar pow does; np.power's vector loop can differ in the last bit
+    envelope = spec.kappa * np.float_power(_norms(pts), spec.gamma)
+    defects = np.array([eval_symbol(spec, t, pts).real + envelope for t in t_samples])
+    return _report("S1", defects, [(t, None) for t in t_samples], pts, S1_DEFAULT_TOL)
+
+
+def _magnitude(z: np.ndarray) -> np.ndarray:
+    # |z| rounded as Python's abs() rounds one complex number; numpy's complex
+    # abs can differ from it in the last bit
+    return np.hypot(z.real, z.imag)
 
 
 def _fd_partial(spec, t, xi, alpha, h):
-    # nested central differences, one axis at a time
+    # nested central differences on a (d, N) stack with steps h of shape (N,); a complex
+    # value is divided part by part, as Python divides it by a float (numpy: times 1/2h)
     for i, a in enumerate(alpha):
         if a > 0:
             step = np.zeros_like(xi)
-            step[i] = h[i]
+            step[i] = h
             lower = tuple(a - 1 if j == i else b for j, b in enumerate(alpha))
-            return (_fd_partial(spec, t, xi + step, lower, h)
-                    - _fd_partial(spec, t, xi - step, lower, h)) / (2.0 * h[i])
+            diff = (_fd_partial(spec, t, xi + step, lower, h)
+                    - _fd_partial(spec, t, xi - step, lower, h))
+            if np.iscomplexobj(diff):
+                return diff.real / (2.0 * h) + 1j * (diff.imag / (2.0 * h))
+            return diff / (2.0 * h)
     return eval_symbol(spec, t, xi)
 
 
@@ -170,33 +192,25 @@ def audit_s2(spec: SymbolSpec, max_order: int, t_samples: Sequence[float],
     is the largest absolute defect |est| - bound; the pass decision compares
     each defect against S2_DEFAULT_TOL relative to its bound.
     """
-    if max_order > spec.n_cert:
-        raise ValueError(f"max_order {max_order} exceeds certified depth {spec.n_cert}")
+    if not 0 <= max_order <= spec.n_cert:
+        raise ValueError(f"max_order {max_order} outside 0..{spec.n_cert}, the certified depth")
     if len(t_samples) == 0:
         raise ValueError("empty time sample set")
     pts = _check_samples(xi_samples, off_hyperplanes=True)
-    d = pts[0].size
-    worst = -np.inf
-    worst_pt = None
-    passed = True
-    count = 0
-    for alpha in _multi_indices(d, max_order):
-        order = sum(alpha)
+    r = _norms(pts)
+    h = S2_DEFAULT_STEP * np.maximum(r, 1.0)
+    stuck = np.any((pts + h == pts) | (pts - h == pts), axis=0)
+    if stuck.any():
+        raise AuditError(f"finite-difference step underflow at xi={tuple(pts[:, stuck.argmax()])}")
+    rows, defects, passed = [], [], True
+    for alpha in _multi_indices(pts.shape[0], max_order):
+        bound = spec.mu * np.float_power(r, spec.gamma - sum(alpha))
         for t in t_samples:
-            for x in pts:
-                r = np.linalg.norm(x)
-                h = np.full(d, S2_DEFAULT_STEP * max(r, 1.0))
-                if np.any(x + h == x) or np.any(x - h == x):
-                    raise AuditError(f"finite-difference step underflow at xi={tuple(x)}")
-                est = abs(_fd_partial(spec, t, x, alpha, h))
-                bound = spec.mu * r ** (spec.gamma - order)
-                defect = est - bound
-                count += 1
-                if defect > S2_DEFAULT_TOL * max(bound, 1e-300):
-                    passed = False
-                if defect > worst:
-                    worst, worst_pt = defect, (float(t), tuple(x), alpha)
-    return AuditReport("S2", worst, worst_pt, count, passed, S2_DEFAULT_TOL)
+            defect = _magnitude(_fd_partial(spec, t, pts, alpha, h)) - bound
+            passed = passed and not np.any(defect > S2_DEFAULT_TOL * np.maximum(bound, 1e-300))
+            rows.append((t, alpha))
+            defects.append(defect)
+    return _report("S2", np.array(defects), rows, pts, S2_DEFAULT_TOL, passed)
 
 
 def check_homogeneity(spec: SymbolSpec, lambdas: Sequence[float], xi_samples) -> AuditReport:
@@ -207,20 +221,15 @@ def check_homogeneity(spec: SymbolSpec, lambdas: Sequence[float], xi_samples) ->
     if len(lambdas) == 0:
         raise ValueError("empty lambda sample set")
     pts = _check_samples(xi_samples)
-    worst = -np.inf
-    worst_pt = None
-    count = 0
+    defects = []
     for lam in lambdas:
         if not lam > 0:
             raise ValueError("lambdas must be positive")
-        for x in pts:
-            ref = lam**spec.gamma * eval_symbol(spec, 0.0, x)
-            viol = abs(eval_symbol(spec, 0.0, lam * x) - ref) / (abs(ref) + 1e-30)
-            count += 1
-            if viol > worst:
-                worst, worst_pt = viol, (float(lam), tuple(x), None)
-    return AuditReport("HOMOGENEITY", worst, worst_pt, count, worst <= HOMOGENEITY_DEFAULT_TOL,
-                       HOMOGENEITY_DEFAULT_TOL)
+        ref = lam**spec.gamma * eval_symbol(spec, 0.0, pts)
+        defects.append(_magnitude(eval_symbol(spec, 0.0, lam * pts) - ref)
+                       / (_magnitude(ref) + 1e-30))
+    return _report("HOMOGENEITY", np.array(defects), [(lam, None) for lam in lambdas], pts,
+                   HOMOGENEITY_DEFAULT_TOL)
 
 
 # --- built-in families ------------------------------------------------------

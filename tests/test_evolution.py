@@ -6,6 +6,7 @@ from speclp import (Field, GridSpec, SymbolSpec, TimeIntegralRule, apply_evoluti
                     power_t_symbol, verify_composition)
 from speclp.acceptance import _scaling_identity_error
 from speclp.corpus import generate_corpus
+from speclp.errors import MultiplierError
 from speclp.evolution import integrate_symbol
 
 HEAT = get_symbol("heat")
@@ -27,6 +28,14 @@ def test_multiplier_time_dependent_value(unit_freq_grid):
     pt = get_symbol("power-t:2")  # -(1 + r)|xi|^2, integral over [0,1] is 3/2
     mult = build_multiplier(pt, 0.0, 1.0, unit_freq_grid)
     assert mult.values[8] == pytest.approx(np.exp(-1.5), rel=1e-10)
+
+
+def test_multiplier_nonfinite_named():
+    # exp(t |xi|^2) of an anti-heat symbol overflows at the lattice's top frequencies
+    anti = SymbolSpec("anti-heat", lambda t, xi: (xi**2).sum(axis=0), kappa=1.0, mu=4.0,
+                      gamma=2.0, n_cert=2, time_constant=True)
+    with np.errstate(over="ignore"), pytest.raises(MultiplierError, match="xi="):
+        multiplier_values(anti, 0.0, 2.0, GridSpec(1, 256, 16.0))
 
 
 def test_multiplier_with_pre_symbol(unit_freq_grid):

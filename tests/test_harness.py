@@ -65,7 +65,11 @@ def test_audit_symbol_scenario(tmp_path):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["schema_version"] == "1"
-    assert (tmp_path / "out" / "audits.csv").exists()
+    rows = (tmp_path / "out" / "audits.csv").read_text().splitlines()
+    assert rows[0] == "symbol,condition,worst_violation,samples,passed"
+    assert [float(row.split(",")[2]) for row in rows[1:]] == [
+        summary["symbols"][name][cond]["worst_violation"]
+        for name, cond in (row.split(",")[:2] for row in rows[1:])]
 
 
 def test_gfun_ratio_scenario_and_determinism(tmp_path):
@@ -136,6 +140,16 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("n", "511", "n must be even"),
     ("y_oct_lo", "-3", "c.cfg:3: unknown key 'y_oct_lo'"),
     ("corpus_cnt", "4", "c.cfg:3: unknown key 'corpus_cnt'"),
+    ("q", "nan", "q must be >= 1, got nan"),
+    ("q", "0.5", "q must be >= 1, got 0.5"),
+    ("a", "-1", "a must be positive"),
+    ("s", "-1", "s must be finite and nonnegative, got -1.0"),
+    ("s", "inf", "s must be finite and nonnegative, got inf"),
+    ("p", "0", "p must exceed 1, got 0.0"),
+    ("t", "0", "t must be positive, got 0.0"),
+    ("l", "-1", "l must be nonnegative, got -1.0"),
+    ("seed", "-1", "seed must be nonnegative, got -1"),
+    ("corpus_count", "0", "corpus_count must be at least 1, got 0"),
 ])
 def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})

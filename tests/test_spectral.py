@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from speclp import (Field, GridSpec, MultiplierError, SpectralField, apply_multiplier,
-                    forward_transform, inverse_transform, lp_norm, mean_remove, refine_field,
-                    spectral_shift)
+from speclp import (Field, GridSpec, SpectralField, forward_transform, inverse_transform,
+                    lp_norm, mean_remove, refine_field, spectral_shift)
+from speclp.spectral import _multiply
 
 
 @pytest.fixture
@@ -82,34 +82,10 @@ def test_multiplier_identity_and_derivative(grid):
     x = grid.x_axis()
     xi0 = grid.freq_axis()[3]
     f = Field(grid, np.exp(1j * xi0 * x))
-    F = forward_transform(f)
-    same = inverse_transform(apply_multiplier(F, lambda xi: np.ones(xi.shape[1:])))
+    same = _multiply(f, np.ones(grid.shape))
     assert np.abs(same.values - f.values).max() < 1e-12
-    deriv = inverse_transform(apply_multiplier(F, lambda xi: 1j * xi[0]))
+    deriv = _multiply(f, 1j * grid.xi_stack()[0])
     assert np.abs(deriv.values - 1j * xi0 * f.values).max() < 1e-10 * abs(xi0)
-
-
-def test_multiplier_composition_is_product(grid):
-    rng = np.random.default_rng(1)
-    F = SpectralField(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    m1 = lambda xi: np.exp(-np.abs(xi[0]))
-    m2 = lambda xi: 1j * xi[0]
-    seq = apply_multiplier(apply_multiplier(F, m1), m2)
-    prod = apply_multiplier(F, lambda xi: m1(xi) * m2(xi))
-    # pointwise product, no transforms involved: agreement to one rounding
-    scale = np.abs(prod.coeffs).max()
-    assert np.abs(seq.coeffs - prod.coeffs).max() <= 1e-15 * scale
-
-
-def test_multiplier_nonfinite_named(grid):
-    F = forward_transform(Field(grid, np.ones(grid.n)))
-
-    def inverse_frequency(xi):
-        with np.errstate(divide="ignore"):
-            return 1.0 / xi[0]
-
-    with pytest.raises(MultiplierError, match="xi="):
-        apply_multiplier(F, inverse_frequency)
 
 
 def test_plancherel_and_linearity(grid):

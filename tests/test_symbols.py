@@ -52,7 +52,8 @@ def test_time_constant_families_ignore_t():
 def test_builtin_symbols_evaluate_to_float64(name):
     sym = get_symbol(name)
     assert sym(0.5, np.ones((2, 3, 4))).dtype == np.float64
-    assert type(eval_symbol(sym, 0.5, vec(1.0, 2.0))) is float
+    point = eval_symbol(sym, 0.5, vec(1.0, 2.0))  # a point is a stack with no sample axes
+    assert point.shape == () and point.dtype == np.float64
 
 
 def test_symbol_values_keep_their_kind():
@@ -128,6 +129,8 @@ def test_audit_s2_preconditions():
     heat = get_symbol("heat")
     with pytest.raises(ValueError):
         audit_s2(heat, heat.n_cert + 1, [0.0], [vec(1.0)])
+    with pytest.raises(ValueError, match="max_order -1 outside"):
+        audit_s2(heat, -1, [0.0], [vec(1.0)])
     with pytest.raises(ValueError):
         audit_s2(heat, 1, [0.0], [vec(1.0, 0.0)])  # on a coordinate hyperplane
 
