@@ -40,6 +40,13 @@ inverse FFT over the spatial axes.
   one node.  Node results are reduced chunk by chunk, so no call ever holds
   every node's field.  The reductions are plain numpy sums in node order (no
   BLAS), so results do not depend on the BLAS thread count.
+* Reduction passes: a real stack at q = 2 is squared in place, one pass
+  where ``abs`` then ``**`` (numpy runs pow even for 2.0) take two, with the
+  same bits; complex stacks and every other q keep ``abs`` and ``**``.  Each
+  chunk's spectrum is written straight into a complex array, since the
+  inverse's own cast of a real spectrum (kernels of real symbols) is slower
+  for the same values.  The kernel audit writes its shifted differences
+  without rolling (see :func:`speclp.kernel_audit.hormander_report`).
 """
 
 from __future__ import annotations
@@ -251,13 +258,22 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()
         np.exp(E, out=E)
-        yield window.weights[sl], inverse(pre * E, s=grid.shape, axes=axes)
+        # stored complex: the inverse's own cast of a real spectrum is slower
+        spec = np.multiply(pre, E, out=np.empty(E.shape, dtype=complex))
+        yield window.weights[sl], inverse(spec, s=grid.shape, axes=axes)
 
 
 def _accumulate(acc: np.ndarray, stack: np.ndarray, w: np.ndarray, q: float) -> None:
-    """acc += sum_k w_k |stack_k|^q over a chunk; a real stack is overwritten."""
-    a = np.abs(stack, out=stack if stack.dtype == float else None)
-    a **= q
+    """acc += sum_k w_k |stack_k|^q over a chunk; a real stack is overwritten.
+
+    A real stack at q = 2 is squared in place (x*x equals |x|**2 bit for bit).
+    """
+    real = stack.dtype == float
+    if real and q == 2:
+        a = np.square(stack, out=stack)
+    else:
+        a = np.abs(stack, out=stack if real else None)
+        a **= q
     a *= w.reshape((-1,) + (1,) * acc.ndim)
     acc += a[0] if len(a) == 1 else a.sum(axis=0)  # large grids run one node per chunk
 

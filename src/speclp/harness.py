@@ -86,7 +86,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        for key, ok, rule in (("p", self.p > 1, "exceed 1"), ("t", self.t > 0, "be positive"),
+        for key, ok, rule in (("p", self.p > 1, "exceed 1"), ("p", self.p < math.inf, "be finite"),
+                              ("t", self.t > 0, "be positive"),
                               ("l", self.l >= 0, "be nonnegative"),
                               ("seed", self.seed >= 0, "be nonnegative"),
                               ("corpus_count", self.corpus_count >= 1, "be at least 1")):

@@ -9,6 +9,7 @@ materialized spectrally as i xi_k * multiplier.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -139,6 +140,20 @@ def _shift_stencil(grid: GridSpec, y: np.ndarray) -> List[Tuple[float, Tuple[int
     return stencil
 
 
+def _roll_blocks(shape: Tuple[int, ...], steps: Tuple[int, ...]):
+    """[(dst, src)] index pairs that write np.roll(a, steps) over the trailing
+    len(shape) axes of a stack a as out[dst] = a[src]: one block per axis
+    with no net step, else the two wrapped pieces, so 2^k blocks for k moved
+    axes."""
+    pieces = []
+    for n, step in zip(shape, steps):
+        m = step % n
+        pieces.append([(slice(m, None), slice(0, n - m)), (slice(0, m), slice(n - m, None))]
+                      if m else [(slice(None), slice(None))])
+    return [((Ellipsis, *(dst for dst, _ in combo)), (Ellipsis, *(src for _, src in combo)))
+            for combo in itertools.product(*pieces)]
+
+
 def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                      window: TimeWindow, q: float, y_list, grid: GridSpec) -> HormanderReport:
     """H(y) = int_{|x| >= 2|y|} ||K(., x-y) - K(., x)||_V dx for each y.
@@ -148,6 +163,14 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
     kernels across the region.  Each chunk of node kernels is materialized
     once and reused across the y list.  Every |y| must stay below L/2.
+
+    No roll allocates: each roll's index blocks (:func:`_roll_blocks`) are
+    built once per call, and K(x - y) - K(x) is written block by block into
+    one difference buffer (plus one for a blend's taps) allocated for the
+    first chunk and reused for every node and shift; a blend keeps the
+    order w0 K(x - y0), + wt K(x - yt), - K(x).  The q-th powers go through
+    :func:`speclp.gfunction._accumulate`, which squares a real difference in
+    place at q = 2.  The results equal the np.roll loop bit for bit.
     """
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
     if not ys:
@@ -163,20 +186,29 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                              f"need |y| < L/2 = {grid.half_extent / 2.0}")
     if len(mags) >= 2 and max(mags) / min(mags) < 2.0**6:
         raise AuditError("y profile must span at least 6 octaves")
-    stencils = [_shift_stencil(grid, y) for y in ys]
+    stencils = [[(wt, _roll_blocks(grid.shape, sh)) for wt, sh in _shift_stencil(grid, y)]
+                for y in ys]
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
-    axes = tuple(range(1, grid.dim + 1))
     acc = [np.zeros(grid.shape) for _ in ys]
+    diff = None
     for w, K in _node_fields(psi1, l, psi2, window, grid):
         K *= scale  # kernels in fft order: origin at index 0
-        for a, ((w0, sh0), *blend) in zip(acc, stencils):
-            Ky = np.roll(K, sh0, axis=axes)
+        if diff is None:  # the first chunk is the largest
+            diff, tap = np.empty_like(K), np.empty_like(K)
+        D, T = diff[:len(K)], tap[:len(K)]
+        for a, ((w0, blocks0), *blend) in zip(acc, stencils):
             if blend:
-                Ky *= w0
-                for wt, sh in blend:
-                    Ky += wt * np.roll(K, sh, axis=axes)
-            Ky -= K
-            _accumulate(a, Ky, w, q)
+                for dst, src in blocks0:
+                    np.multiply(K[src], w0, out=D[dst])
+                for wt, blocks in blend:
+                    for dst, src in blocks:
+                        np.multiply(K[src], wt, out=T[dst])
+                    D += T
+                D -= K
+            else:
+                for dst, src in blocks0:
+                    np.subtract(K[src], K[dst], out=D[dst])
+            _accumulate(a, D, w, q)
     r = grid.x_norm()
     integrals = []
     for y_mag, a in zip(mags, acc):

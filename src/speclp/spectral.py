@@ -247,9 +247,9 @@ def _multiply(f: Field, mult: np.ndarray, real_part: bool = False) -> Field:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """Riemann-sum L^p norm, (sum |f|^p spacing^d)^(1/p)."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """Riemann-sum L^p norm, (sum |f|^p spacing^d)^(1/p), for finite p >= 1."""
+    if not 1 <= p < float("inf"):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     a = np.abs(f.values)
     return float((a**p).sum() * f.grid.cell_measure) ** (1.0 / p)
 

@@ -146,6 +146,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("s", "-1", "s must be finite and nonnegative, got -1.0"),
     ("s", "inf", "s must be finite and nonnegative, got inf"),
     ("p", "0", "p must exceed 1, got 0.0"),
+    ("p", "inf", "p must be finite, got inf"),
     ("t", "0", "t must be positive, got 0.0"),
     ("l", "-1", "l must be nonnegative, got -1.0"),
     ("seed", "-1", "seed must be nonnegative, got -1"),

@@ -1,9 +1,14 @@
 """The batched time-node engine against the per-node loop it replaced.
 
-The oracles below are the one-node-at-a-time loops: one full complex
+The first oracles are the one-node-at-a-time loops: one full complex
 ``ifftn`` per window node.  The engine must reproduce them to round-off on
 the real path (half spectrum, ``irfftn``) and on the complex fallback, for
 every chunk size.
+
+The second set runs the engine's own node fields through the reductions it
+used before its passes were cut: K(x - y) - K(x) from ``np.roll`` copies, and
+|.|^q as ``np.abs`` then ``**``.  The arithmetic is the same, so the results
+must be equal bit for bit.
 """
 
 import itertools
@@ -18,7 +23,7 @@ from speclp import (INF, Field, GridSpec, SymbolSpec, TimeIntegralRule, build_ti
 from speclp import gfunction
 from speclp.corpus import generate_corpus
 from speclp.evolution import KERNEL_SCALE, integrate_symbol
-from speclp.kernel_audit import _shift_stencil
+from speclp.kernel_audit import _roll_blocks, _shift_stencil
 
 HEAT = get_symbol("heat")
 POWER_T = get_symbol("power-t:2")
@@ -85,6 +90,47 @@ def oracle_hormander(psi1, l, psi2, window, q, ys, grid, rule=None):
     r = grid.x_norm()
     return [float((a ** (1.0 / q) * (r >= 2.0 * np.linalg.norm(y))).sum() * grid.cell_measure)
             for y, a in zip(ys, acc)]
+
+
+# --- oracles: the roll and pow reductions ------------------------------------
+
+def pow_accumulate(acc, stack, w, q):
+    """acc += sum_k w_k |stack_k|^q by abs then ** for every stack and q."""
+    a = np.abs(stack)
+    a **= q
+    a *= w.reshape((-1,) + (1,) * acc.ndim)
+    acc += a[0] if len(a) == 1 else a.sum(axis=0)
+
+
+def pow_g(f, psi1, l, psi2, window, q):
+    grid = f.grid
+    acc = np.zeros(grid.shape)
+    for w, g in gfunction._node_fields(psi1, l, psi2, window, grid, f=f):
+        pow_accumulate(acc, g, w, q)
+    scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
+    return np.fft.fftshift((scale * acc) ** (1.0 / q))
+
+
+def roll_hormander(psi1, l, psi2, window, q, ys, grid):
+    """hormander_report's integrals with K(x - y) as np.roll copies."""
+    ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
+    stencils = [_shift_stencil(grid, y) for y in ys]
+    scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
+    axes = tuple(range(1, grid.dim + 1))
+    acc = [np.zeros(grid.shape) for _ in ys]
+    for w, K in gfunction._node_fields(psi1, l, psi2, window, grid):
+        K *= scale
+        for a, ((w0, sh0), *blend) in zip(acc, stencils):
+            Ky = np.roll(K, sh0, axis=axes)
+            if blend:
+                Ky *= w0
+                for wt, sh in blend:
+                    Ky += wt * np.roll(K, sh, axis=axes)
+            Ky -= K
+            pow_accumulate(a, Ky, w, q)
+    r = grid.x_norm()
+    return [float((np.fft.fftshift(a) ** (1.0 / q) * (r >= 2.0 * float(np.linalg.norm(y)))).sum()
+                  * grid.cell_measure) for y, a in zip(ys, acc)]
 
 
 # --- helpers -----------------------------------------------------------------
@@ -247,3 +293,80 @@ def test_hormander_single_node_chunks(monkeypatch):
     ref = oracle_hormander(HEAT, 0.0, HEAT, w, 2.0, ys, grid)
     for got, want in zip(rep.integrals, ref):
         assert abs(got - want) <= 1e-13 * abs(want)
+
+
+# --- bit-exact against the roll and pow reductions ----------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [2.0, 4.0])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T, DRIFT, DRIFT_T],
+                         ids=["heat", "power-t", "drift", "drift-t"])
+def test_g_function_bits_match_pow_reduction(d, q, psi2):
+    f = field(d)
+    w = finite_window(f.grid, q)
+    _, stack = next(gfunction._node_fields(HEAT, 0.0, psi2, w, f.grid, f=f))
+    assert stack.dtype == (np.complex128 if psi2 in (DRIFT, DRIFT_T) else np.float64)
+    G = g_function(f, HEAT, 0.0, psi2, w, q)
+    assert G.values.tobytes() == pow_g(f, HEAT, 0.0, psi2, w, q).tobytes()
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T, DRIFT], ids=["heat", "power-t", "drift"])
+@pytest.mark.parametrize("phase", [False, True], ids=["roll", "blend"])
+def test_hormander_bits_match_roll_loop_1d(q, psi2, phase):
+    grid, w, ys = _hormander_case(1, psi2, phase)
+    w = build_time_window(0.0, w.a, q, 2.0, 2.0, n_nodes=2, kappa2=1.0,
+                          xi_min=grid.min_freq, xi_max=grid.nyquist)
+    assert all(len(_shift_stencil(grid, y)) == (2 if phase else 1) for y in ys)
+    rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, q, ys, grid)
+    assert rep.integrals == roll_hormander(HEAT, 0.0, psi2, w, q, ys, grid)
+
+
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T], ids=["heat", "power-t"])
+def test_hormander_bits_match_roll_loop_2d_four_rolls(psi2):
+    grid, w, _ = _hormander_case(2, psi2, False)
+    ys = [np.array([1.0375, 0.825]), np.array([1.0, 0.0]), np.array([-1.0, 0.75])]
+    assert [len(_shift_stencil(grid, y)) for y in ys] == [4, 1, 1]
+    rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, ys[:1], grid)
+    assert rep.integrals == roll_hormander(HEAT, 0.0, psi2, w, 2.0, ys[:1], grid)
+    for y in ys[1:]:  # lattice shifts on one axis and on both, one signed negative
+        rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, [y], grid)
+        assert rep.integrals == roll_hormander(HEAT, 0.0, psi2, w, 2.0, [y], grid)
+
+
+@pytest.mark.parametrize("phase", [False, True], ids=["roll", "blend"])
+def test_hormander_bits_match_roll_loop_single_node_chunks(monkeypatch, phase):
+    grid, w, ys = _hormander_case(1, HEAT, phase)
+    set_chunk(monkeypatch, grid, True, 1)
+    assert set(chunk_sizes(HEAT, HEAT, w, grid)) == {1}
+    rep = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, ys, grid)
+    assert rep.integrals == roll_hormander(HEAT, 0.0, HEAT, w, 2.0, ys, grid)
+
+
+@pytest.mark.parametrize("shape", [(6,), (4, 6), (3, 4, 5)])
+def test_roll_blocks_reproduce_np_roll(shape):
+    stack = np.arange(2 * math.prod(shape), dtype=float).reshape((2,) + shape)
+    axes = tuple(range(1, len(shape) + 1))
+    n0 = shape[0]
+    for step in (-n0 - 1, -1, 0, 1, n0, n0 + 1, 3 * n0 + 2):
+        steps = tuple(step + k for k in range(len(shape)))  # mixed steps across axes
+        for s in (steps, (step,) * len(shape)):
+            blocks = _roll_blocks(shape, s)
+            assert len(blocks) == 2 ** sum(m % n != 0 for m, n in zip(s, shape))
+            out = np.full_like(stack, np.nan)
+            for dst, src in blocks:
+                out[dst] = stack[src]
+            assert np.array_equal(out, np.roll(stack, s, axis=axes)), s
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_stacks_bits_match_real_spectrum_inverse(d):
+    # the engine hands irfftn a complex spectrum; irfftn of the real one gives the same bits
+    grid = GRIDS[d]
+    w = finite_window(grid, 2.0)
+    half = (Ellipsis, slice(0, grid.n // 2 + 1))
+    m = HEAT(0.0, grid.xi_stack())[half]
+    want = np.fft.irfftn(m * np.exp(np.multiply.outer(w.nodes - w.s, m)), s=grid.shape,
+                         axes=tuple(range(1, d + 1)))
+    got = np.concatenate([K for _, K in gfunction._node_fields(HEAT, 0.0, HEAT, w, grid)])
+    assert m.dtype == np.float64 and got.tobytes() == want.tobytes()

@@ -114,6 +114,9 @@ def test_lp_norm_plateau_and_gaussian(grid):
 def test_lp_norm_rejects_p_below_one(grid):
     with pytest.raises(ValueError):
         lp_norm(Field(grid, np.ones(grid.n)), 0.5)
+    # (sum |f|^inf)^(1/inf) would be x**0 = 1.0 for every nonzero field
+    with pytest.raises(ValueError, match="p must be finite and >= 1, got inf"):
+        lp_norm(Field(grid, np.ones(grid.n)), float("inf"))
 
 
 def test_mean_remove(grid):
