@@ -10,7 +10,7 @@ verification tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -51,9 +51,9 @@ def _check_band(grid: GridSpec, band: Tuple[float, float]) -> None:
         raise ConfigError(f"band upper edge {hi} exceeds Nyquist/2 = {grid.nyquist / 2.0}")
 
 
-def _flat_top(grid: GridSpec, width_frac: float = 0.35) -> np.ndarray:
+def _flat_top(grid: GridSpec) -> np.ndarray:
     r = grid.x_norm()
-    return np.exp(-((r / (width_frac * grid.half_extent)) ** 8))
+    return np.exp(-((r / (0.35 * grid.half_extent)) ** 8))
 
 
 def _gaussian_mix(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]:
@@ -90,18 +90,15 @@ def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, f
     return vals, (lo, hi)
 
 
-def _annulus(rng, grid: GridSpec, j0: Optional[int]) -> Tuple[np.ndarray, Tuple[float, float]]:
-    if j0 is None:
-        # largest dyadic shell fitting under Nyquist/2
-        j0 = int(np.floor(np.log2(grid.nyquist / 2.0) - 0.1))
+def _annulus(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]:
+    # largest dyadic shell fitting under Nyquist/2
+    j0 = int(np.floor(np.log2(grid.nyquist / 2.0) - 0.1))
     xi0 = 2.0**j0
-    if xi0 * 2.0**0.1 > grid.nyquist / 2.0:
-        raise ConfigError(f"annulus 2^{j0} exceeds Nyquist/2")
     half_width = xi0 * (2.0**0.1 - 2.0**-0.1) / 2.0
     sigma_e = 0.105 * grid.half_extent  # largest envelope still decaying by 0.9 L
     if sigma_e * half_width < 2.6:  # >= 99.97% of the energy inside the shell
         raise ConfigError("half extent too small to concentrate energy in the "
-                          f"2^{j0} shell; increase L or j0")
+                          f"2^{j0} shell; increase L or n")
     direction = rng.standard_normal(grid.dim)
     direction /= np.linalg.norm(direction)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -112,8 +109,12 @@ def _annulus(rng, grid: GridSpec, j0: Optional[int]) -> Tuple[np.ndarray, Tuple[
 
 
 def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
-                    mean_removed: bool = True, j0: Optional[int] = None) -> List[CorpusEntry]:
-    """Seed-deterministic corpus of ``count`` fields of the requested kind."""
+                    mean_removed: bool = True) -> List[CorpusEntry]:
+    """Seed-deterministic corpus of ``count`` fields of the requested kind.
+
+    ANNULUS entries are Gaussian-enveloped plane waves on the largest dyadic
+    shell (2^(j0 - 0.1), 2^(j0 + 0.1)) under Nyquist/2.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     kind = kind.upper().replace("-", "_")
@@ -127,7 +128,7 @@ def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
         elif kind == BANDLIMITED_RANDOM:
             raw, b = _bandlimited_random(rng, grid)
         else:
-            raw, b = _annulus(rng, grid, j0)
+            raw, b = _annulus(rng, grid)
         _check_band(grid, b)
         _check_boundary(grid, raw)
         f = Field(grid, raw)

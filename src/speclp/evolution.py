@@ -48,41 +48,25 @@ def KERNEL_SCALE(d: int) -> float:
 
 @dataclass(frozen=True)
 class TimeIntegralRule:
-    """Quadrature rule for int_s^t psi(r, xi) dr.
+    """Gauss-Legendre rule for int_s^t psi(r, xi) dr of a time-dependent symbol.
 
-    method is one of "exact" (time-constant symbols only), "gauss"
-    (Gauss-Legendre with ``order`` nodes, doubled while successive estimates
-    differ by more than ``tolerance`` relative if ``adaptive``), or
-    "trapezoid" with ``order`` panels.
+    ``order`` nodes on [s, t], doubled while successive estimates differ by
+    more than ``tolerance`` relative if ``adaptive``.  A time-constant symbol
+    ignores the rule: :func:`integrate_symbol` integrates it in closed form.
     """
 
-    method: str = "gauss"
     order: int = 8
     tolerance: float = 1e-10
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.method not in ("exact", "gauss", "trapezoid"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if self.order < 1:
             raise ValueError("order must be positive")
 
     @classmethod
-    def exact(cls) -> "TimeIntegralRule":
-        return cls(method="exact")
-
-    @classmethod
     def gauss_legendre(cls, order: int = 8, tolerance: float = 1e-10,
                        adaptive: bool = True) -> "TimeIntegralRule":
-        return cls(method="gauss", order=order, tolerance=tolerance, adaptive=adaptive)
-
-    @classmethod
-    def trapezoid(cls, panels: int = 64) -> "TimeIntegralRule":
-        return cls(method="trapezoid", order=panels, adaptive=False)
-
-
-def default_rule(psi: SymbolSpec) -> TimeIntegralRule:
-    return TimeIntegralRule.exact() if psi.time_constant else TimeIntegralRule.gauss_legendre()
+        return cls(order=order, tolerance=tolerance, adaptive=adaptive)
 
 
 @lru_cache(maxsize=16)
@@ -114,16 +98,13 @@ def _gauss_integral(psi: SymbolSpec, s: float, t: float, xi: np.ndarray, order: 
 
 def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
                      rule: TimeIntegralRule) -> np.ndarray:
-    """Approximate int_s^t psi(r, xi) dr on the stacked frequency array."""
-    if rule.method == "exact":
-        if not psi.time_constant:
-            raise ValueError("exact rule requires a time-constant symbol")
+    """int_s^t psi(r, xi) dr on the stacked frequency array.
+
+    Exactly (t - s) psi(s, xi) for a time-constant symbol, whatever the rule;
+    otherwise the rule's Gauss-Legendre estimate.
+    """
+    if psi.time_constant:
         return (t - s) * psi(s, xi)
-    if rule.method == "trapezoid":
-        from scipy.integrate import trapezoid  # np.trapz is gone in numpy 2
-        rs = np.linspace(s, t, rule.order + 1)
-        vals = np.stack([psi(r, xi) for r in rs])
-        return trapezoid(vals, rs, axis=0)
     est = _gauss_integral(psi, s, t, xi, rule.order)
     if not rule.adaptive:
         return est
@@ -149,12 +130,15 @@ class EvolutionMultiplier:
 
 
 def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
-                      rule: Optional[TimeIntegralRule] = None,
+                      rule: TimeIntegralRule = TimeIntegralRule(),
                       pre: Optional[Tuple[SymbolSpec, float]] = None) -> np.ndarray:
-    """Raw multiplier array [psi1(l, xi)] * exp(int_s^t psi2(r, xi) dr)."""
+    """Raw multiplier array [psi1(l, xi)] * exp(int_s^t psi2(r, xi) dr).
+
+    The time integral is :func:`integrate_symbol`'s: closed form for a
+    time-constant psi2, else ``rule`` (adaptive Gauss-Legendre 8 by default).
+    """
     if not (t > s >= 0):
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
-    rule = rule or default_rule(psi2)
     xi = grid.xi_stack()
     vals = np.exp(integrate_symbol(psi2, s, t, xi, rule))
     if pre is not None:
@@ -168,9 +152,8 @@ def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
 
 
 def build_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
-                     rule: Optional[TimeIntegralRule] = None,
                      pre: Optional[Tuple[SymbolSpec, float]] = None) -> EvolutionMultiplier:
-    return EvolutionMultiplier(grid, multiplier_values(psi2, s, t, grid, rule, pre))
+    return EvolutionMultiplier(grid, multiplier_values(psi2, s, t, grid, pre=pre))
 
 
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
@@ -187,19 +170,18 @@ def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
 
 
 def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
-                 s: float, t: float, grid: GridSpec,
-                 rule: Optional[TimeIntegralRule] = None) -> Field:
+                 s: float, t: float, grid: GridSpec) -> Field:
     """Convolution kernel of [psi1(l, .)] T_psi2(t, s), sampled on the grid.
 
     The Riemann sum of the kernel equals the multiplier at xi = 0 (zero when
     a pre-symbol is present, since built-ins vanish at the origin).
     """
-    mult = multiplier_values(psi2, s, t, grid, rule, psi1_l)
+    mult = multiplier_values(psi2, s, t, grid, pre=psi1_l)
     return _drop_residue(inverse_transform(SpectralField(grid, mult * KERNEL_SCALE(grid.dim))))
 
 
 def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: GridSpec,
-                       rule: Optional[TimeIntegralRule] = None) -> float:
+                       rule: TimeIntegralRule = TimeIntegralRule()) -> float:
     """Max relative defect of M(t,s) = M(t,r) * M(r,s) over the lattice."""
     if not (s <= r <= t):
         raise ValueError(f"need s <= r <= t, got {s}, {r}, {t}")

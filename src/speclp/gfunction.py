@@ -79,6 +79,8 @@ INF = float("inf")
 _TRUNCATION_LOG = math.log(1e16)
 # bytes of temporaries one chunk of time nodes may hold (see _chunk_nodes)
 _CHUNK_BYTES = 1 << 20
+# time integral of a time-dependent psi2 between consecutive window nodes
+_NODE_RULE = TimeIntegralRule.gauss_legendre(16, adaptive=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +217,7 @@ def _input_spectrum(f: Field, real: bool, infinite: bool) -> np.ndarray:
 
 
 def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindow, grid,
-                 rule: Optional[TimeIntegralRule] = None, f: Optional[Field] = None):
+                 f: Optional[Field] = None):
     """Yield (weights, stack) for consecutive chunks of the window's nodes.
 
     stack[i] = ifftn(psi1(l,.) exp(int_s^t_i psi2) F) in fft order (origin at
@@ -229,8 +231,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     if psi2.time_constant:
         first = psi2(0.0, xi)
     else:
-        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
-        first = integrate_symbol(psi2, window.s, window.nodes[0], xi, rule)
+        first = integrate_symbol(psi2, window.s, window.nodes[0], xi, _NODE_RULE)
     real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
         half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
@@ -253,7 +254,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         else:
             E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
             for j, i in enumerate(range(lo, lo + len(E))):
-                E[j] = first if i == 0 else integrate_symbol(psi2, rs[i], rs[i + 1], xi, rule)
+                E[j] = first if i == 0 else integrate_symbol(psi2, rs[i], rs[i + 1], xi, _NODE_RULE)
             E[0] += Q
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()
@@ -279,15 +280,14 @@ def _accumulate(acc: np.ndarray, stack: np.ndarray, w: np.ndarray, q: float) -> 
 
 
 def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
-               window: TimeWindow, q: float,
-               rule: Optional[TimeIntegralRule] = None) -> Field:
+               window: TimeWindow, q: float) -> Field:
     """Pointwise windowed q-norm of psi1(l,.) T_psi2(t, s) f over the window."""
     _validate_pairing(psi1, psi2, window, q)
     if window.is_infinite:
         check_infinite_window_legal(psi1, psi2, q)
     grid = f.grid
     acc = np.zeros(grid.shape, dtype=float)
-    for w, g in _node_fields(psi1, l, psi2, window, grid, rule, f):
+    for w, g in _node_fields(psi1, l, psi2, window, grid, f):
         _accumulate(acc, g, w, q)
     # the node transforms omit the (2 pi)^(d/2)/spacing^d factor of the full
     # inverse; restore it on the accumulated q-th powers

@@ -225,7 +225,8 @@ def _measure_kernel_decay(cfg: ScenarioConfig):
 def _measure_hormander(cfg: ScenarioConfig):
     grid = cfg.grid()
     # hormander_report resolves |y| >= 8 * spacing; |y| <= L/8 keeps the region
-    # |x| >= 2|y| at three quarters of the box
+    # |x| >= 2|y| at three quarters of the box; the trend slope is fit over at
+    # least 6 octaves of y
     k_lo = math.ceil(math.log2(8.0 * grid.spacing))
     k_hi = math.floor(math.log2(grid.half_extent / 8.0))
     if k_hi - k_lo < 6:

@@ -162,7 +162,10 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     index roll for lattice y, else a blend of the neighbouring rolls
     (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
     kernels across the region.  Each chunk of node kernels is materialized
-    once and reused across the y list.  Every |y| must stay below L/2.
+    once and reused across the y list, which may hold any number of shifts:
+    each H(y) is the same as from a call with that y alone.  Every |y| must
+    stay below L/2.  How many octaves a trend fit needs is the HORMANDER
+    scenario's rule, not this function's.
 
     No roll allocates: each roll's index blocks (:func:`_roll_blocks`) are
     built once per call, and K(x - y) - K(x) is written block by block into
@@ -184,8 +187,6 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
         if 2.0 * m >= grid.half_extent:
             raise AuditError(f"no lattice region |x| >= 2|y| for |y|={m}: "
                              f"need |y| < L/2 = {grid.half_extent / 2.0}")
-    if len(mags) >= 2 and max(mags) / min(mags) < 2.0**6:
-        raise AuditError("y profile must span at least 6 octaves")
     stencils = [[(wt, _roll_blocks(grid.shape, sh)) for wt, sh in _shift_stencil(grid, y)]
                 for y in ys]
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
@@ -288,12 +289,14 @@ def pv_normalization(d: int, eta: float) -> float:
             / (np.pi ** (d / 2.0) * abs(float(gamma_fn(-eta / 2.0)))))
 
 
-def _tail_diff_sum(u, v, s, terms: int = 64):
-    """sum_{j>=0} (u+j)^(-s) - (v+j)^(-s), elementwise, via Euler-Maclaurin.
+def _tail_diff_sum(u, v, s):
+    """sum_{j>=0} (u+j)^(-s) - (v+j)^(-s), elementwise, via Euler-Maclaurin
+    after 64 direct terms.
 
     The individual sums diverge for s <= 1; the difference converges like
     j^(-1-s) and is what the periodized kernel masses need.
     """
+    terms = 64
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     j = np.arange(terms, dtype=float).reshape((-1,) + (1,) * u.ndim)

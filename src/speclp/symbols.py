@@ -280,21 +280,16 @@ def frac_lap_symbol(eta: float) -> SymbolSpec:
     return power_symbol(eta, name=f"frac-lap:{eta:g}")
 
 
-def power_t_symbol(gamma: float, k: Optional[Callable[[float], float]] = None) -> SymbolSpec:
-    """psi(t, xi) = -(1 + k(t)) |xi|^gamma with nonnegative bounded k, named power-t:gamma.
+def power_t_symbol(gamma: float) -> SymbolSpec:
+    """psi(t, xi) = -(1 + t) |xi|^gamma, named power-t:gamma: k(t) = t.
 
-    Default k(t) = t.  The constant part is kappa = 1, and the mu certificate
-    covers k(t) <= 4 (t in [0, 4] for the default k).
+    The constant part is kappa = 1, and the mu certificate covers t in [0, 4].
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
-    kfun = k if k is not None else (lambda t: t)
 
     def fn(t, xi):
-        c = kfun(t)
-        if c < 0:
-            raise ValueError(f"k(t) must be nonnegative, got k({t})={c}")
-        return -(1.0 + c) * _radial_norm(xi) ** gamma
+        return -(1.0 + t) * _radial_norm(xi) ** gamma
 
     return SymbolSpec(
         name=f"power-t:{gamma:g}",

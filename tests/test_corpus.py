@@ -53,10 +53,11 @@ def test_band_within_half_nyquist(grid):
 
 
 def test_annulus_energy_concentration():
+    # Nyquist/2 = 8 pi: the largest dyadic shell under it is 2^4
     g = GridSpec(1, 2048, 64.0)
-    e = generate_corpus(9, g, "ANNULUS", 1, j0=3)[0]
-    assert e.band == (2.0**2.9, 2.0**3.1)
-    assert annulus_energy_fraction(e) >= 0.999
+    e = generate_corpus(9, g, "ANNULUS", 1)[0]
+    assert e.band == (16.0 * 2.0**-0.1, 16.0 * 2.0**0.1)
+    assert annulus_energy_fraction(e) >= 1.0 - 1e-15
 
 
 def test_annulus_default_shell(grid):
@@ -64,12 +65,11 @@ def test_annulus_default_shell(grid):
     assert annulus_energy_fraction(e) >= 0.999
 
 
-def test_annulus_band_overflow_rejected(grid):
-    with pytest.raises(ConfigError):
-        generate_corpus(9, grid, "ANNULUS", 1, j0=12)
-    with pytest.raises(ConfigError):
-        # shell energy cannot be concentrated at low j0 on a small box
-        generate_corpus(9, grid, "ANNULUS", 1, j0=1)
+def test_annulus_band_overflow_rejected():
+    # Nyquist/2 = 8 pi puts the shell at 2^3, too narrow for the envelope a
+    # half extent of 32 allows to concentrate its energy
+    with pytest.raises(ConfigError, match="increase L or n"):
+        generate_corpus(9, GridSpec(1, 512, 32.0), "ANNULUS", 1)
 
 
 def test_argument_errors(grid):

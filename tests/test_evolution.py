@@ -3,7 +3,7 @@ import pytest
 
 from speclp import (Field, GridSpec, SymbolSpec, TimeIntegralRule, apply_evolution,
                     build_multiplier, get_symbol, kernel_field, multiplier_values,
-                    power_t_symbol, verify_composition)
+                    verify_composition)
 from speclp.acceptance import _scaling_identity_error
 from speclp.corpus import generate_corpus
 from speclp.errors import MultiplierError
@@ -51,12 +51,6 @@ def test_multiplier_rejects_bad_interval(unit_freq_grid):
         build_multiplier(HEAT, 1.0, 0.5, unit_freq_grid)
     with pytest.raises(ValueError):
         build_multiplier(HEAT, -0.5, 1.0, unit_freq_grid)
-
-
-def test_exact_rule_needs_time_constant(unit_freq_grid):
-    with pytest.raises(ValueError):
-        build_multiplier(get_symbol("power-t:2"), 0.0, 1.0, unit_freq_grid,
-                         rule=TimeIntegralRule.exact())
 
 
 def test_heat_evolution_of_gaussian():
@@ -122,38 +116,21 @@ def test_composition_time_dependent_gl8():
     assert err <= 1e-12
 
 
-def _trapezoid_errors(sym, grid, panels):
-    xi = grid.xi_stack()
-    ref = integrate_symbol(sym, 0.2, 1.4, xi, TimeIntegralRule.gauss_legendre(8, adaptive=False))
-    return [float(np.abs(integrate_symbol(sym, 0.2, 1.4, xi, TimeIntegralRule.trapezoid(p))
-                         - ref).max() / np.abs(ref).max()) for p in panels]
-
-
-def test_trapezoid_rule_agrees_with_gauss(unit_freq_grid):
-    # power-t:2 is linear in time, where the trapezoid rule is exact
-    for err in _trapezoid_errors(get_symbol("power-t:2"), unit_freq_grid, (4, 64)):
-        assert err <= 1e-14
-    # with k(t) = t^2 the error is exactly (b-a)^3 |psi''| / (12 panels^2):
-    # 1.2^3 * 2 / 12 = 0.288 against the integral's 1.2 + (1.4^3 - 0.2^3)/3 = 2.112
-    curved = power_t_symbol(2.0, k=lambda t: t * t)
-    panels = (8, 16, 32)
-    for p, err in zip(panels, _trapezoid_errors(curved, unit_freq_grid, panels)):
-        assert err == pytest.approx(0.288 / 2.112 / p**2, rel=1e-6)
-
-
 # Hermitian on the lattice except at the Nyquist index, where i xi is not real
 DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
                    kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
-RULES = {"exact": TimeIntegralRule.exact(), "gauss": TimeIntegralRule.gauss_legendre(),
-         "trapezoid": TimeIntegralRule.trapezoid(8)}
+# its time-dependent twin, -(1 + t)|xi|^2 + i xi: linear in t, so every Gauss rule is exact
+DRIFT_T = SymbolSpec(name="drift-t",
+                     eval_fn=lambda t, xi: -(1.0 + t) * (xi**2).sum(axis=0) + 1j * xi[0],
+                     kappa=1.0, mu=30.0, gamma=2.0, n_cert=2)
+RULES = {"gauss": TimeIntegralRule(), "gauss8": TimeIntegralRule.gauss_legendre(8, adaptive=False)}
 
 
 @pytest.mark.parametrize("method", list(RULES))
 def test_real_symbols_integrate_to_float64(unit_freq_grid, method):
     xi = unit_freq_grid.xi_stack()
     rule = RULES[method]
-    syms = (HEAT, POISSON) if method == "exact" else (HEAT, get_symbol("power-t:2"))
-    for sym in syms:
+    for sym in (HEAT, POISSON, get_symbol("power-t:2")):
         assert integrate_symbol(sym, 0.2, 1.4, xi, rule).dtype == np.float64
         assert multiplier_values(sym, 0.2, 1.4, unit_freq_grid, rule).dtype == np.float64
         mult = multiplier_values(sym, 0.2, 1.4, unit_freq_grid, rule, pre=(POISSON, 0.0))
@@ -164,13 +141,27 @@ def test_real_symbols_integrate_to_float64(unit_freq_grid, method):
 def test_complex_symbol_stays_complex128(unit_freq_grid, method):
     xi = unit_freq_grid.xi_stack()
     rule = RULES[method]
-    integral = integrate_symbol(DRIFT, 0.2, 1.4, xi, rule)
-    assert integral.dtype == np.complex128
-    assert integral[8] == pytest.approx(1.2 * (-1.0 + 1.0j), rel=1e-12)  # xi = 1
-    mult = multiplier_values(DRIFT, 0.2, 1.4, unit_freq_grid, rule)
-    assert mult.dtype == np.complex128
-    assert np.abs(mult.imag).max() > 0.1
-    assert verify_composition(DRIFT, 0.2, 0.7, 1.4, unit_freq_grid, rule) <= 1e-12
+    # at xi = 1: int_0.2^1.4 of -1 + i is 1.2 (-1 + i); of -(1 + r) + i, -2.16 + 1.2 i
+    for drift, value in ((DRIFT, 1.2 * (-1.0 + 1.0j)), (DRIFT_T, -2.16 + 1.2j)):
+        integral = integrate_symbol(drift, 0.2, 1.4, xi, rule)
+        assert integral.dtype == np.complex128
+        assert integral[8] == pytest.approx(value, rel=1e-12)
+        mult = multiplier_values(drift, 0.2, 1.4, unit_freq_grid, rule)
+        assert mult.dtype == np.complex128
+        assert np.abs(mult.imag).max() > 0.1
+        assert verify_composition(drift, 0.2, 0.7, 1.4, unit_freq_grid, rule) <= 1e-12
+
+
+@pytest.mark.parametrize("rule", [TimeIntegralRule(), TimeIntegralRule.gauss_legendre(3),
+                                  TimeIntegralRule.gauss_legendre(16, adaptive=False)],
+                         ids=["default", "gauss3", "gauss16"])
+def test_time_constant_symbol_integrates_in_closed_form(unit_freq_grid, rule):
+    xi = unit_freq_grid.xi_stack()
+    for sym in (HEAT, POISSON, DRIFT):
+        expected = (1.4 - 0.2) * sym(0.2, xi)
+        assert np.array_equal(integrate_symbol(sym, 0.2, 1.4, xi, rule), expected)
+        assert np.array_equal(multiplier_values(sym, 0.2, 1.4, unit_freq_grid, rule),
+                              np.exp(expected))
 
 
 def test_multiplier_ellipticity_envelope():

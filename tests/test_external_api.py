@@ -3,8 +3,9 @@
 The scripts in ``demos/`` and ``bench/`` import speclp but run outside the
 test suite, so a deletion in ``src/`` could break them silently.  This test
 reads their syntax trees and checks that every speclp name they import or
-reference exists, and that every keyword they pass to a speclp callable is a
-parameter of it.
+reference exists, and that every call of a speclp callable binds to its
+signature: no keyword it lacks, no more positional arguments than it takes.
+Calls that unpack ``*args`` or ``**kwargs`` cannot be checked and are skipped.
 """
 
 import ast
@@ -71,13 +72,14 @@ def test_speclp_names_and_keywords_exist(path):
             fn = _resolve(node.func, bound)
             if fn is None or not callable(fn):
                 continue
-            params = inspect.signature(fn).parameters
-            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(kw.arg is None for kw in node.keywords):
                 continue
-            for kw in node.keywords:
-                if kw.arg is not None:
-                    assert kw.arg in params, f"{path.name}:{node.lineno}: " \
-                        f"{getattr(fn, '__qualname__', fn)} takes no keyword {kw.arg!r}"
+            try:
+                inspect.signature(fn).bind_partial(*[None] * len(node.args),
+                                                   **{kw.arg: None for kw in node.keywords})
+            except TypeError as e:
+                pytest.fail(f"{path.name}:{node.lineno}: {getattr(fn, '__qualname__', fn)}: {e}")
 
 
 def test_scripts_found():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from speclp import (INF, Field, GridSpec, TimeIntegralRule, WindowError, build_time_window,
+from speclp import (INF, Field, GridSpec, WindowError, build_time_window,
                     explicit_q2_constant, g_function, get_symbol, lp_norm, mean_remove,
                     ratio_report, spectral_shift)
 from speclp.corpus import generate_corpus
+from speclp.gfunction import _grid_window
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -112,6 +113,23 @@ def test_q2_bound_invariant(grid, corpus):
             assert lp_norm(G, 2) ** 2 <= c * (1.0 + 1e-3) * lp_norm(f, 2) ** 2
 
 
+@pytest.mark.parametrize("names, n_nodes", [(("heat", "heat"), 896), (("poisson", "poisson"), 608),
+                                             (("power:2", "poisson"), 1184)])
+def test_q2_window_identity_per_mode(grid, names, n_nodes):
+    # Plancherel turns the q = 2 ratio into one time sum per mode: on the
+    # windows of criteria 1 and 2, sum_i w_i |psi1 e^(t_i psi2)|^2 is the
+    # closed-form constant at every nonzero mode, with no transform involved
+    psi1, psi2 = (get_symbol(n) for n in names)
+    w = _grid_window(grid, psi1, psi2)
+    assert w.nodes.size == n_nodes
+    xi = grid.xi_stack()
+    nonzero = grid.xi_norm() > 0.0
+    pre, psi = psi1(0.0, xi)[nonzero], psi2(0.0, xi)[nonzero]
+    per_mode = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
+    c = explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma)
+    assert np.abs(per_mode - c).max() <= 2e-8 * c
+
+
 def test_explicit_constant_values():
     assert explicit_q2_constant(1.0, 1.0, 2.0, 2.0) == pytest.approx(0.25)
     assert explicit_q2_constant(1.0, 1.0, 1.0, 1.0) == pytest.approx(0.25)
@@ -214,13 +232,3 @@ def test_time_dependent_symbol_finite_window(grid):
                               xi_max=grid.nyquist)
     G_ref = g_function(f, HEAT, 0.0, HEAT, w_ref, 2.0)
     assert lp_norm(G, 2) < lp_norm(G_ref, 2)
-
-
-def test_trapezoid_time_rule(grid):
-    # power-t:2 is linear in time, so the trapezoid rule matches Gauss-Legendre
-    pt = get_symbol("power-t:2")
-    f = mean_remove(Field(grid, np.exp(-(grid.x_axis() ** 2) / 2)))
-    w = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, n_nodes=4, kappa2=1.0, xi_max=grid.nyquist)
-    G = g_function(f, HEAT, 0.0, pt, w, 2.0, rule=TimeIntegralRule.trapezoid(4))
-    G_ref = g_function(f, HEAT, 0.0, pt, w, 2.0)
-    assert np.abs(G.values - G_ref.values).max() <= 1e-12 * np.abs(G_ref.values).max()

@@ -97,9 +97,16 @@ def test_hormander_preconditions():
         hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([0.0])], g)
     with pytest.raises(AuditError, match="resolve"):
         hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([g.spacing])], g)
-    with pytest.raises(AuditError, match="octaves"):
-        hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0,
-                         [np.array([1.0]), np.array([2.0])], g)
+
+
+def test_hormander_y_list_matches_single_calls():
+    # the y list sets only which integrals come back: each equals its own call's
+    g = GridSpec(1, 4096, 32.0)
+    w = hormander_window(g)
+    ys = [np.array([1.0]), np.array([2.0])]
+    both = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, ys, g).integrals
+    single = [hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [y], g).integrals[0] for y in ys]
+    assert both == single
 
 
 def test_hormander_needs_a_region_beyond_2y():
@@ -130,9 +137,8 @@ def test_hormander_off_lattice_stays_near_lattice_value():
     # spectral-phase shift rang them across the region (H up to 3.9x)
     g = GridSpec(1, 8192, 64.0)
     w = hormander_window(g)
-    H = [hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0,
-                          [np.array([0.125 + theta * g.spacing])], g).integrals[0]
-         for theta in (0.0, 0.07, 0.25, 0.5, 0.75, 0.93)]
+    ys = [np.array([0.125 + theta * g.spacing]) for theta in (0.0, 0.07, 0.25, 0.5, 0.75, 0.93)]
+    H = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, ys, g).integrals
     assert all(abs(h - H[0]) <= 0.08 * H[0] for h in H[1:])
 
 

@@ -39,7 +39,7 @@ GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 
 
 # --- oracles: the per-node loops ---------------------------------------------
 
-def _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+def _oracle_node_multipliers(psi1, l, psi2, window, grid):
     xi = grid.xi_stack()
     pre = np.asarray(psi1(l, xi), dtype=np.complex128)
     if psi2.time_constant:
@@ -47,7 +47,7 @@ def _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
         for t, w in zip(window.nodes, window.weights):
             yield w, pre * np.exp((t - window.s) * base)
     else:
-        rule = rule or TimeIntegralRule.gauss_legendre(16, adaptive=False)
+        rule = TimeIntegralRule.gauss_legendre(16, adaptive=False)
         rs = np.concatenate([[window.s], window.nodes])
         Q = np.zeros(grid.shape, dtype=np.complex128)
         for lo, hi, w in zip(rs[:-1], rs[1:], window.weights):
@@ -55,11 +55,11 @@ def _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
             yield w, pre * np.exp(Q)
 
 
-def oracle_g(f, psi1, l, psi2, window, q, rule=None):
+def oracle_g(f, psi1, l, psi2, window, q):
     grid = f.grid
     F = forward_transform(f)
     acc = np.zeros(grid.shape)
-    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid):
         g = np.fft.ifftn(F.coeffs * mult)
         acc += w * np.abs(g) ** q
     scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
@@ -79,11 +79,11 @@ def oracle_shift(K, y, grid):
     return Ky
 
 
-def oracle_hormander(psi1, l, psi2, window, q, ys, grid, rule=None):
+def oracle_hormander(psi1, l, psi2, window, q, ys, grid):
     scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in ys]
     acc = [np.zeros(grid.shape) for _ in ys]
-    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid, rule):
+    for w, mult in _oracle_node_multipliers(psi1, l, psi2, window, grid):
         K = np.fft.fftshift(np.fft.ifftn(mult)) * scale
         for i, y in enumerate(ys):
             acc[i] += w * np.abs(oracle_shift(K, y, grid) - K) ** q
