@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
-from .spectral import Field, GridSpec, SpectralField, _drop_residue, _multiply, inverse_transform
+from .spectral import Field, GridSpec, _spectrum, _synthesize
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -156,17 +156,34 @@ def build_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
     return EvolutionMultiplier(grid, multiplier_values(psi2, s, t, grid, pre=pre))
 
 
+def _drop_residue(grid: GridSpec, values: np.ndarray) -> Field:
+    """Field of the values of a real input's evolution or kernel: real when
+    their imaginary residue is at most 1e-10 of their largest magnitude.
+
+    This is the real-output rule for multipliers of unknown symmetry (a
+    symbol may carry a drift i xi).  A conjugate-symmetric multiplier leaves
+    only round-off there, unless the result itself is round-off.
+    """
+    scale = np.abs(values).max()
+    real = scale == 0.0 or np.abs(values.imag).max() <= 1e-10 * scale
+    return Field(grid, values.real if real else values)
+
+
+def _kernel(grid: GridSpec, mult: np.ndarray) -> np.ndarray:
+    """Complex natural-order samples of the kernel of mult (fft order)."""
+    return _synthesize(grid, mult * KERNEL_SCALE(grid.dim))
+
+
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
     """Apply the evolution operator to a field via its frequency multiplier.
 
-    A real f gives a real (float64) output, its imaginary residue discarded,
-    when that residue is at most 1e-10 of the result's largest magnitude, as
-    a conjugate-symmetric multiplier leaves it.  Otherwise, and for any
-    complex f, the output is complex128.
+    A real f gives a float64 output when :func:`_drop_residue` allows it;
+    otherwise, and for any complex f, the output is complex128.
     """
     if f.grid != mult.grid:
         raise ValueError("field and multiplier grids do not match")
-    return _multiply(f, mult.values)
+    vals = _synthesize(f.grid, _spectrum(f) * mult.values)
+    return _drop_residue(f.grid, vals) if np.isrealobj(f.values) else Field(f.grid, vals)
 
 
 def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
@@ -176,8 +193,7 @@ def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
     The Riemann sum of the kernel equals the multiplier at xi = 0 (zero when
     a pre-symbol is present, since built-ins vanish at the origin).
     """
-    mult = multiplier_values(psi2, s, t, grid, pre=psi1_l)
-    return _drop_residue(inverse_transform(SpectralField(grid, mult * KERNEL_SCALE(grid.dim))))
+    return _drop_residue(grid, _kernel(grid, multiplier_values(psi2, s, t, grid, pre=psi1_l)))
 
 
 def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: GridSpec,

@@ -61,7 +61,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import WindowError
 from .evolution import TimeIntegralRule, _dyadic_panels, integrate_symbol
-from .spectral import Field, _spectrum, lp_norm, refine_field
+from .spectral import Field, _spectrum, _two_pi_pow, lp_norm, refine_field
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -110,8 +110,7 @@ class TimeWindow:
 
 def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float,
                       n_nodes: int = 16, *, kappa2: float = 1.0,
-                      xi_min: Optional[float] = None,
-                      xi_max: Optional[float] = None) -> TimeWindow:
+                      xi_min: Optional[float] = None, xi_max: float) -> TimeWindow:
     """Build the singular-weight quadrature window.
 
     Parameters beyond the window geometry:
@@ -124,8 +123,8 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         when a = inf (no spectral gap means the zero mode never decays, so
         the caller must remove the mean and provide the gap).
     xi_max
-        Largest lattice frequency; when given, the dyadic panel depth is
-        chosen so the fastest-decaying mode is resolved.
+        Largest lattice frequency magnitude, positive and finite; the dyadic
+        panel depth is chosen so the fastest-decaying mode is resolved.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -135,6 +134,8 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError("a must be positive (possibly inf)")
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be finite and nonnegative, got {s}")
+    if not 0 < xi_max < math.inf:
+        raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
 
     omega = q * gamma1 / gamma2
     if math.isinf(a):
@@ -147,13 +148,9 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         T = float(a)
     u_max = T**omega
 
-    if xi_max is not None and xi_max > 0:
-        t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
-        u_floor = (t_fast / 8.0) ** omega
-        n_panels = int(np.clip(math.ceil(math.log2(u_max / u_floor)), 24, 120))
-    else:
-        n_panels = 60
-
+    t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
+    u_floor = (t_fast / 8.0) ** omega
+    n_panels = int(np.clip(math.ceil(math.log2(u_max / u_floor)), 24, 120))
     edges = [0.0] + [u_max * 2.0 ** (-k) for k in range(n_panels, -1, -1)]
     u, w = _dyadic_panels(edges, n_nodes)
     return TimeWindow(
@@ -291,7 +288,7 @@ def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
         _accumulate(acc, g, w, q)
     # the node transforms omit the (2 pi)^(d/2)/spacing^d factor of the full
     # inverse; restore it on the accumulated q-th powers
-    scale = ((2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure) ** q
+    scale = (_two_pi_pow(grid.dim) / grid.cell_measure) ** q
     return Field(grid, np.fft.fftshift((scale * acc) ** (1.0 / q)))
 
 

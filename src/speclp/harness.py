@@ -50,7 +50,7 @@ from .gfunction import (INF, _exact_ratio, _grid_window, check_infinite_window_l
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
 from .lp_decomp import _partition_defect, block, build_decomposition, low_part
-from .spectral import Field, GridSpec, SpectralField, forward_transform, inverse_transform, lp_norm
+from .spectral import Field, GridSpec, _spectrum, _synthesize, lp_norm
 from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "SCENARIOS", "SCHEMA_VERSION"]
@@ -305,11 +305,11 @@ def _measure_fraclap_xcheck(cfg: ScenarioConfig):
     grid = cfg.grid()
     x = grid.x_axis()
     f = Field(grid, np.exp(-(x**2) / 2.0))
-    F = forward_transform(f)
+    F = _spectrum(f)
     xi = grid.freq_axis()
     rows = []
     for eta in (0.5, 1.0, 1.5):
-        A = inverse_transform(SpectralField(grid, -np.abs(xi) ** eta * F.coeffs)).values
+        A = _synthesize(grid, -np.abs(xi) ** eta * F)
         B = fractional_laplacian_pv(f, eta).values
         rows.append((eta, math.sqrt(float((np.abs(A - B) ** 2).sum()))
                      / math.sqrt(float((np.abs(A) ** 2).sum()))))

@@ -18,10 +18,10 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import AuditError
-from .evolution import KERNEL_SCALE, _dyadic_panels, multiplier_values
+from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _node_fields
-from .lp_decomp import DyadicDecomposition, bump_profile
-from .spectral import Field, GridSpec, SpectralField, _multiply, inverse_transform, lp_norm
+from .lp_decomp import DyadicDecomposition, block_multiplier
+from .spectral import Field, GridSpec, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -70,11 +70,7 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     """
     mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
     xi = grid.xi_stack()
-    scale = KERNEL_SCALE(grid.dim)
-    comps = []
-    for k in range(grid.dim):
-        c = inverse_transform(SpectralField(grid, 1j * xi[k] * mult * scale))
-        comps.append(c)
+    comps = [Field(grid, _kernel(grid, 1j * xi[k] * mult)) for k in range(grid.dim)]
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in comps))
     return comps, Field(grid, mag)
 
@@ -189,7 +185,7 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                              f"need |y| < L/2 = {grid.half_extent / 2.0}")
     stencils = [[(wt, _roll_blocks(grid.shape, sh)) for wt, sh in _shift_stencil(grid, y)]
                 for y in ys]
-    scale = KERNEL_SCALE(grid.dim) * (2.0 * np.pi) ** (grid.dim / 2.0) / grid.cell_measure
+    scale = KERNEL_SCALE(grid.dim) * _two_pi_pow(grid.dim) / grid.cell_measure
     acc = [np.zeros(grid.shape) for _ in ys]
     diff = None
     for w, K in _node_fields(psi1, l, psi2, window, grid):
@@ -250,18 +246,16 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     js = sorted(int(j) for j in j_range)
     if not js:
         raise ValueError("empty j range")
+    if D.grid != grid:
+        raise ValueError("decomposition and kernel grids do not match")
     if js[0] < D.j_min or js[-1] > D.j_max:
         raise ValueError(f"j range {js[0]}..{js[-1]} outside active range "
                          f"[{D.j_min}, {D.j_max}]")
     mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
-    xi_norm = grid.xi_norm()
-    scale = KERNEL_SCALE(grid.dim)
     g1, g2 = psi1.gamma, psi2.gamma
-    measured = {}
-    for j in js:
-        block = mult * bump_profile(xi_norm * 2.0 ** (-j)) * scale
-        K = inverse_transform(SpectralField(grid, block))
-        measured[j] = lp_norm(K, 1.0)
+    # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it
+    measured = {j: float(np.abs(_kernel(grid, mult * block_multiplier(D, j))).sum()
+                         * grid.cell_measure) for j in js}
     usable = [j for j in js if measured[j] > _UNDERFLOW]
     if len(usable) < 2:
         raise AuditError("fewer than two blocks above underflow; shrink j range")
@@ -377,4 +371,4 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta), 0.0)
     far = np.fft.fft(np.fft.ifftshift(cell)) - cell.sum()
 
-    return _multiply(f, pv_normalization(1, eta) * (far - 4.0 * near), real_part=True)
+    return _multiply(f, pv_normalization(1, eta) * (far - 4.0 * near))

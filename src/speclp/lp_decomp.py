@@ -104,14 +104,14 @@ def block(f: Field, j: int, D: DyadicDecomposition) -> Field:
         raise ValueError(f"j={j} outside active range [{D.j_min}, {D.j_max}]")
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _multiply(f, block_multiplier(D, j), real_part=True)
+    return _multiply(f, block_multiplier(D, j))
 
 
 def low_part(f: Field, D: DyadicDecomposition) -> Field:
     """Low-frequency part: multiplier chi(|xi|); passes the zero mode through."""
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _multiply(f, chi_profile(f.grid.xi_norm()), real_part=True)
+    return _multiply(f, chi_profile(f.grid.xi_norm()))
 
 
 def besov_norm0(f: Field, q: float, D: DyadicDecomposition) -> float:
@@ -130,7 +130,7 @@ def sobolev_norm(f: Field, alpha: float, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     mult = (1.0 + f.grid.xi_norm() ** 2) ** (alpha / 2.0)
-    return lp_norm(_multiply(f, mult, real_part=True), p)
+    return lp_norm(_multiply(f, mult), p)
 
 
 def block_energy_table(f: Field, q: float, D: DyadicDecomposition):

@@ -19,6 +19,7 @@ spectral coefficients are stored in ``numpy.fft`` frequency order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,6 +42,14 @@ def _two_pi_pow(d: int) -> float:
     return (2.0 * np.pi) ** (d / 2.0)
 
 
+def _index(value, name: str) -> int:
+    """value as a Python int (numpy integers included), else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform periodic sampling lattice for [-L, L)^d.
@@ -52,7 +61,7 @@ class GridSpec:
     n : int
         Points per axis; must be even.
     half_extent : float
-        L > 0; the domain is the torus [-L, L)^d.
+        Finite L > 0; the domain is the torus [-L, L)^d.
     """
 
     dim: int
@@ -60,12 +69,14 @@ class GridSpec:
     half_extent: float
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _index(self.dim, "dim"))
+        object.__setattr__(self, "n", _index(self.n, "n"))
         if self.dim < 1 or self.dim > 3:
             raise ValueError(f"dim must be in 1..3, got {self.dim}")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"n must be even and >= 2, got {self.n}")
-        if not self.half_extent > 0:
-            raise ValueError("half_extent must be positive")
+        if not 0 < self.half_extent < np.inf:
+            raise ValueError(f"half_extent must be positive and finite, got {self.half_extent}")
 
     @property
     def spacing(self) -> float:
@@ -205,45 +216,28 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, _spectrum(f))
 
 
+def _synthesize(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Natural-order samples of fft-order coefficients times the synthesis
+    factor (2 pi)^(d/2) / spacing^d: the package's one inverse transform."""
+    return np.fft.fftshift(np.fft.ifftn(coeffs)) * (_two_pi_pow(grid.dim) / grid.cell_measure)
+
+
 def inverse_transform(F: SpectralField) -> Field:
     """Exact inverse of :func:`forward_transform` (up to round-off)."""
-    d = F.grid.dim
-    vals = np.fft.fftshift(np.fft.ifftn(F.coeffs)) * (_two_pi_pow(d) / F.grid.cell_measure)
-    return Field(F.grid, vals)
+    return Field(F.grid, _synthesize(F.grid, F.coeffs))
 
 
-# imaginary residue, relative to the result's largest magnitude, that the
-# result of a real input may carry and still come out real
-_RESIDUE = 1e-10
+def _multiply(f: Field, mult: np.ndarray) -> Field:
+    """Finv(mult * F(f)); a real f gives the real part of the result.
 
-
-def _drop_residue(out: Field) -> Field:
-    """The real part of out when its imaginary residue is negligible, else out.
-
-    This is the real-output rule for multipliers of unknown symmetry: a
-    result whose imaginary residue is at most 1e-10 of its own largest
-    magnitude comes out real.  A conjugate-symmetric multiplier leaves only
-    round-off there, unless the result itself is round-off.
+    This real-part rule fits multipliers conjugate-symmetric by construction
+    off the self-paired Nyquist planes (real radial profiles, a shift phase,
+    the principal-value multiplier): it drops round-off and content on those
+    planes.  Evolutions, of unknown symmetry, take the residue rule of
+    :func:`speclp.evolution._drop_residue` instead.
     """
-    scale = np.abs(out.values).max()
-    if scale == 0.0 or np.abs(out.values.imag).max() <= _RESIDUE * scale:
-        return Field(out.grid, out.values.real)
-    return out
-
-
-def _multiply(f: Field, mult: np.ndarray, real_part: bool = False) -> Field:
-    """Finv(mult * F(f)), with a real-output rule for a real f.
-
-    With ``real_part`` a real f gives the real part of the result: the rule
-    for multipliers that are conjugate-symmetric by construction, at least
-    off the self-paired Nyquist planes (real radial profiles, a shift
-    phase).  Otherwise a real f gives a real result when
-    :func:`_drop_residue` allows it.
-    """
-    out = inverse_transform(SpectralField(f.grid, forward_transform(f).coeffs * mult))
-    if not np.isrealobj(f.values):
-        return out
-    return Field(f.grid, out.values.real) if real_part else _drop_residue(out)
+    vals = _synthesize(f.grid, _spectrum(f) * mult)
+    return Field(f.grid, vals.real if np.isrealobj(f.values) else vals)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -269,8 +263,7 @@ def spectral_shift(f: Field, y) -> Field:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
         raise ValueError(f"shift vector must have length {f.grid.dim}")
-    return _multiply(f, np.exp(-1j * np.tensordot(y, f.grid.xi_stack(), axes=(0, 0))),
-                     real_part=True)
+    return _multiply(f, np.exp(-1j * np.tensordot(y, f.grid.xi_stack(), axes=(0, 0))))
 
 
 def refine_field(f: Field, factor: int = 2) -> Field:
@@ -282,11 +275,11 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     part of the exact result; as for :func:`spectral_shift`, the part dropped
     sits on the coarse lattice's self-paired Nyquist planes.
     """
-    if factor < 1 or int(factor) != factor:
+    if _index(factor, "factor") < 1:
         raise ValueError("factor must be a positive integer")
     g = f.grid
     fine = GridSpec(g.dim, g.n * factor, g.half_extent)
     # the centred coarse spectrum sits in the middle of the centred fine one
     centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
-    vals = inverse_transform(SpectralField(fine, np.fft.ifftshift(centred)))
-    return Field(fine, vals.values.real) if np.isrealobj(f.values) else vals
+    vals = _synthesize(fine, np.fft.ifftshift(centred))
+    return Field(fine, vals.real if np.isrealobj(f.values) else vals)

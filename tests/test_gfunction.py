@@ -26,21 +26,21 @@ def window_inf(grid, q, psi1, psi2, n_nodes=16):
                              kappa2=psi2.kappa, xi_min=grid.min_freq, xi_max=grid.nyquist)
 
 
-def test_weight_integral_monomial():
-    w = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0)
+def test_weight_integral_monomial(grid):
+    w = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, xi_max=grid.nyquist)
     assert w.weight_exponent == 1.0
     assert w.weights.sum() == pytest.approx(0.5, abs=1e-10)
 
 
-def test_weight_integral_flat_measure():
+def test_weight_integral_flat_measure(grid):
     # q = 2, g1 = 1, g2 = 2: weight exponent zero, plain dt
-    w = build_time_window(0.0, 1.0, 2.0, 1.0, 2.0)
+    w = build_time_window(0.0, 1.0, 2.0, 1.0, 2.0, xi_max=grid.nyquist)
     assert w.weight_exponent == 0.0
     assert w.weights.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_nodes_inside_window():
-    w = build_time_window(0.5, 2.0, 2.0, 2.0, 2.0)
+def test_nodes_inside_window(grid):
+    w = build_time_window(0.5, 2.0, 2.0, 2.0, 2.0, xi_max=grid.nyquist)
     assert np.all(np.diff(w.nodes) > 0)
     assert w.nodes[0] > 0.5 and w.nodes[-1] < 2.5
 
@@ -63,12 +63,11 @@ def _oracle_window(s, T, omega, n_nodes, n_panels):
     (0.0, INF, 2.0, 2.0, 2.0, 16), (0.0, INF, 2.0, 1.0, 1.0, 8),
     (0.3, 1.0, 4.0, 2.0, 2.0, 4), (0.5, 2.0, 3.0, 1.0, 2.0, 5)])
 def test_window_matches_per_panel_loop(grid, s, a, q, g1, g2, n_nodes):
-    for xi_max in (None, grid.nyquist):
-        w = build_time_window(s, a, q, g1, g2, n_nodes, xi_min=grid.min_freq, xi_max=xi_max)
-        n_panels = w.nodes.size // n_nodes - 1  # panels of the edges [0, 2^-n u, ..., u]
-        nodes, weights = _oracle_window(s, w.truncation_t, q * g1 / g2, n_nodes, n_panels)
-        assert w.nodes.tobytes() == nodes.tobytes()
-        assert w.weights.tobytes() == weights.tobytes()
+    w = build_time_window(s, a, q, g1, g2, n_nodes, xi_min=grid.min_freq, xi_max=grid.nyquist)
+    n_panels = w.nodes.size // n_nodes - 1  # panels of the edges [0, 2^-n u, ..., u]
+    nodes, weights = _oracle_window(s, w.truncation_t, q * g1 / g2, n_nodes, n_panels)
+    assert w.nodes.tobytes() == nodes.tobytes()
+    assert w.weights.tobytes() == weights.tobytes()
 
 
 def test_infinite_window_truncation(grid):
@@ -77,9 +76,20 @@ def test_infinite_window_truncation(grid):
     assert np.exp(-w.truncation_t * grid.min_freq**2) == pytest.approx(1e-16, rel=1e-10)
 
 
-def test_infinite_window_needs_spectral_gap():
+def test_infinite_window_needs_spectral_gap(grid):
     with pytest.raises(WindowError, match="gap"):
-        build_time_window(0.0, INF, 2.0, 2.0, 2.0)
+        build_time_window(0.0, INF, 2.0, 2.0, 2.0, xi_max=grid.nyquist)
+
+
+@pytest.mark.parametrize("xi_max", [0.0, -1.0, INF, float("nan")])
+def test_window_rejects_bad_xi_max(grid, xi_max):
+    with pytest.raises(ValueError, match="xi_max"):
+        build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, xi_min=grid.min_freq, xi_max=xi_max)
+
+
+def test_window_needs_xi_max():
+    with pytest.raises(TypeError, match="xi_max"):
+        build_time_window(0.0, 1.0, 2.0, 2.0, 2.0)
 
 
 def test_zero_field_maps_to_zero(grid):

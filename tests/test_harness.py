@@ -134,6 +134,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("n", "abc", "c.cfg:3: n must be an integer, got 'abc'"),
     ("L", "wide", "c.cfg:3: L must be a number, got 'wide'"),
+    ("L", "inf", "half_extent must be positive and finite, got inf"),
     ("a", "forever", "c.cfg:3: a must be a number, got 'forever'"),
     ("symbol1", "nope", "unknown symbol 'nope'"),
     ("symbol2", "power:x", "cannot parse symbol parameter in 'power:x'"),

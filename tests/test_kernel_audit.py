@@ -225,3 +225,13 @@ def test_fraclap_grid_must_hold_the_split_at_one():
     f = Field(GridSpec(1, 64, 2.0), np.zeros(64))
     with pytest.raises(ValueError, match=r"spacing <= 1 <= L/4"):
         fractional_laplacian_pv(f, 1.0)
+
+
+def test_dyadic_envelope_rejects_a_decomposition_of_another_grid():
+    g = GridSpec(1, 64, 32.0)
+    D = build_decomposition(GridSpec(1, 128, 32.0))  # same j_min, one more block
+    js = range(D.j_min, D.j_min + 4)
+    with pytest.raises(ValueError, match="grids do not match"):
+        dyadic_l1_envelope(HEAT, 0.0, HEAT, 0.0, 1.0, js, g, D)
+    rep = dyadic_l1_envelope(HEAT, 0.0, HEAT, 0.0, 1.0, js, D.grid, D)
+    assert [r.j for r in rep.rows] == list(js)

@@ -124,7 +124,7 @@ def test_mean_remove_dtypes():
 
 
 def test_g_function_is_real_for_real_and_complex_input():
-    w = build_time_window(0.0, 1.0, 2.0, HEAT.gamma, HEAT.gamma, n_nodes=4)
+    w = build_time_window(0.0, 1.0, 2.0, HEAT.gamma, HEAT.gamma, n_nodes=4, xi_max=G1.nyquist)
     for f in _pair():
         _assert_real(g_function(f, HEAT, 0.0, HEAT, w, 2.0))
 

@@ -22,6 +22,9 @@ def test_grid_validation():
         GridSpec(4, 16, 1.0)  # d > 3
     with pytest.raises(ValueError):
         GridSpec(1, 16, -1.0)
+    for L in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GridSpec(1, 16, L)
     g = GridSpec(2, 64, 8.0)
     assert g.spacing * g.n == 2 * g.half_extent
     assert g.nyquist == np.pi * g.n / (2 * g.half_extent)
@@ -151,3 +154,32 @@ def test_2d_round_trip_and_plancherel():
     back = inverse_transform(F)
     assert np.abs(back.values - f.values).max() <= 1e-12 * np.abs(f.values).max()
     assert abs(lp_norm(f, 2) - spectral_l2(F)) <= 1e-12 * lp_norm(f, 2)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64.0), (1.0, 64), (1, "64"), (1, 64.5)])
+def test_grid_rejects_non_integer_sizes(dim, n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GridSpec(dim, n, 8.0)
+
+
+def test_grid_accepts_numpy_integers():
+    g = GridSpec(np.int64(2), np.int32(64), 8.0)
+    assert g == GridSpec(2, 64, 8.0)
+    assert g.shape == (64, 64) and all(type(k) is int for k in g.shape)
+    assert type(g.dim) is int
+
+
+@pytest.mark.parametrize("factor", [2.0, 1.5, "2", None])
+def test_refine_rejects_non_integer_factor(grid, factor):
+    f = Field(grid, np.cos(grid.x_axis()))
+    with pytest.raises(ValueError, match="factor must be an integer"):
+        refine_field(f, factor)
+
+
+def test_refine_accepts_numpy_integer_factor(grid):
+    f = Field(grid, np.exp(-(grid.x_axis() ** 2) / 2))
+    fine = refine_field(f, np.int64(2))
+    assert fine.grid == GridSpec(1, 2 * grid.n, grid.half_extent)
+    assert fine.values.tobytes() == refine_field(f, 2).values.tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        refine_field(f, np.int64(0))
