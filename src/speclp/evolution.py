@@ -8,6 +8,12 @@ optionally pre-composed with a second multiplier psi1(l, xi).  The
 composition law T(t, r) T(r, s) = T(t, s) holds exactly at the level of the
 frequency multipliers, which is what :func:`verify_composition` measures.
 
+Time integrals of a time-dependent symbol are Gauss-Legendre sums over
+nodes r_i.  A separable symbol, psi(r, xi) = time_factor(r) * spatial(xi)
+(``power-t``), has its spatial part evaluated once per integral, and each
+node adds w_i * (time_factor(r_i) * spatial), the same bits as evaluating
+psi there (see :func:`integrate_symbol`).
+
 Kernel normalization: the convolution kernel K with T f = K * f (Riemann-sum
 convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 :func:`kernel_field` returns K so that closed forms like the heat kernel
@@ -25,7 +31,7 @@ from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
 from .spectral import Field, GridSpec, _spectrum, _synthesize
-from .symbols import SymbolSpec
+from .symbols import SymbolSpec, _separable_eval
 
 __all__ = [
     "TimeIntegralRule",
@@ -87,12 +93,13 @@ def _dyadic_panels(edges, order: int):
     return (mid[:, None] + half[:, None] * z).ravel(), (half[:, None] * w).ravel()
 
 
-def _gauss_integral(psi: SymbolSpec, s: float, t: float, xi: np.ndarray, order: int) -> np.ndarray:
+def _gauss_integral(psi_at, s: float, t: float, order: int) -> np.ndarray:
+    """Gauss-Legendre estimate of int_s^t psi_at(r) dr, summed in node order."""
     nodes, weights = _legendre(order)
     mid, half = 0.5 * (s + t), 0.5 * (t - s)
     acc = 0.0
     for z, w in zip(nodes, weights):
-        acc = acc + w * psi(mid + half * z, xi)
+        acc = acc + w * psi_at(mid + half * z)
     return half * acc
 
 
@@ -101,17 +108,21 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
     """int_s^t psi(r, xi) dr on the stacked frequency array.
 
     Exactly (t - s) psi(s, xi) for a time-constant symbol, whatever the rule;
-    otherwise the rule's Gauss-Legendre estimate.
+    otherwise the rule's Gauss-Legendre estimate.  A separable symbol,
+    psi(r, xi) = time_factor(r) * spatial(xi), has its spatial part
+    evaluated and checked once per call; every node then scales it, with
+    the same bits and the same checks as evaluating psi there.
     """
     if psi.time_constant:
         return (t - s) * psi(s, xi)
-    est = _gauss_integral(psi, s, t, xi, rule.order)
+    psi_at = (lambda r: psi(r, xi)) if psi.spatial is None else _separable_eval(psi, xi)
+    est = _gauss_integral(psi_at, s, t, rule.order)
     if not rule.adaptive:
         return est
     order = rule.order
     for _ in range(10):
         order *= 2
-        nxt = _gauss_integral(psi, s, t, xi, order)
+        nxt = _gauss_integral(psi_at, s, t, order)
         rel = np.abs(nxt - est) / (np.abs(nxt) + _REL_FLOOR)
         if rel.max() < rule.tolerance:
             return nxt

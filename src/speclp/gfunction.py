@@ -32,6 +32,17 @@ inverse FFT over the spatial axes.
   of its samples (``spectral._spectrum``), and each chunk goes through one
   ``irfftn``.  Time-dependent symbols are integrated on the half lattice
   only.
+* Underflow band: on the real path with a time-constant psi2, the late nodes
+  of a window damp the high modes to exactly 0.0 (``np.exp`` underflows
+  below -745.1332).  Each chunk builds the exponent, ``exp`` and the product
+  with the input spectrum only on the leading last-axis columns where its
+  earliest node has dt Re psi2 >= ``_EXP_FLOOR`` (-746), and hands that band
+  to the same ``irfftn``, which zero-pads the last axis and, for d >= 2, runs
+  the other axes' transforms on the band only.  The band's width is one
+  ``searchsorted`` per chunk in the suffix maximum of Re psi2's column maxima,
+  built once per call.  The dropped columns held exact zeros, so no output
+  moves.  The complex fallback, a time-dependent psi2 and a psi2 with
+  Re psi2 >= 0 on the last column keep the whole lattice.
 * Complex fallback: complex input, or a multiplier that is not Hermitian
   (for instance a drift term i xi, which is not real at the Nyquist index),
   runs the same chunk loop on the full lattice with ``ifftn``.
@@ -79,6 +90,9 @@ INF = float("inf")
 _TRUNCATION_LOG = math.log(1e16)
 # bytes of temporaries one chunk of time nodes may hold (see _chunk_nodes)
 _CHUNK_BYTES = 1 << 20
+# np.exp is exactly 0.0 below -745.1332 in float64, on numpy's scalar and SIMD
+# paths alike; exponents below this floor contribute exact zeros
+_EXP_FLOOR = -746.0
 # time integral of a time-dependent psi2 between consecutive window nodes
 _NODE_RULE = TimeIntegralRule.gauss_legendre(16, adaptive=False)
 
@@ -199,6 +213,14 @@ def _chunk_nodes(grid, real: bool) -> int:
     return max(1, _CHUNK_BYTES // per_node)
 
 
+def _decay_tail(first: np.ndarray) -> np.ndarray:
+    """tail[j] = the largest Re psi2 on last-axis columns j, j + 1, ... of the
+    half spectrum: column j and all after it underflow for every node with
+    dt * tail[j] < _EXP_FLOOR."""
+    columns = first.real.reshape(-1, first.shape[-1]).max(axis=0)
+    return np.maximum.accumulate(columns[::-1])[::-1]
+
+
 def _input_spectrum(f: Field, real: bool, infinite: bool) -> np.ndarray:
     """forward_transform(f).coeffs, cut to the rfftn half spectrum when real.
 
@@ -239,15 +261,20 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     inverse = np.fft.irfftn if real else np.fft.ifftn
     axes = tuple(range(1, grid.dim + 1))
     k = _chunk_nodes(grid, real)
+    band = slice(None)  # the leading last-axis columns a chunk keeps
     if psi2.time_constant:
         dt = window.nodes - window.s
+        if real:
+            rising = -_decay_tail(first)
     else:
         rs = np.concatenate([[window.s], window.nodes])
         Q = 0.0  # int_s^(previous node) psi2
     for lo in range(0, window.nodes.size, k):
         sl = slice(lo, lo + k)
         if psi2.time_constant:
-            E = np.multiply.outer(dt[sl], first)
+            if real:  # dt[lo] is the chunk's shortest time: it decays least
+                band = slice(0, max(1, int(np.searchsorted(rising, -_EXP_FLOOR / dt[lo]))))
+            E = np.multiply.outer(dt[sl], first[..., band])
         else:
             E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
             for j, i in enumerate(range(lo, lo + len(E))):
@@ -257,7 +284,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
             Q = E[-1].copy()
         np.exp(E, out=E)
         # stored complex: the inverse's own cast of a real spectrum is slower
-        spec = np.multiply(pre, E, out=np.empty(E.shape, dtype=complex))
+        spec = np.multiply(pre[..., band], E, out=np.empty(E.shape, dtype=complex))
         yield window.weights[sl], inverse(spec, s=grid.shape, axes=axes)
 
 

@@ -11,6 +11,13 @@ A symbol is a function psi(t, xi) -> C together with certificate parameters
 Symbols are evaluated on stacks: xi of shape (d, ...) gives values of shape
 (...), so a single point of shape (d,) gives a 0-d array.
 
+A symbol may also declare a separable form psi(t, xi) = time_factor(t) *
+spatial(xi), with a real scalar time factor (``power-t``: -(1 + t) times
+|xi|^gamma).  ``eval_fn`` must then be that product, computed as
+``time_factor(t) * spatial(xi)``; time integrals evaluate the spatial part
+once per integral instead of once per node (see
+:func:`speclp.evolution.integrate_symbol`).
+
 The audits below are falsifiers over finite sample sets, not proofs: they
 search for the worst violation of each certificate on the supplied (t, xi)
 samples, evaluated as one (d, N) stack, and report it.
@@ -19,6 +26,7 @@ samples, evaluated as one (d, N) stack, and report it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -57,6 +65,9 @@ class SymbolSpec:
     array of the remaining shape, 0-d for a single point of shape (d,).
     Symbols must be defined at xi = 0 (built-ins use psi(t, 0) = 0, the
     limit of the power families).
+
+    ``time_factor(t)`` (a real scalar) and ``spatial(xi)`` (a stack, as
+    ``eval_fn`` returns) declare a separable symbol; give both or neither.
     """
 
     name: str
@@ -67,12 +78,16 @@ class SymbolSpec:
     n_cert: int
     time_constant: bool = False
     homogeneous: bool = False
+    time_factor: Optional[Callable[[float], float]] = None
+    spatial: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if not (self.kappa > 0 and self.mu > 0 and self.gamma > 0):
             raise ValueError("kappa, mu, gamma must be positive")
         if self.n_cert < 1:
             raise ValueError("n_cert must be at least 1")
+        if (self.time_factor is None) != (self.spatial is None):
+            raise ValueError("a separable symbol needs both time_factor and spatial")
 
     def __call__(self, t: float, xi) -> np.ndarray:
         return eval_symbol(self, t, xi)
@@ -87,16 +102,50 @@ def eval_symbol(spec: SymbolSpec, t: float, xi) -> np.ndarray:
     when ``eval_fn`` returns real values, complex128 only when it returns
     complex ones.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    _check_time(t)
     xi = np.asarray(xi, dtype=float)
     out = np.asarray(spec.eval_fn(float(t), xi))
     out = out.astype(np.result_type(out, np.float64), copy=False)
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0])
-        raise SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, "
-                              f"xi={tuple(xi[(slice(None),) + bad])}")
+        raise _non_finite(spec, t, xi, bad)
     return out
+
+
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+
+
+def _non_finite(spec: SymbolSpec, t: float, xi: np.ndarray, index: tuple) -> SymbolEvalError:
+    return SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, "
+                           f"xi={tuple(xi[(slice(None),) + index])}")
+
+
+def _separable_eval(spec: SymbolSpec, xi):
+    """psi(., xi) of a separable symbol as a function of t alone: the spatial
+    part phi is evaluated once, and each call returns time_factor(t) * phi,
+    the bits of eval_symbol(spec, t, xi).
+
+    Each call makes eval_symbol's checks without a pass over phi: t >= 0
+    (ValueError), and a finite product (SymbolEvalError naming t and the
+    first bad xi), which fails exactly when time_factor(t) times the largest
+    part of phi is not finite.
+    """
+    xi = np.asarray(xi, dtype=float)
+    phi = np.asarray(spec.spatial(xi))
+    phi = phi.astype(np.result_type(phi, np.float64), copy=False)
+    parts = np.abs(phi) if np.isrealobj(phi) else np.maximum(np.abs(phi.real), np.abs(phi.imag))
+    peak = float(np.max(parts, initial=0.0))  # nan or inf when phi is not finite
+
+    def at(t: float) -> np.ndarray:
+        _check_time(t)
+        c = float(spec.time_factor(float(t)))
+        if not math.isfinite(c * peak):
+            raise _non_finite(spec, t, xi, tuple(np.argwhere(~np.isfinite(c * phi))[0]))
+        return c * phi
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -283,23 +332,29 @@ def frac_lap_symbol(eta: float) -> SymbolSpec:
 def power_t_symbol(gamma: float) -> SymbolSpec:
     """psi(t, xi) = -(1 + t) |xi|^gamma, named power-t:gamma: k(t) = t.
 
-    The constant part is kappa = 1, and the mu certificate covers t in [0, 4].
+    Separable: time factor -(1 + t), spatial part |xi|^gamma.  The constant
+    part is kappa = 1, and the mu certificate covers t in [0, 4].
     """
     if not gamma > 0:
         raise ValueError("gamma must be positive")
 
-    def fn(t, xi):
-        return -(1.0 + t) * _radial_norm(xi) ** gamma
+    def time_factor(t):
+        return -(1.0 + t)
+
+    def spatial(xi):
+        return _radial_norm(xi) ** gamma
 
     return SymbolSpec(
         name=f"power-t:{gamma:g}",
-        eval_fn=fn,
+        eval_fn=lambda t, xi: time_factor(t) * spatial(xi),
         kappa=1.0,
         mu=_power_mu(gamma, scale=1.0 + 4.0),
         gamma=gamma,
         n_cert=8,
         time_constant=False,
         homogeneous=False,
+        time_factor=time_factor,
+        spatial=spatial,
     )
 
 

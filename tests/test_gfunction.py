@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from speclp import (INF, Field, GridSpec, WindowError, build_time_window,
                     explicit_q2_constant, g_function, get_symbol, lp_norm, mean_remove,
                     ratio_report, spectral_shift)
 from speclp.corpus import generate_corpus
-from speclp.gfunction import _grid_window
+from speclp.gfunction import _grid_window, _ratios
+from speclp.harness import _measure_gfun_ratio, parse_config
+
+GFUN_RATIO_CFG = os.path.join(os.path.dirname(__file__), "..", "demos", "gfun_ratio.cfg")
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -138,6 +143,45 @@ def test_q2_window_identity_per_mode(grid, names, n_nodes):
     per_mode = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
     c = explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma)
     assert np.abs(per_mode - c).max() <= 2e-8 * c
+
+
+def plancherel_ratios(fields, psi1, psi2, w):
+    """||G(f)||_2 / ||f||_2 at q = 2 with no inverse transform and no FFT.
+
+    Plancherel turns the ratio squared into sum_xi |F(xi)|^2 S(xi) over
+    sum_xi |F(xi)|^2, with S(xi) = sum_i w_i |psi1 e^(t_i psi2)|^2(xi) and F
+    the plain DFT sum of the samples (1-D)."""
+    grid = fields[0].grid
+    x, xi = grid.x_stack()[0], grid.xi_stack()[0]
+    power = np.abs(np.stack([f.values for f in fields]) @ np.exp(-1j * np.outer(x, xi))) ** 2
+    pre, psi = psi1(0.0, grid.xi_stack()), psi2(0.0, grid.xi_stack())
+    S = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
+    return np.sqrt(power @ S / power.sum(axis=1))
+
+
+@pytest.mark.parametrize("seed, count, names", [(101, 16, ("heat", "heat")),
+                                                (102, 8, ("poisson", "poisson")),
+                                                (102, 8, ("power:2", "poisson"))])
+def test_q2_ratios_match_plancherel_route(grid, seed, count, names):
+    # the fields and windows of criteria 1 and 2 (GridSpec(1, 1024, 32.0))
+    psi1, psi2 = (get_symbol(n) for n in names)
+    fields = [e.field for e in generate_corpus(seed, grid, "GAUSSIAN_MIX", count,
+                                               mean_removed=True)]
+    w = _grid_window(grid, psi1, psi2)
+    pointwise = np.array(_ratios(fields, (2.0,), 2.0, psi1, 0.0, psi2, w)[2.0])
+    assert np.abs(pointwise / plancherel_ratios(fields, psi1, psi2, w) - 1.0).max() <= 1e-12
+
+
+def test_gfun_ratio_scenario_matches_plancherel_route():
+    cfg = parse_config(GFUN_RATIO_CFG)
+    assert (cfg.p, cfg.q, cfg.d) == (2.0, 2.0, 1)
+    grid, psi1, psi2 = cfg.grid(), get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
+    fields = [e.field for e in generate_corpus(cfg.seed, grid, cfg.corpus_kind,
+                                               cfg.corpus_count, mean_removed=True)]
+    summary = _measure_gfun_ratio(cfg)[0]
+    want = plancherel_ratios(fields, psi1, psi2, _grid_window(grid, psi1, psi2, cfg.s, cfg.a,
+                                                              cfg.q))
+    assert np.abs(np.array(summary["per_field"]) / want - 1.0).max() <= 1e-12
 
 
 def test_explicit_constant_values():

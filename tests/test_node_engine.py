@@ -9,6 +9,11 @@ The second set runs the engine's own node fields through the reductions it
 used before its passes were cut: K(x - y) - K(x) from ``np.roll`` copies, and
 |.|^q as ``np.abs`` then ``**``.  The arithmetic is the same, so the results
 must be equal bit for bit.
+
+The third keeps the chunk loop as it was before the underflow band: every
+chunk exponentiates, multiplies and transforms the whole half lattice.  The
+band only drops columns whose exponential is exactly 0.0, so g_function and
+H(y) must be equal to it bit for bit.
 """
 
 import itertools
@@ -20,12 +25,13 @@ import pytest
 
 from speclp import (INF, Field, GridSpec, SymbolSpec, TimeIntegralRule, build_time_window,
                     forward_transform, g_function, get_symbol, hormander_report, mean_remove)
-from speclp import gfunction
+from speclp import gfunction, kernel_audit
 from speclp.corpus import generate_corpus
 from speclp.evolution import KERNEL_SCALE, integrate_symbol
 from speclp.kernel_audit import _roll_blocks, _shift_stencil
 
 HEAT = get_symbol("heat")
+POISSON = get_symbol("poisson")
 POWER_T = get_symbol("power-t:2")
 # Hermitian everywhere except the Nyquist index, where i xi is not real
 DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
@@ -131,6 +137,43 @@ def roll_hormander(psi1, l, psi2, window, q, ys, grid):
     r = grid.x_norm()
     return [float((np.fft.fftshift(a) ** (1.0 / q) * (r >= 2.0 * float(np.linalg.norm(y)))).sum()
                   * grid.cell_measure) for y, a in zip(ys, acc)]
+
+
+# --- oracle: the full-lattice chunk loop -------------------------------------
+
+def full_lattice_node_fields(psi1, l, psi2, window, grid, f=None):
+    """_node_fields on the real path for a time-constant psi2, without the
+    underflow band."""
+    xi = grid.xi_stack()
+    pre, first = psi1(l, xi), psi2(0.0, xi)
+    assert psi2.time_constant and (f is None or np.isrealobj(f.values))
+    assert gfunction._hermitian(pre) and gfunction._hermitian(first)
+    half = (Ellipsis, slice(0, grid.n // 2 + 1))
+    pre, first = pre[half].copy(), first[half].copy()
+    if f is not None:
+        pre = pre * gfunction._input_spectrum(f, True, window.is_infinite)
+    axes = tuple(range(1, grid.dim + 1))
+    k = gfunction._chunk_nodes(grid, True)
+    dt = window.nodes - window.s
+    for lo in range(0, window.nodes.size, k):
+        sl = slice(lo, lo + k)
+        E = np.multiply.outer(dt[sl], first)
+        np.exp(E, out=E)
+        spec = np.multiply(pre, E, out=np.empty(E.shape, dtype=complex))
+        yield window.weights[sl], np.fft.irfftn(spec, s=grid.shape, axes=axes)
+
+
+def spy_inverse(monkeypatch):
+    """Record (entry point, last-axis length of the spectrum) per inverse call."""
+    calls = []
+    for name in ("irfftn", "ifftn"):
+        inner = getattr(np.fft, name)
+
+        def spy(a, *args, _inner=inner, _name=name, **kw):
+            calls.append((_name, a.shape[-1]))
+            return _inner(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
 
 
 # --- helpers -----------------------------------------------------------------
@@ -370,3 +413,65 @@ def test_kernel_stacks_bits_match_real_spectrum_inverse(d):
                          axes=tuple(range(1, d + 1)))
     got = np.concatenate([K for _, K in gfunction._node_fields(HEAT, 0.0, HEAT, w, grid)])
     assert m.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+# --- the underflow band -------------------------------------------------------
+
+BAND_GRIDS = {1: GridSpec(1, 4096, 16.0), 2: GridSpec(2, 64, 8.0), 3: GridSpec(3, 48, 8.0)}
+BAND_SHIFTS = {1: [np.array([2.0])], 2: [np.array([2.5, 0.0])], 3: [np.array([3.0, 0.0, 0.0])]}
+# zero on every column with |xi_d| >= 3, the half spectrum's last ones among them
+FLAT_TAIL = SymbolSpec(name="flat-tail", kappa=1.0, mu=10.0, gamma=2.0, n_cert=2,
+                       time_constant=True,
+                       eval_fn=lambda t, xi: np.where(np.abs(xi[-1]) >= 3.0, 0.0,
+                                                      -(xi**2).sum(axis=0)))
+
+
+def band_case(d, psi):
+    grid = BAND_GRIDS[d]
+    f = generate_corpus(60 + d, grid, "BANDLIMITED_RANDOM", 1, mean_removed=True)[0].field
+    w = build_time_window(0.0, INF, 2.0, psi.gamma, psi.gamma, n_nodes=2, kappa2=1.0,
+                          xi_min=grid.min_freq, xi_max=math.sqrt(d) * grid.nyquist)
+    return grid, f, w
+
+
+def test_exp_floor_underflows_to_zero():
+    # the band drops exponents below _EXP_FLOOR, so np.exp must give exactly
+    # 0.0 there, on the array (SIMD) path and on the scalar path
+    assert gfunction._EXP_FLOOR < -745.1332 and np.exp(-745.1332) > 0.0
+    x = np.linspace(gfunction._EXP_FLOOR - 1000.0, gfunction._EXP_FLOOR, 10001)
+    assert not np.exp(x).any()
+    assert all(np.exp(float(v)) == 0.0 for v in x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("psi", [HEAT, POISSON], ids=["heat", "poisson"])
+def test_band_bits_match_full_lattice_loop(monkeypatch, d, psi):
+    grid, f, w = band_case(d, psi)
+    ys = BAND_SHIFTS[d]
+    calls = spy_inverse(monkeypatch)
+    G = g_function(f, psi, 0.0, psi, w, 2.0)
+    widths = [m for name, m in calls if name == "irfftn"]
+    assert len(widths) == len(calls) > 1
+    assert widths[0] == grid.n // 2 + 1 and min(widths) < grid.n // 2 + 1
+    H = hormander_report(psi, 0.0, psi, 0.0, w, 2.0, ys, grid).integrals
+    monkeypatch.undo()
+    monkeypatch.setattr(gfunction, "_node_fields", full_lattice_node_fields)
+    monkeypatch.setattr(kernel_audit, "_node_fields", full_lattice_node_fields)
+    assert G.values.tobytes() == g_function(f, psi, 0.0, psi, w, 2.0).values.tobytes()
+    assert H == hormander_report(psi, 0.0, psi, 0.0, w, 2.0, ys, grid).integrals
+
+
+@pytest.mark.parametrize("case", ["complex", "drift", "power-t", "flat-tail"])
+def test_band_leaves_other_paths_whole(monkeypatch, case):
+    grid, f, w = band_case(2, HEAT)
+    psi2 = {"drift": DRIFT, "power-t": POWER_T, "flat-tail": FLAT_TAIL}.get(case, HEAT)
+    if case == "complex":
+        f = Field(grid, f.values * (1.0 + 0.5j))
+    calls = spy_inverse(monkeypatch)
+    G = g_function(f, HEAT, 0.0, psi2, w, 2.0)
+    full = ("irfftn", grid.n // 2 + 1)
+    assert set(calls) == ({full} if case in ("power-t", "flat-tail") else {("ifftn", grid.n)})
+    if case == "flat-tail":  # the band test's oracle runs this real path too
+        monkeypatch.undo()
+        monkeypatch.setattr(gfunction, "_node_fields", full_lattice_node_fields)
+        assert G.values.tobytes() == g_function(f, HEAT, 0.0, psi2, w, 2.0).values.tobytes()
