@@ -13,8 +13,7 @@ from .evolution import (EvolutionMultiplier, TimeIntegralRule, apply_evolution,
 from .lp_decomp import (DyadicDecomposition, besov_norm0, block, block_energy_table,
                         build_decomposition, bump_profile, chi_profile, low_part, sobolev_norm)
 from .gfunction import (INF, RatioReport, TimeWindow, build_time_window,
-                        check_infinite_window_legal, explicit_q2_constant,
-                        g_function, ratio_report)
+                        explicit_q2_constant, g_function, ratio_report)
 from .kernel_audit import (DecayFitReport, EnvelopeReport, HormanderReport,
                            decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, gradient_kernel, hormander_report,

@@ -9,10 +9,9 @@ composition law T(t, r) T(r, s) = T(t, s) holds exactly at the level of the
 frequency multipliers, which is what :func:`verify_composition` measures.
 
 Time integrals of a time-dependent symbol are Gauss-Legendre sums over
-nodes r_i.  A separable symbol, psi(r, xi) = time_factor(r) * spatial(xi)
-(``power-t``), has its spatial part evaluated once per integral, and each
-node adds w_i * (time_factor(r_i) * spatial), the same bits as evaluating
-psi there (see :func:`integrate_symbol`).
+nodes r_i of :func:`speclp.symbols._at`'s psi(r_i, xi); only ``_at`` knows
+separability, and evaluates a separable symbol's spatial part once per
+integral with the bits of evaluating psi at each node.
 
 Kernel normalization: the convolution kernel K with T f = K * f (Riemann-sum
 convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
@@ -31,7 +30,7 @@ from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
 from .spectral import Field, GridSpec, _spectrum, _synthesize
-from .symbols import SymbolSpec, _separable_eval
+from .symbols import SymbolSpec, _at
 
 __all__ = [
     "TimeIntegralRule",
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 _REL_FLOOR = 1e-280
+_TOLERANCE = 1e-10  # relative change at which adaptive doubling stops
 
 
 def KERNEL_SCALE(d: int) -> float:
@@ -57,12 +57,11 @@ class TimeIntegralRule:
     """Gauss-Legendre rule for int_s^t psi(r, xi) dr of a time-dependent symbol.
 
     ``order`` nodes on [s, t], doubled while successive estimates differ by
-    more than ``tolerance`` relative if ``adaptive``.  A time-constant symbol
+    more than ``_TOLERANCE`` relative if ``adaptive``.  A time-constant symbol
     ignores the rule: :func:`integrate_symbol` integrates it in closed form.
     """
 
     order: int = 8
-    tolerance: float = 1e-10
     adaptive: bool = True
 
     def __post_init__(self):
@@ -70,9 +69,8 @@ class TimeIntegralRule:
             raise ValueError("order must be positive")
 
     @classmethod
-    def gauss_legendre(cls, order: int = 8, tolerance: float = 1e-10,
-                       adaptive: bool = True) -> "TimeIntegralRule":
-        return cls(order=order, tolerance=tolerance, adaptive=adaptive)
+    def gauss_legendre(cls, order: int = 8, adaptive: bool = True) -> "TimeIntegralRule":
+        return cls(order=order, adaptive=adaptive)
 
 
 @lru_cache(maxsize=16)
@@ -108,14 +106,11 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
     """int_s^t psi(r, xi) dr on the stacked frequency array.
 
     Exactly (t - s) psi(s, xi) for a time-constant symbol, whatever the rule;
-    otherwise the rule's Gauss-Legendre estimate.  A separable symbol,
-    psi(r, xi) = time_factor(r) * spatial(xi), has its spatial part
-    evaluated and checked once per call; every node then scales it, with
-    the same bits and the same checks as evaluating psi there.
+    otherwise the rule's Gauss-Legendre estimate over :func:`_at`'s psi(., xi).
     """
     if psi.time_constant:
         return (t - s) * psi(s, xi)
-    psi_at = (lambda r: psi(r, xi)) if psi.spatial is None else _separable_eval(psi, xi)
+    psi_at = _at(psi, xi)
     est = _gauss_integral(psi_at, s, t, rule.order)
     if not rule.adaptive:
         return est
@@ -124,7 +119,7 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
         order *= 2
         nxt = _gauss_integral(psi_at, s, t, order)
         rel = np.abs(nxt - est) / (np.abs(nxt) + _REL_FLOOR)
-        if rel.max() < rule.tolerance:
+        if rel.max() < _TOLERANCE:
             return nxt
         est = nxt
     worst = tuple(np.argwhere(rel == rel.max())[0])

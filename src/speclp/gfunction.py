@@ -11,8 +11,13 @@ frequency lattice is resolved.
 
 For a = inf the integral is truncated at the time where the slowest nonzero
 lattice mode has decayed below 1e-16, which requires a spectral gap: the
-zero mode must be projected out of f first.  Infinite windows are legal only
-for q = 2 or for time-constant homogeneous pairs.
+zero mode must be projected out of f first.
+
+Window contract: a window fits a pair at q when it has that q and the
+pair's orders and, if infinite, a kappa2 that psi2's kappa covers (the
+truncation time) and q = 2 or a time-constant homogeneous pair.
+:func:`_check_window` alone spells it, for ``g_function``,
+:func:`speclp.kernel_audit.hormander_report` and the scenario configs.
 
 Time-node engine
 ----------------
@@ -31,7 +36,8 @@ inverse FFT over the spatial axes.
   :func:`speclp.symbols.eval_symbol`), the input enters through one ``rfftn``
   of its samples (``spectral._spectrum``), and each chunk goes through one
   ``irfftn``.  Time-dependent symbols are integrated on the half lattice
-  only.
+  only, from one :func:`speclp.symbols._at` per call: a separable psi2's
+  spatial part is evaluated once there, not once per node interval.
 * Underflow band: on the real path with a time-constant psi2, the late nodes
   of a window damp the high modes to exactly 0.0 (``np.exp`` underflows
   below -745.1332).  Each chunk builds the exponent, ``exp`` and the product
@@ -71,9 +77,9 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import WindowError
-from .evolution import TimeIntegralRule, _dyadic_panels, integrate_symbol
+from .evolution import _dyadic_panels, _gauss_integral
 from .spectral import Field, _spectrum, _two_pi_pow, lp_norm, refine_field
-from .symbols import SymbolSpec
+from .symbols import SymbolSpec, _at
 
 __all__ = [
     "INF",
@@ -83,7 +89,6 @@ __all__ = [
     "ratio_report",
     "RatioReport",
     "explicit_q2_constant",
-    "check_infinite_window_legal",
 ]
 
 INF = float("inf")
@@ -93,8 +98,8 @@ _CHUNK_BYTES = 1 << 20
 # np.exp is exactly 0.0 below -745.1332 in float64, on numpy's scalar and SIMD
 # paths alike; exponents below this floor contribute exact zeros
 _EXP_FLOOR = -746.0
-# time integral of a time-dependent psi2 between consecutive window nodes
-_NODE_RULE = TimeIntegralRule.gauss_legendre(16, adaptive=False)
+# Gauss-Legendre order of a time-dependent psi2's integral between window nodes
+_NODE_ORDER = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,29 +179,27 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
     )
 
 
-def check_infinite_window_legal(psi1: SymbolSpec, psi2: SymbolSpec, q: float) -> None:
-    """Infinite windows require q = 2 or a time-constant homogeneous pair."""
-    if q == 2:
-        return
-    if psi1.time_constant and psi2.time_constant and psi1.homogeneous and psi2.homogeneous:
-        return
-    raise WindowError(
-        "infinite time window is only supported for q = 2 or for a "
-        "time-constant homogeneous symbol pair; "
-        f"got q={q}, pair=({psi1.name}, {psi2.name})")
-
-
-def _validate_pairing(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: float) -> None:
+def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: float) -> None:
+    """The window contract (module docstring): ValueError for another q or
+    other orders, else WindowError for an infinite window that does not fit."""
     if q != window.q:
         raise ValueError(f"q={q} does not match window q={window.q}")
     if psi1.gamma != window.gamma1 or psi2.gamma != window.gamma2:
         raise ValueError(
             f"window built for orders ({window.gamma1}, {window.gamma2}) but pair has "
             f"({psi1.gamma}, {psi2.gamma})")
-    if window.is_infinite and window.kappa2 > psi2.kappa * (1.0 + 1e-12):
+    if not window.is_infinite:
+        return
+    if window.kappa2 > psi2.kappa * (1.0 + 1e-12):
         raise WindowError(
             f"window truncation assumed kappa2={window.kappa2} but symbol certifies "
             f"only {psi2.kappa}; rebuild the window")
+    if not (q == 2 or (psi1.time_constant and psi2.time_constant
+                       and psi1.homogeneous and psi2.homogeneous)):
+        raise WindowError(
+            "infinite time window is only supported for q = 2 or for a "
+            "time-constant homogeneous symbol pair; "
+            f"got q={q}, pair=({psi1.name}, {psi2.name})")
 
 
 def _hermitian(m: np.ndarray) -> bool:
@@ -246,11 +249,12 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     """
     xi = grid.xi_stack()
     pre = psi1(l, xi)
-    # psi2 itself when time-constant, else its integral up to the first node
+    # psi2 itself when time-constant, else its integral up to the first node;
+    # on the whole lattice, for the Hermitian test
     if psi2.time_constant:
         first = psi2(0.0, xi)
     else:
-        first = integrate_symbol(psi2, window.s, window.nodes[0], xi, _NODE_RULE)
+        first = _gauss_integral(_at(psi2, xi), window.s, window.nodes[0], _NODE_ORDER)
     real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
         half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
@@ -267,6 +271,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         if real:
             rising = -_decay_tail(first)
     else:
+        psi_at = _at(psi2, xi)
         rs = np.concatenate([[window.s], window.nodes])
         Q = 0.0  # int_s^(previous node) psi2
     for lo in range(0, window.nodes.size, k):
@@ -278,7 +283,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         else:
             E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
             for j, i in enumerate(range(lo, lo + len(E))):
-                E[j] = first if i == 0 else integrate_symbol(psi2, rs[i], rs[i + 1], xi, _NODE_RULE)
+                E[j] = _gauss_integral(psi_at, rs[i], rs[i + 1], _NODE_ORDER)
             E[0] += Q
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()
@@ -306,9 +311,7 @@ def _accumulate(acc: np.ndarray, stack: np.ndarray, w: np.ndarray, q: float) -> 
 def g_function(f: Field, psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                window: TimeWindow, q: float) -> Field:
     """Pointwise windowed q-norm of psi1(l,.) T_psi2(t, s) f over the window."""
-    _validate_pairing(psi1, psi2, window, q)
-    if window.is_infinite:
-        check_infinite_window_legal(psi1, psi2, q)
+    _check_window(psi1, psi2, window, q)
     grid = f.grid
     acc = np.zeros(grid.shape, dtype=float)
     for w, g in _node_fields(psi1, l, psi2, window, grid, f):

@@ -44,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import generate_corpus
-from .errors import ConfigError
-from .gfunction import (INF, _exact_ratio, _grid_window, check_infinite_window_legal,
-                        ratio_report)
+from .errors import ConfigError, WindowError
+from .gfunction import INF, _check_window, _exact_ratio, _grid_window, ratio_report
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
 from .lp_decomp import _partition_defect, block, build_decomposition, low_part
@@ -94,17 +93,12 @@ class ScenarioConfig:
             if not ok:
                 raise ConfigError(f"{key} must {rule}, got {getattr(self, key)!r}")
         try:
-            grid = self.grid()
             psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
-            _grid_window(grid, psi1, psi2, self.s, self.a, self.q)  # checks q, a and s
-        except ValueError as exc:
+            # the window checks q, a and s; _check_window its fit to the pair
+            window = _grid_window(self.grid(), psi1, psi2, self.s, self.a, self.q)
+            _check_window(psi1, psi2, window, self.q)
+        except (ValueError, WindowError) as exc:
             raise ConfigError(str(exc)) from exc
-        if math.isinf(self.a):
-            # mirrors the infinite-window legality table enforced at run time
-            try:
-                check_infinite_window_legal(psi1, psi2, self.q)
-            except Exception as exc:
-                raise ConfigError(f"illegal (q, a) combination: {exc}") from exc
 
 
 def parse_config(path) -> ScenarioConfig:

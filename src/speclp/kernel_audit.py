@@ -19,7 +19,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, multiplier_values
-from .gfunction import TimeWindow, _accumulate, _node_fields
+from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, block_multiplier
 from .spectral import Field, GridSpec, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
@@ -154,7 +154,10 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
                      window: TimeWindow, q: float, y_list, grid: GridSpec) -> HormanderReport:
     """H(y) = int_{|x| >= 2|y|} ||K(., x-y) - K(., x)||_V dx for each y.
 
-    ||.||_V is the windowed q-norm with the singular weight.  K(x - y) is an
+    ||.||_V is the windowed q-norm with the singular weight.  The window
+    must fit the pair at q as for :func:`speclp.gfunction.g_function`
+    (:func:`speclp.gfunction._check_window`), and ``s`` must be the
+    window's start.  K(x - y) is an
     index roll for lattice y, else a blend of the neighbouring rolls
     (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
     kernels across the region.  Each chunk of node kernels is materialized
@@ -171,6 +174,9 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     :func:`speclp.gfunction._accumulate`, which squares a real difference in
     place at q = 2.  The results equal the np.roll loop bit for bit.
     """
+    _check_window(psi1, psi2, window, q)
+    if s != window.s:
+        raise ValueError(f"s={s} does not match window s={window.s}")
     ys = [np.atleast_1d(np.asarray(y, dtype=float)) for y in y_list]
     if not ys:
         raise ValueError("empty y list")

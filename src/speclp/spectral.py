@@ -112,49 +112,30 @@ class GridSpec:
         """Frequencies along one axis in numpy fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
+    @lru_cache(maxsize=32)
     def x_stack(self) -> np.ndarray:
         """Coordinates as an array of shape (dim,) + shape, natural order."""
-        return _x_stack(self)
+        return _frozen(np.stack(np.meshgrid(*([self.x_axis()] * self.dim), indexing="ij"), axis=0))
 
+    @lru_cache(maxsize=32)
     def x_norm(self) -> np.ndarray:
-        return _x_norm(self)
+        return _frozen(np.sqrt((self.x_stack() ** 2).sum(axis=0)))
 
+    @lru_cache(maxsize=32)
     def xi_stack(self) -> np.ndarray:
         """Frequencies as an array of shape (dim,) + shape, fft order."""
-        return _xi_stack(self)
+        return _frozen(np.stack(np.meshgrid(*([self.freq_axis()] * self.dim), indexing="ij"),
+                                axis=0))
 
+    @lru_cache(maxsize=32)
     def xi_norm(self) -> np.ndarray:
-        return _xi_norm(self)
+        return _frozen(np.sqrt((self.xi_stack() ** 2).sum(axis=0)))
 
 
-@lru_cache(maxsize=32)
-def _x_stack(grid: GridSpec) -> np.ndarray:
-    axes = np.meshgrid(*([grid.x_axis()] * grid.dim), indexing="ij")
-    out = np.stack(axes, axis=0)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _x_norm(grid: GridSpec) -> np.ndarray:
-    out = np.sqrt((_x_stack(grid) ** 2).sum(axis=0))
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _xi_stack(grid: GridSpec) -> np.ndarray:
-    axes = np.meshgrid(*([grid.freq_axis()] * grid.dim), indexing="ij")
-    out = np.stack(axes, axis=0)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=32)
-def _xi_norm(grid: GridSpec) -> np.ndarray:
-    out = np.sqrt((_xi_stack(grid) ** 2).sum(axis=0))
-    out.setflags(write=False)
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a marked read-only: the cached stacks are shared by every caller."""
+    a.setflags(write=False)
+    return a
 
 
 def _as_grid_array(grid: GridSpec, values, dtype=np.complex128) -> np.ndarray:
@@ -236,8 +217,13 @@ def _multiply(f: Field, mult: np.ndarray) -> Field:
     planes.  Evolutions, of unknown symmetry, take the residue rule of
     :func:`speclp.evolution._drop_residue` instead.
     """
-    vals = _synthesize(f.grid, _spectrum(f) * mult)
-    return Field(f.grid, vals.real if np.isrealobj(f.values) else vals)
+    return _real_part(f, f.grid, _synthesize(f.grid, _spectrum(f) * mult))
+
+
+def _real_part(f: Field, grid: GridSpec, vals: np.ndarray) -> Field:
+    """The real-part rule: Field of vals on grid, cut to their real part when
+    the input f is real."""
+    return Field(grid, vals.real if np.isrealobj(f.values) else vals)
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -281,5 +267,4 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     fine = GridSpec(g.dim, g.n * factor, g.half_extent)
     # the centred coarse spectrum sits in the middle of the centred fine one
     centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
-    vals = _synthesize(fine, np.fft.ifftshift(centred))
-    return Field(fine, vals.real if np.isrealobj(f.values) else vals)
+    return _real_part(f, fine, _synthesize(fine, np.fft.ifftshift(centred)))

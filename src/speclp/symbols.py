@@ -14,9 +14,9 @@ Symbols are evaluated on stacks: xi of shape (d, ...) gives values of shape
 A symbol may also declare a separable form psi(t, xi) = time_factor(t) *
 spatial(xi), with a real scalar time factor (``power-t``: -(1 + t) times
 |xi|^gamma).  ``eval_fn`` must then be that product, computed as
-``time_factor(t) * spatial(xi)``; time integrals evaluate the spatial part
-once per integral instead of once per node (see
-:func:`speclp.evolution.integrate_symbol`).
+``time_factor(t) * spatial(xi)``.  Only :func:`_at` knows separability;
+every time integral evaluates psi through it, so a separable symbol's
+spatial part is evaluated once per lattice, not once per time node.
 
 The audits below are falsifiers over finite sample sets, not proofs: they
 search for the worst violation of each certificate on the supplied (t, xi)
@@ -122,16 +122,19 @@ def _non_finite(spec: SymbolSpec, t: float, xi: np.ndarray, index: tuple) -> Sym
                            f"xi={tuple(xi[(slice(None),) + index])}")
 
 
-def _separable_eval(spec: SymbolSpec, xi):
-    """psi(., xi) of a separable symbol as a function of t alone: the spatial
-    part phi is evaluated once, and each call returns time_factor(t) * phi,
-    the bits of eval_symbol(spec, t, xi).
+def _at(spec: SymbolSpec, xi):
+    """psi(., xi) as a function of t alone, with the bits and checks of
+    eval_symbol(spec, t, xi) at every call.
 
-    Each call makes eval_symbol's checks without a pass over phi: t >= 0
+    A general symbol is evaluated by eval_symbol at each call.  A separable
+    symbol has its spatial part phi evaluated once, and each call returns
+    time_factor(t) * phi, checked without a pass over phi: t >= 0
     (ValueError), and a finite product (SymbolEvalError naming t and the
     first bad xi), which fails exactly when time_factor(t) times the largest
     part of phi is not finite.
     """
+    if spec.spatial is None:
+        return lambda t: eval_symbol(spec, t, xi)
     xi = np.asarray(xi, dtype=float)
     phi = np.asarray(spec.spatial(xi))
     phi = phi.astype(np.result_type(phi, np.float64), copy=False)

@@ -177,7 +177,7 @@ def test_multiplier_ellipticity_envelope():
 def test_composition_adaptive_converges_tightly():
     g = GridSpec(1, 512, 16.0)
     err = verify_composition(get_symbol("power-t:1.5"), 0.1, 0.9, 2.0, g,
-                             TimeIntegralRule.gauss_legendre(8, tolerance=1e-12))
+                             TimeIntegralRule.gauss_legendre(8))
     assert err <= 1e-10
 
 

@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from speclp import (INF, AuditError, Field, GridSpec, SpectralField, build_decomposition,
-                    build_time_window, decay_fit_space, decay_fit_time, dyadic_l1_envelope,
-                    forward_transform, fractional_laplacian_pv, get_symbol, gradient_kernel,
-                    hormander_report, inverse_transform, kernel_field,
-                    mean_remove, pv_normalization)
+from speclp import (INF, AuditError, Field, GridSpec, SpectralField, WindowError,
+                    build_decomposition, build_time_window, decay_fit_space, decay_fit_time,
+                    dyadic_l1_envelope, forward_transform, fractional_laplacian_pv, g_function,
+                    generate_corpus, get_symbol, gradient_kernel, hormander_report,
+                    inverse_transform, kernel_field, mean_remove, pv_normalization)
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -140,6 +143,75 @@ def test_hormander_off_lattice_stays_near_lattice_value():
     ys = [np.array([0.125 + theta * g.spacing]) for theta in (0.0, 0.07, 0.25, 0.5, 0.75, 0.93)]
     H = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, ys, g).integrals
     assert all(abs(h - H[0]) <= 0.08 * H[0] for h in H[1:])
+
+
+def _heat_pair_v2(a, b):
+    """int_0^inf t K(t, a) K(t, b) dt for the heat pair's kernel K(t, x) = p_t''(x),
+    p_t the 1-D heat kernel: (8 a^2 b^2 / S^3 - 1 / S) / (4 pi), S = a^2 + b^2."""
+    S = a * a + b * b
+    return (8.0 * a * a * b * b / S**3 - 1.0 / S) / (4.0 * math.pi)
+
+
+def continuum_hormander(y):
+    """H(y) of the heat pair at q = 2 on the real line: the t integral of
+    t |K(t, x - y) - K(t, x)|^2 in closed form, the x integral by quad."""
+    def v(x):
+        a, b = x - y, x
+        return math.sqrt(max(_heat_pair_v2(a, a) + _heat_pair_v2(b, b)
+                             - 2.0 * _heat_pair_v2(a, b), 0.0))
+    return sum(quad(v, lo, hi, limit=200)[0] for lo, hi in ((2.0 * y, math.inf),
+                                                            (-math.inf, -2.0 * y)))
+
+
+def test_hormander_converges_to_the_continuum_value():
+    # the closed-form t integral against quad over t at two points
+    def p2(t, x):
+        return (4.0 * math.pi * t) ** -0.5 * math.exp(-x * x / (4.0 * t)) \
+            * (x * x / (4.0 * t * t) - 1.0 / (2.0 * t))
+    for a, b in ((1.7, 2.7), (-3.0, 4.5)):
+        by_quad = quad(lambda t: t * p2(t, a) * p2(t, b), 0.0, math.inf, limit=200)[0]
+        assert _heat_pair_v2(a, b) == pytest.approx(by_quad, rel=1e-8)
+    # dilation makes H the same for every y, so y = 1 stands for all
+    H = continuum_hormander(1.0)
+    assert abs(H - 0.51060) <= 1e-4
+    # criterion 7's grid: the lattice H(y) misses about y/L of it, the region
+    # beyond |x| = L where the integrand falls off like y/|x|^2; the rest is
+    # the boundary cut at r = 2|y| (O(h/|y|)) and the torus tail beyond first
+    # order (O((y/L)^2)).  Measured residuals 2.1e-3 at y = 1/8 .. -1.9e-3 at y = 4
+    g = GridSpec(1, 32768, 32.0)
+    w = build_time_window(0.0, INF, 2.0, 2.0, 2.0, n_nodes=8, kappa2=1.0,
+                          xi_min=g.min_freq, xi_max=g.nyquist)
+    ys = [2.0**k for k in range(-3, 3)]
+    rep = hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([y]) for y in ys], g)
+    L = g.half_extent
+    for y, h in zip(ys, rep.integrals):
+        assert abs(h - (H - y / L)) <= 0.2 * g.spacing / y + 0.2 * (y / L) ** 2, y
+
+
+@pytest.mark.parametrize("psi1, psi2, window_q, kappa2, q", [
+    (HEAT, HEAT, 2.0, 1.0, 4.0),
+    (POISSON, HEAT, 2.0, 1.0, 2.0),
+    (HEAT, HEAT, 2.0, 2.0, 2.0),  # psi2's kappa 1 does not cover the truncation
+    (HEAT, get_symbol("power-t:2"), 4.0, 1.0, 4.0),  # infinite, q = 4, time-dependent
+], ids=["q", "orders", "kappa", "infinite"])
+def test_hormander_rejects_the_windows_g_function_rejects(psi1, psi2, window_q, kappa2, q):
+    g = GridSpec(1, 512, 16.0)
+    w = build_time_window(0.0, INF, window_q, 2.0, 2.0, n_nodes=2, kappa2=kappa2,
+                          xi_min=g.min_freq, xi_max=g.nyquist)
+    f = generate_corpus(3, g, "GAUSSIAN_MIX", 1, mean_removed=True)[0].field
+    with pytest.raises((ValueError, WindowError)) as want:
+        g_function(f, psi1, 0.0, psi2, w, q)
+    with pytest.raises(want.type) as got:
+        hormander_report(psi1, 0.0, psi2, 0.0, w, q, [np.array([1.0])], g)
+    assert str(got.value) == str(want.value)
+
+
+def test_hormander_rejects_another_start_than_the_window_s():
+    g = GridSpec(1, 512, 16.0)
+    w = build_time_window(0.5, 1.0, 2.0, 2.0, 2.0, n_nodes=2, xi_max=g.nyquist)
+    with pytest.raises(ValueError, match="s=0.0 does not match window s=0.5"):
+        hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([1.0])], g)
+    assert hormander_report(HEAT, 0.0, HEAT, 0.5, w, 2.0, [np.array([1.0])], g).integrals[0] > 0.0
 
 
 def test_dyadic_envelope_heat_pair():

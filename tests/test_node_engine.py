@@ -358,7 +358,9 @@ def test_g_function_bits_match_pow_reduction(d, q, psi2):
 @pytest.mark.parametrize("phase", [False, True], ids=["roll", "blend"])
 def test_hormander_bits_match_roll_loop_1d(q, psi2, phase):
     grid, w, ys = _hormander_case(1, psi2, phase)
-    w = build_time_window(0.0, w.a, q, 2.0, 2.0, n_nodes=2, kappa2=1.0,
+    # an infinite window at q != 2 needs a homogeneous pair, which DRIFT is not
+    a = 1.0 if psi2 is DRIFT and q != 2.0 else w.a
+    w = build_time_window(0.0, a, q, 2.0, 2.0, n_nodes=2, kappa2=1.0,
                           xi_min=grid.min_freq, xi_max=grid.nyquist)
     assert all(len(_shift_stencil(grid, y)) == (2 if phase else 1) for y in ys)
     rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, q, ys, grid)

@@ -9,9 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclp import (Field, GridSpec, build_decomposition, forward_transform, get_symbol,
-                    verify_composition)
+from speclp import (Field, GridSpec, build_decomposition, explicit_q2_constant,
+                    forward_transform, get_symbol, verify_composition)
 from speclp.acceptance import _scaling_identity_error
+from speclp.gfunction import _grid_window, _node_fields
 from speclp.lp_decomp import _partition_defect
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=10)
@@ -57,3 +58,40 @@ def test_dilation_identity(d, n, L, seed, name, b):
     f = Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
     sym = get_symbol(name)
     assert _scaling_identity_error(f, sym, sym, b, s=0.3, t=0.7) <= 1e-6
+
+
+@FEW
+@given(dims, st.integers(4, 16).map(lambda k: 2 * k), st.floats(4.0, 64.0),
+       st.sampled_from([("heat", "heat"), ("poisson", "poisson"), ("power:2", "poisson")]))
+def test_q2_window_identity_per_mode_on_any_grid(d, n, L, names):
+    # sum_i w_i |psi1 e^(t_i psi2)|^2 on the pair's infinite q = 2 window is the
+    # closed-form constant at every nonzero mode of any grid
+    grid = GridSpec(d, n, L)
+    psi1, psi2 = (get_symbol(name) for name in names)
+    w = _grid_window(grid, psi1, psi2)
+    xi = grid.xi_stack()
+    nonzero = grid.xi_norm() > 0.0
+    pre, psi = psi1(0.0, xi)[nonzero], psi2(0.0, xi)[nonzero]
+    per_mode = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
+    c = explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma)
+    assert np.abs(per_mode - c).max() <= 5e-8 * c
+
+
+builtins = st.sampled_from(["heat", "poisson", "power:1.5", "power-t:2", "power-t:0.5",
+                            "frac-lap:0.5"])
+
+
+@FEW
+@given(dims, sizes, extents, seeds, builtins, builtins)
+def test_real_input_takes_the_real_path(d, n, L, seed, name1, name2):
+    # every built-in symbol is real and Hermitian on the lattice: a real field
+    # gives float64 node fields, and the same field made complex complex128
+    grid = GridSpec(d, n, L)
+    psi1, psi2 = get_symbol(name1), get_symbol(name2)
+    w = _grid_window(grid, psi1, psi2, a=1.0, n_nodes=2)
+    rng = np.random.default_rng(seed)
+    f = Field(grid, rng.standard_normal(grid.shape))
+    g = Field(grid, f.values + 1j * rng.standard_normal(grid.shape))
+    for field, dtype in ((f, np.float64), (g, np.complex128)):
+        dtypes = {K.dtype for _, K in _node_fields(psi1, 0.0, psi2, w, grid, field)}
+        assert dtypes == {np.dtype(dtype)}

@@ -7,13 +7,16 @@ asks.  The separable path evaluates the spatial part once per integral; it
 must give the same bits and raise the same errors with the same messages.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
 from speclp import (GridSpec, SymbolEvalError, SymbolSpec, TimeIntegralRule, eval_symbol,
-                    get_symbol, power_t_symbol)
-from speclp.evolution import integrate_symbol
+                    g_function, generate_corpus, get_symbol, power_t_symbol)
+from speclp.evolution import _TOLERANCE, integrate_symbol
+from speclp.gfunction import _grid_window
 
 GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 12, 6.0)}
 RULES = {"gauss8": TimeIntegralRule.gauss_legendre(8, adaptive=False),
@@ -38,7 +41,7 @@ def ref_integral(psi, s, t, xi, rule):
     for _ in range(10):
         order *= 2
         nxt = _ref_gauss(psi, s, t, xi, order)
-        if (np.abs(nxt - est) / (np.abs(nxt) + 1e-280)).max() < rule.tolerance:
+        if (np.abs(nxt - est) / (np.abs(nxt) + 1e-280)).max() < _TOLERANCE:
             return nxt
         est = nxt
     raise AssertionError("reference did not converge")
@@ -145,3 +148,22 @@ def test_power_t_eval_is_its_parts():
     xi = GRIDS[3].xi_stack()
     for t in (0.0, 0.25, 3.0):
         assert eval_symbol(psi, t, xi).tobytes() == (psi.time_factor(t) * psi.spatial(xi)).tobytes()
+
+
+def test_g_function_evaluates_the_spatial_part_at_most_twice():
+    # criterion 10's a = 1 window (512 nodes): one evaluation on the whole
+    # lattice for the Hermitian test, one on the half lattice for every node
+    grid = GridSpec(1, 1024, 32.0)
+    heat, psi = get_symbol("heat"), power_t_symbol(2.0)
+    calls = []
+
+    def spatial(xi):
+        calls.append(xi.shape)
+        return psi.spatial(xi)
+
+    counted = dataclasses.replace(psi, spatial=spatial)
+    w = _grid_window(grid, heat, psi, a=1.0, q=2.0)
+    f = generate_corpus(110, grid, "GAUSSIAN_MIX", 1, mean_removed=True)[0].field
+    G = g_function(f, heat, 0.0, counted, w, 2.0)
+    assert w.nodes.size == 512 and len(calls) <= 2
+    assert G.values.tobytes() == g_function(f, heat, 0.0, psi, w, 2.0).values.tobytes()
