@@ -37,7 +37,9 @@ inverse FFT over the spatial axes.
   of its samples (``spectral._spectrum``), and each chunk goes through one
   ``irfftn``.  Time-dependent symbols are integrated on the half lattice
   only, from one :func:`speclp.symbols._at` per call: a separable psi2's
-  spatial part is evaluated once there, not once per node interval.
+  spatial part is evaluated once there, not once per node interval.  The
+  complex fallback integrates with the whole-lattice ``_at`` that the
+  Hermitian test already built.
 * Underflow band: on the real path with a time-constant psi2, the late nodes
   of a window damp the high modes to exactly 0.0 (``np.exp`` underflows
   below -745.1332).  Each chunk builds the exponent, ``exp`` and the product
@@ -78,7 +80,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import WindowError
 from .evolution import _dyadic_panels, _gauss_integral
-from .spectral import Field, _spectrum, _two_pi_pow, lp_norm, refine_field
+from .spectral import Field, _lattice, _spectrum, _two_pi_pow, lp_norm, refine_field
 from .symbols import SymbolSpec, _at
 
 __all__ = [
@@ -254,11 +256,14 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     if psi2.time_constant:
         first = psi2(0.0, xi)
     else:
-        first = _gauss_integral(_at(psi2, xi), window.s, window.nodes[0], _NODE_ORDER)
+        psi_at = _at(psi2, xi)
+        first = _gauss_integral(psi_at, window.s, window.nodes[0], _NODE_ORDER)
     real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
-        half = (Ellipsis, slice(0, grid.n // 2 + 1))  # the rfftn half spectrum
+        half = _lattice(grid, True)  # the rfftn half spectrum
         xi, pre, first = xi[half], pre[half].copy(), first[half].copy()
+        if not psi2.time_constant:
+            psi_at = _at(psi2, xi)
     if f is not None:
         pre = pre * _input_spectrum(f, real, window.is_infinite)
 
@@ -271,7 +276,6 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         if real:
             rising = -_decay_tail(first)
     else:
-        psi_at = _at(psi2, xi)
         rs = np.concatenate([[window.s], window.nodes])
         Q = 0.0  # int_s^(previous node) psi2
     for lo in range(0, window.nodes.size, k):

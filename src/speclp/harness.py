@@ -48,7 +48,7 @@ from .errors import ConfigError, WindowError
 from .gfunction import INF, _check_window, _exact_ratio, _grid_window, ratio_report
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
-from .lp_decomp import _partition_defect, block, build_decomposition, low_part
+from .lp_decomp import _low_and_blocks, _partition_defect, block, build_decomposition
 from .spectral import Field, GridSpec, _spectrum, _synthesize, lp_norm
 from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 
@@ -284,8 +284,9 @@ def _measure_lp_decomp(cfg: ScenarioConfig):
         l2 = lp_norm(f, 2)
         for i, j in pairs:
             worst_orth = max(worst_orth, lp_norm(block(block(f, j, D), i, D), 2) / l2)
-        err = sum((block(f, j, D).values for j in range(1, D.j_max + 1)),
-                  low_part(f, D).values) - f.values
+        parts = _low_and_blocks(f, D, 1)
+        low = next(parts).values
+        err = sum((g.values for g in parts), low) - f.values
         worst_rec = max(worst_rec, float(np.linalg.norm(err) / np.linalg.norm(f.values)),
                         float(np.abs(err).max() / np.abs(f.values).max()))
     ok = part_defect <= 1e-14 and worst_orth <= 1e-12 and worst_rec <= 1e-10

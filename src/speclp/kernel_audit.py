@@ -21,7 +21,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, block_multiplier
-from .spectral import Field, GridSpec, _multiply, _two_pi_pow
+from .spectral import Field, GridSpec, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -356,7 +356,6 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     if not (h <= 1.0 <= grid.half_extent / 4.0):
         raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
                          f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
-    xi = grid.freq_axis()
 
     # split point y = 1 aligned with a lattice cell edge (m0 - 1/2) h
     m0 = round(1.0 / h)
@@ -365,9 +364,6 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     # near range (0, edge0]: symmetric difference on dyadic panels
     ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(48, -1, -1)], 8)
     cs = ws * ys ** (-1.0 - eta)
-    near = np.zeros(grid.n)
-    for y, c in zip(ys, cs):
-        near += c * np.sin(0.5 * y * xi) ** 2
 
     # far range [edge0, L]: cell-exact periodized kernel masses on lattice shifts
     r = np.abs(grid.x_axis())
@@ -375,6 +371,16 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     lo_edge = np.where(active, np.maximum(r - 0.5 * h, edge0), 1.0)
     hi_edge = np.where(active, np.minimum(r + 0.5 * h, grid.half_extent), 2.0)
     cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta), 0.0)
-    far = np.fft.fft(np.fft.ifftshift(cell)) - cell.sum()
 
-    return _multiply(f, pv_normalization(1, eta) * (far - 4.0 * near))
+    def mult(half):
+        # both ranges are even in xi; the cell masses are real and even in x,
+        # so the far range's exact transform is real, its own Hermitian part
+        at = _lattice(grid, half)
+        xi = grid.freq_axis()[at]
+        near = np.zeros(xi.size)
+        for y, c in zip(ys, cs):
+            near += c * np.sin(0.5 * y * xi) ** 2
+        far = (np.fft.fft(np.fft.ifftshift(cell)) - cell.sum())[at]
+        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * near)
+
+    return _multiply(f, mult)

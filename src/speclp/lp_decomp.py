@@ -12,8 +12,10 @@ as the single multiplier chi(|xi|) (equal to the tail sum of blocks, with the
 zero mode passed through).
 
 All multipliers here are real radial profiles, conjugate-symmetric on the
-lattice, so a real field gives real blocks: the real part of the transform
-result, which drops only round-off.
+lattice, so each is its own Hermitian part: a real field takes the profile on
+the ``rfftn`` half lattice and gives float64 blocks (see
+:func:`speclp.spectral._multiplied`).  :func:`besov_norm0` transforms its
+field once for all its blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, GridSpec, _multiply, lp_norm
+from .spectral import Field, GridSpec, _lattice, _multiplied, _multiply, lp_norm
 
 __all__ = [
     "DyadicDecomposition",
@@ -89,6 +91,17 @@ def block_multiplier(D: DyadicDecomposition, j: int) -> np.ndarray:
     return bump_profile(D.grid.xi_norm() * 2.0 ** (-j))
 
 
+def _radial(grid: GridSpec, profile):
+    """profile(|xi|) as a ``mult(half)`` of :func:`speclp.spectral._multiplied`:
+    on the half lattice too it is the profile itself, its own Hermitian part."""
+    return lambda half: profile(grid.xi_norm()[_lattice(grid, half)])
+
+
+def _bump(D: DyadicDecomposition, j: int):
+    """Block j's multiplier Phi(2^-j xi) as a ``mult(half)``."""
+    return _radial(D.grid, lambda rho: bump_profile(rho * 2.0 ** (-j)))
+
+
 def _partition_defect(D: DyadicDecomposition) -> float:
     """Largest |sum_j Phi(2^-j xi) - 1| over the nonzero lattice frequencies."""
     xi = D.grid.xi_norm()
@@ -104,24 +117,32 @@ def block(f: Field, j: int, D: DyadicDecomposition) -> Field:
         raise ValueError(f"j={j} outside active range [{D.j_min}, {D.j_max}]")
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _multiply(f, block_multiplier(D, j))
+    return _multiply(f, _bump(D, j))
 
 
 def low_part(f: Field, D: DyadicDecomposition) -> Field:
     """Low-frequency part: multiplier chi(|xi|); passes the zero mode through."""
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _multiply(f, chi_profile(f.grid.xi_norm()))
+    return _multiply(f, _radial(f.grid, chi_profile))
+
+
+def _low_and_blocks(f: Field, D: DyadicDecomposition, j_lo: int):
+    """low_part(f, D), then block(f, j, D) for j = j_lo..j_max, from one
+    transform of f (an iterator of Fields)."""
+    if f.grid != D.grid:
+        raise ValueError("field and decomposition grids do not match")
+    return _multiplied(f, [_radial(f.grid, chi_profile)]
+                       + [_bump(D, j) for j in range(j_lo, D.j_max + 1)])
 
 
 def besov_norm0(f: Field, q: float, D: DyadicDecomposition) -> float:
     """Zero-order Besov norm ||S0 f||_q + (sum_{j>=1} ||block_j f||_q^q)^(1/q)."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    low = lp_norm(low_part(f, D), q)
-    hi = 0.0
-    for j in range(max(1, D.j_min), D.j_max + 1):
-        hi += lp_norm(block(f, j, D), q) ** q
+    parts = _low_and_blocks(f, D, max(1, D.j_min))
+    low = lp_norm(next(parts), q)
+    hi = sum(lp_norm(g, q) ** q for g in parts)
     return low + hi ** (1.0 / q)
 
 
@@ -129,8 +150,7 @@ def sobolev_norm(f: Field, alpha: float, p: float) -> float:
     """|| (1 - Laplacian)^(alpha/2) f ||_p via the (1 + |xi|^2)^(alpha/2) multiplier."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    mult = (1.0 + f.grid.xi_norm() ** 2) ** (alpha / 2.0)
-    return lp_norm(_multiply(f, mult), p)
+    return lp_norm(_multiply(f, _radial(f.grid, lambda rho: (1.0 + rho**2) ** (alpha / 2.0))), p)
 
 
 def block_energy_table(f: Field, q: float, D: DyadicDecomposition):

@@ -15,6 +15,11 @@ and the discrete Plancherel identity holds to round-off.
 
 Physical samples are stored in natural order (x = -L, ..., L - spacing);
 spectral coefficients are stored in ``numpy.fft`` frequency order.
+
+A multiplier keeps the real part of its result for a real field (the
+real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
+it on the ``rfftn`` half spectrum (:func:`_lattice`) as a float64 field; a
+complex field keeps the complex ``fftn``/``ifftn`` route.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -197,10 +203,14 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, _spectrum(f))
 
 
-def _synthesize(grid: GridSpec, coeffs: np.ndarray) -> np.ndarray:
+def _synthesize(grid: GridSpec, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
     """Natural-order samples of fft-order coefficients times the synthesis
-    factor (2 pi)^(d/2) / spacing^d: the package's one inverse transform."""
-    return np.fft.fftshift(np.fft.ifftn(coeffs)) * (_two_pi_pow(grid.dim) / grid.cell_measure)
+    factor (2 pi)^(d/2) / spacing^d: the package's one inverse transform.
+    With ``half``, real samples of an ``rfftn`` half spectrum."""
+    samples = (np.fft.irfftn(coeffs, s=grid.shape, axes=range(grid.dim)) if half
+               else np.fft.ifftn(coeffs))
+    samples *= _two_pi_pow(grid.dim) / grid.cell_measure
+    return np.fft.fftshift(samples)
 
 
 def inverse_transform(F: SpectralField) -> Field:
@@ -208,22 +218,37 @@ def inverse_transform(F: SpectralField) -> Field:
     return Field(F.grid, _synthesize(F.grid, F.coeffs))
 
 
-def _multiply(f: Field, mult: np.ndarray) -> Field:
-    """Finv(mult * F(f)); a real f gives the real part of the result.
+def _lattice(grid: GridSpec, half: bool) -> tuple:
+    """Index of the rfftn half lattice (last axis 0..n/2) in an fft-order
+    lattice array when ``half``, else of the whole lattice."""
+    return (Ellipsis, slice(0, grid.n // 2 + 1) if half else slice(None))
 
-    This real-part rule fits multipliers conjugate-symmetric by construction
-    off the self-paired Nyquist planes (real radial profiles, a shift phase,
-    the principal-value multiplier): it drops round-off and content on those
-    planes.  Evolutions, of unknown symmetry, take the residue rule of
+
+def _multiplied(f: Field, mults) -> Iterator[Field]:
+    """Finv(m * F(f)) for each m in ``mults``, from one transform of f.
+
+    Each multiplier is a callable ``mult(half)``; a complex f takes
+    ``mult(False)``, m on the whole lattice.  A real f follows the real-part
+    rule: its result is Re Finv(m * F(f)) = Finv(H(m) * F(f)), with
+    H(m)(xi) = (m(xi) + conj m(-xi)) / 2 the Hermitian part of m, so it takes
+    ``mult(True)``, H(m) on the half lattice, and runs one ``rfftn`` and one
+    ``irfftn`` per multiplier.  A real radial profile is its own Hermitian
+    part; a shift phase is not, on the self-paired Nyquist planes.
+    Evolutions, of unknown symmetry, take the residue rule of
     :func:`speclp.evolution._drop_residue` instead.
     """
-    return _real_part(f, f.grid, _synthesize(f.grid, _spectrum(f) * mult))
+    half = np.isrealobj(f.values)
+    F = _spectrum(f, half)
+    for mult in mults:
+        # F stays the left factor: numpy's complex product is not commutative
+        # bit for bit, and ``F * mult(half)`` would run as mult's temporary
+        # ``m *= F`` on large lattices
+        yield Field(f.grid, _synthesize(f.grid, np.multiply(F, mult(half)), half))
 
 
-def _real_part(f: Field, grid: GridSpec, vals: np.ndarray) -> Field:
-    """The real-part rule: Field of vals on grid, cut to their real part when
-    the input f is real."""
-    return Field(grid, vals.real if np.isrealobj(f.values) else vals)
+def _multiply(f: Field, mult) -> Field:
+    """The one multiplier of :func:`_multiplied`."""
+    return next(_multiplied(f, (mult,)))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -243,13 +268,31 @@ def spectral_shift(f: Field, y) -> Field:
     """Translate f by y: returns g with g(x) = f(x - y), exact for lattice content.
 
     A real f gives the real part of the exact result.  The phase is not
-    Hermitian on the self-paired Nyquist planes, so only content there is
-    dropped.
+    Hermitian on the self-paired Nyquist planes, so only content there
+    differs from the exact shift: it is multiplied by the cosine of the
+    phase instead of the phase.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
         raise ValueError(f"shift vector must have length {f.grid.dim}")
-    return _multiply(f, np.exp(-1j * np.tensordot(y, f.grid.xi_stack(), axes=(0, 0))))
+    return _multiply(f, lambda half: _shift_phase(f.grid, y, half))
+
+
+def _shift_phase(grid: GridSpec, y: np.ndarray, half: bool) -> np.ndarray:
+    """exp(-i y.xi) on the whole lattice, or its Hermitian part on the half one.
+
+    A Nyquist component of xi is its own mirror, so on the half lattice the
+    phase of the self-paired components S becomes cos(sum_{k in S} y_k xi_k)
+    and the rest keeps exp(-i y_k xi_k).
+    """
+    xi = grid.xi_stack()[_lattice(grid, half)]
+    if not half:
+        return np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
+    nyquist = xi == grid.freq_axis()[grid.n // 2]
+    phase = np.exp(-1j * np.tensordot(y, np.where(nyquist, 0.0, xi), axes=(0, 0)))
+    planes = nyquist.any(axis=0)
+    phase[planes] *= np.cos(np.tensordot(y, np.where(nyquist, xi, 0.0), axes=(0, 0))[planes])
+    return phase
 
 
 def refine_field(f: Field, factor: int = 2) -> Field:
@@ -265,6 +308,22 @@ def refine_field(f: Field, factor: int = 2) -> Field:
         raise ValueError("factor must be a positive integer")
     g = f.grid
     fine = GridSpec(g.dim, g.n * factor, g.half_extent)
-    # the centred coarse spectrum sits in the middle of the centred fine one
-    centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
-    return _real_part(f, fine, _synthesize(fine, np.fft.ifftshift(centred)))
+    if not np.isrealobj(f.values):
+        # the centred coarse spectrum sits in the middle of the centred fine one
+        centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
+        return Field(fine, _synthesize(fine, np.fft.ifftshift(centred)))
+    # The real part is the synthesis of the Hermitian part of the padded
+    # spectrum, which splits each coarse Nyquist index -n/2 into halves at the
+    # fine -n/2 and +n/2.  On the half lattice that is the mean of two
+    # placements of the coarse half spectrum: one sends the coarse Nyquist to
+    # -n/2 (off the half lattice on the last axis unless factor is 1), the
+    # other to +n/2.  A corner with Nyquist components of both signs gets
+    # neither placement, so it stays 0, as it must.
+    h = g.n // 2
+    F = 0.5 * _spectrum(f, half=True)
+    X = np.zeros(fine.shape[:-1] + (fine.n // 2 + 1,), dtype=complex)
+    for top in (h, h + 1):  # the coarse Nyquist sent to the fine -n/2, then to +n/2
+        rows = np.r_[0:top, fine.n - g.n + top:fine.n]
+        cols = rows[rows <= fine.n // 2]
+        X[np.ix_(*[rows] * (g.dim - 1), cols)] += F[..., :cols.size]
+    return Field(fine, _synthesize(fine, X, half=True))

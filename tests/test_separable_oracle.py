@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from speclp import (GridSpec, SymbolEvalError, SymbolSpec, TimeIntegralRule, eval_symbol,
+from speclp import (Field, GridSpec, SymbolEvalError, SymbolSpec, TimeIntegralRule, eval_symbol,
                     g_function, generate_corpus, get_symbol, power_t_symbol)
 from speclp.evolution import _TOLERANCE, integrate_symbol
 from speclp.gfunction import _grid_window
@@ -152,7 +152,8 @@ def test_power_t_eval_is_its_parts():
 
 def test_g_function_evaluates_the_spatial_part_at_most_twice():
     # criterion 10's a = 1 window (512 nodes): one evaluation on the whole
-    # lattice for the Hermitian test, one on the half lattice for every node
+    # lattice for the Hermitian test, then for real input one on the half
+    # lattice for every node; complex input reuses the whole-lattice one
     grid = GridSpec(1, 1024, 32.0)
     heat, psi = get_symbol("heat"), power_t_symbol(2.0)
     calls = []
@@ -164,6 +165,10 @@ def test_g_function_evaluates_the_spatial_part_at_most_twice():
     counted = dataclasses.replace(psi, spatial=spatial)
     w = _grid_window(grid, heat, psi, a=1.0, q=2.0)
     f = generate_corpus(110, grid, "GAUSSIAN_MIX", 1, mean_removed=True)[0].field
-    G = g_function(f, heat, 0.0, counted, w, 2.0)
-    assert w.nodes.size == 512 and len(calls) <= 2
-    assert G.values.tobytes() == g_function(f, heat, 0.0, psi, w, 2.0).values.tobytes()
+    assert w.nodes.size == 512
+    for field, shapes in ((f, [(1, 1024), (1, 513)]),
+                          (Field(grid, f.values * (1.0 + 0.5j)), [(1, 1024)])):
+        calls.clear()
+        G = g_function(field, heat, 0.0, counted, w, 2.0)
+        assert calls == shapes
+        assert G.values.tobytes() == g_function(field, heat, 0.0, psi, w, 2.0).values.tobytes()

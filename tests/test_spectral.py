@@ -85,9 +85,9 @@ def test_multiplier_identity_and_derivative(grid):
     x = grid.x_axis()
     xi0 = grid.freq_axis()[3]
     f = Field(grid, np.exp(1j * xi0 * x))
-    same = _multiply(f, np.ones(grid.shape))
+    same = _multiply(f, lambda half: np.ones(grid.shape))
     assert np.abs(same.values - f.values).max() < 1e-12
-    deriv = _multiply(f, 1j * grid.xi_stack()[0])
+    deriv = _multiply(f, lambda half: 1j * grid.xi_stack()[0])
     assert np.abs(deriv.values - 1j * xi0 * f.values).max() < 1e-10 * abs(xi0)
 
 

@@ -4,11 +4,16 @@
 ``evolution`` owns the kernel factor (2 pi)^(-d/2).  This test reads the
 syntax trees of the package modules and fails when a module other than
 ``spectral.py`` builds a ``SpectralField`` or calls ``inverse_transform``,
-or when ``(2.0 * np.pi) **`` is spelled anywhere but in
-``spectral._two_pi_pow`` and ``evolution.KERNEL_SCALE``.
+when ``(2.0 * np.pi) **`` is spelled anywhere but in
+``spectral._two_pi_pow`` and ``evolution.KERNEL_SCALE``, or when an inverse
+FFT (``ifft*``, ``irfft*``) is named anywhere but in ``spectral._synthesize``,
+the time-node engine ``gfunction._node_fields`` and the corpus's random draw
+``corpus._bandlimited_random`` (a draw, scaled away after, whose bits every
+BANDLIMITED_RANDOM corpus keeps).
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -51,14 +56,24 @@ def _functions(tree):
     return list(walk(tree, ""))
 
 
-def _two_pi_sites(path):
-    """{function name or '<module>'} of each (2.0 * np.pi) ** in the module."""
+_INVERSE_FFT = re.compile(r"i(r)?fft(n|2)?")
+
+
+def _is_inverse_fft(node):
+    """node names an inverse FFT, such as np.fft.irfftn (fftshift and
+    ifftshift are permutations, not transforms)."""
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name is not None and _INVERSE_FFT.fullmatch(name) is not None
+
+
+def _sites(path, is_site):
+    """{function name or '<module>'} of each node of the module with is_site."""
     tree = _tree(path)
     owner = {}
     for name, fn in _functions(tree):
         for node in ast.walk(fn):
             owner[id(node)] = name  # inner functions overwrite their outer owner
-    return {owner.get(id(node), "<module>") for node in ast.walk(tree) if _is_two_pi_power(node)}
+    return {owner.get(id(node), "<module>") for node in ast.walk(tree) if is_site(node)}
 
 
 def test_modules_found():
@@ -77,8 +92,14 @@ def test_only_spectral_synthesizes(path):
 
 
 def test_two_pi_power_has_two_owners():
-    sites = {(p.name, name) for p in MODULES for name in _two_pi_sites(p)}
+    sites = {(p.name, name) for p in MODULES for name in _sites(p, _is_two_pi_power)}
     assert sites == {("spectral.py", "_two_pi_pow"), ("evolution.py", "KERNEL_SCALE")}
+
+
+def test_inverse_ffts_have_three_owners():
+    sites = {(p.name, name) for p in MODULES for name in _sites(p, _is_inverse_fft)}
+    assert sites == {("spectral.py", "_synthesize"), ("gfunction.py", "_node_fields"),
+                     ("corpus.py", "_bandlimited_random")}
 
 
 @pytest.mark.parametrize("module, function", [("gfunction.py", "g_function"),
