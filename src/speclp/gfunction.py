@@ -4,10 +4,19 @@ For a pair of symbols (psi1, psi2) and exponents q >= 1 the square function is
 
     G(f)(x) = ( int_s^(s+a) (t-s)^(q g1/g2 - 1) |psi1(l,.) T_psi2(t,s) f(x)|^q dt )^(1/q),
 
-where g1, g2 are the symbol orders.  The singular weight is absorbed exactly
-by the substitution u = (t-s)^(q g1/g2); the u-integral is then evaluated by
-Gauss-Legendre on dyadic panels so that every decay scale present on the
-frequency lattice is resolved.
+where g1, g2 are the symbol orders.  With omega = q g1/g2 the window is one
+bottom panel and Gauss-Legendre panels above it, ``n_nodes`` nodes on each:
+
+* Bottom panel [s, s + t_b]: Gauss-Jacobi in t - s with the weight
+  (t-s)^(omega - 1) built into its weights.  There the integrand is that
+  weight times an entire function of t, so the panel is exact to round-off.
+* Panels above: in u = (t-s)^omega, which absorbs the singular weight,
+  Gauss-Legendre on edges u_max 4^(-k), k = 0..n_panels.  Each panel spans
+  two octaves.  Together they span the octaves from u_max down to an eighth
+  of the fastest lattice mode's decay time (24 to 120 octaves, rounded up to
+  an even count), so every decay scale on the frequency lattice is resolved.
+
+At 16 nodes per panel the per-mode q = 2 identity holds to about 1e-15.
 
 For a = inf the integral is truncated at the time where the slowest nonzero
 lattice mode has decayed below 1e-16, which requires a spectral gap: the
@@ -71,12 +80,14 @@ inverse FFT over the spatial axes.
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import WindowError
 from .evolution import _dyadic_panels, _gauss_integral
@@ -123,6 +134,8 @@ class TimeWindow:
     nodes: np.ndarray
     weights: np.ndarray
     truncation_t: float  # effective duration of integration
+    bottom_t: float  # end of the Gauss-Jacobi bottom panel, as t - s
+    n_panels: int  # Gauss-Legendre panels above the bottom panel
 
     @property
     def is_infinite(self) -> bool:
@@ -134,6 +147,11 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
                       xi_min: Optional[float] = None, xi_max: float) -> TimeWindow:
     """Build the singular-weight quadrature window.
 
+    ``n_nodes`` is the order of every panel (module docstring): the window has
+    n_nodes * (n_panels + 1) nodes, n_panels Gauss-Legendre panels of two
+    octaves each over the Gauss-Jacobi bottom panel.  It must be a positive
+    integer.
+
     Parameters beyond the window geometry:
 
     kappa2
@@ -144,8 +162,8 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         when a = inf (no spectral gap means the zero mode never decays, so
         the caller must remove the mean and provide the gap).
     xi_max
-        Largest lattice frequency magnitude, positive and finite; the dyadic
-        panel depth is chosen so the fastest-decaying mode is resolved.
+        Largest lattice frequency magnitude, positive and finite; the panel
+        depth is chosen so the fastest-decaying mode is resolved.
     """
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -157,6 +175,8 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError(f"s must be finite and nonnegative, got {s}")
     if not 0 < xi_max < math.inf:
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
+    if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
 
     omega = q * gamma1 / gamma2
     if math.isinf(a):
@@ -171,14 +191,30 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
 
     t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
     u_floor = (t_fast / 8.0) ** omega
-    n_panels = int(np.clip(math.ceil(math.log2(u_max / u_floor)), 24, 120))
-    edges = [0.0] + [u_max * 2.0 ** (-k) for k in range(n_panels, -1, -1)]
+    octaves = int(np.clip(math.ceil(math.log2(u_max / u_floor)), 24, 120))
+    n_panels = -(-octaves // 2)  # Gauss-Legendre panels of two octaves each
+    edges = [u_max * 4.0 ** (-k) for k in range(n_panels, -1, -1)]
     u, w = _dyadic_panels(edges, n_nodes)
+    # bottom panel [0, t_b]: Gauss-Jacobi in t, its weight t^(omega - 1) built in
+    t_b = edges[0] ** (1.0 / omega)
+    x, wj = _jacobi(n_nodes, omega - 1.0)
     return TimeWindow(
         s=float(s), a=float(a), q=float(q), gamma1=float(gamma1), gamma2=float(gamma2),
         kappa2=float(kappa2), weight_exponent=omega - 1.0,
-        nodes=s + u ** (1.0 / omega), weights=w / omega, truncation_t=T,
+        nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), u ** (1.0 / omega)]),
+        weights=np.concatenate([(0.5 * t_b) ** omega * wj, w / omega]),
+        truncation_t=T, bottom_t=t_b, n_panels=n_panels,
     )
+
+
+@lru_cache(maxsize=16)
+def _jacobi(order: int, beta: float):
+    """Gauss-Jacobi nodes and weights for the weight (1 + x)^beta on [-1, 1],
+    read-only: every window of the same order and exponent shares them."""
+    nodes, weights = roots_jacobi(order, 0.0, beta)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: float) -> None:

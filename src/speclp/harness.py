@@ -25,7 +25,9 @@ DYADIC_ENVELOPE fits the grid's blocks max(j_min+2, -6)..min(j_max-2, 5).
 Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
 writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
 summary tagged with schema_version, scenario and passed, no times), the CSV
-tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config).
+tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config;
+for GFUN_RATIO and HORMANDER also the window geometry: node count,
+Gauss-Legendre panel count, bottom-panel end time t_b and truncation time T).
 Exit status 0 means the scenario's pass criterion held.  The acceptance
 criteria with a scenario twin run the same measure steps
 (``acceptance.TWINS``), so each check exists once.
@@ -45,7 +47,8 @@ import numpy as np
 
 from .corpus import generate_corpus
 from .errors import ConfigError, WindowError
-from .gfunction import INF, _check_window, _exact_ratio, _grid_window, ratio_report
+from .gfunction import (INF, TimeWindow, _check_window, _exact_ratio, _grid_window,
+                        ratio_report)
 from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
 from .lp_decomp import _low_and_blocks, _partition_defect, block, build_decomposition
@@ -55,6 +58,8 @@ from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "SCENARIOS", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
+# Gauss-Legendre order per panel of the scenarios that integrate over a window
+_WINDOW_NODES = {"GFUN_RATIO": 16, "HORMANDER": 8}
 
 
 @dataclass
@@ -80,6 +85,11 @@ class ScenarioConfig:
     def grid(self) -> GridSpec:
         return GridSpec(self.d, self.n, self.L)
 
+    def window(self) -> TimeWindow:
+        """The scenario's time window for its symbol pair on its grid."""
+        return _grid_window(self.grid(), get_symbol(self.symbol1), get_symbol(self.symbol2),
+                            self.s, self.a, self.q, _WINDOW_NODES.get(self.scenario, 16))
+
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
@@ -95,8 +105,7 @@ class ScenarioConfig:
         try:
             psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
             # the window checks q, a and s; _check_window its fit to the pair
-            window = _grid_window(self.grid(), psi1, psi2, self.s, self.a, self.q)
-            _check_window(psi1, psi2, window, self.q)
+            _check_window(psi1, psi2, self.window(), self.q)
         except (ValueError, WindowError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -140,8 +149,13 @@ def _write_csv(path: str, header, rows) -> None:
 def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
     public = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
               for k, v in dataclasses.asdict(cfg).items()}
-    return {"config": public, "measure_s": measure_s,
+    meta = {"config": public, "measure_s": measure_s,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
+    if cfg.scenario in _WINDOW_NODES:
+        w = cfg.window()
+        meta["window"] = {"nodes": int(w.nodes.size), "panels": w.n_panels,
+                          "bottom_t": w.bottom_t, "truncation_t": w.truncation_t}
+    return meta
 
 
 def _sample_xis(grid: GridSpec, rng) -> list:
@@ -228,7 +242,7 @@ def _measure_hormander(cfg: ScenarioConfig):
                           f"span at least 6 octaves; n = {cfg.n}, L = {cfg.L} gives "
                           f"k = {k_lo}..{k_hi}")
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
-    window = _grid_window(grid, psi1, psi2, cfg.s, cfg.a, cfg.q, n_nodes=8)
+    window = cfg.window()
     ys = [np.array([2.0**k] + [0.0] * (grid.dim - 1)) for k in range(k_lo, k_hi + 1)]
     rep = hormander_report(psi1, cfg.l, psi2, cfg.s, window, cfg.q, ys, grid)
     ok = math.isfinite(rep.sup) and abs(rep.trend_slope) <= 0.1
@@ -255,7 +269,7 @@ def _measure_gfun_ratio(cfg: ScenarioConfig):
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     entries = generate_corpus(cfg.seed, grid, cfg.corpus_kind, cfg.corpus_count,
                               mean_removed=True)
-    window = _grid_window(grid, psi1, psi2, cfg.s, cfg.a, cfg.q)
+    window = cfg.window()
     rep = ratio_report([e.field for e in entries], cfg.p, cfg.q, psi1, cfg.l, psi2, window,
                        workers=cfg.workers)
     if (cfg.p == 2.0 and cfg.q == 2.0 and math.isinf(cfg.a)

@@ -5,7 +5,7 @@ import pytest
 
 from speclp import (INF, Field, GridSpec, WindowError, build_time_window,
                     explicit_q2_constant, g_function, get_symbol, lp_norm, mean_remove,
-                    ratio_report, spectral_shift)
+                    ratio_report, refine_field, spectral_shift)
 from speclp.corpus import generate_corpus
 from speclp.gfunction import _grid_window, _ratios
 from speclp.harness import _measure_gfun_ratio, parse_config
@@ -51,13 +51,17 @@ def test_nodes_inside_window(grid):
 
 
 def _oracle_window(s, T, omega, n_nodes, n_panels):
-    """The per-panel loop that built windows before the shared panel builder."""
-    from scipy.special import roots_legendre
+    """A per-panel loop: Gauss-Jacobi on [0, t_b] in t with the weight
+    t^(omega - 1), then Gauss-Legendre in u = t^omega on [4^-(k+1) u, 4^-k u]."""
+    from scipy.special import roots_jacobi, roots_legendre
 
+    u = T**omega
+    t_b = (u * 4.0 ** (-n_panels)) ** (1.0 / omega)
+    x, v = roots_jacobi(n_nodes, 0.0, omega - 1.0)
+    nodes, weights = [s + 0.5 * t_b * (1.0 + x)], [(0.5 * t_b) ** omega * v]
     z, w = roots_legendre(n_nodes)
-    edges = [0.0] + [T**omega * 2.0 ** (-k) for k in range(n_panels, -1, -1)]
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for k in range(n_panels - 1, -1, -1):
+        lo, hi = u * 4.0 ** (-(k + 1)), u * 4.0 ** (-k)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes.append(s + (mid + half * z) ** (1.0 / omega))
         weights.append(half * w / omega)
@@ -69,10 +73,24 @@ def _oracle_window(s, T, omega, n_nodes, n_panels):
     (0.3, 1.0, 4.0, 2.0, 2.0, 4), (0.5, 2.0, 3.0, 1.0, 2.0, 5)])
 def test_window_matches_per_panel_loop(grid, s, a, q, g1, g2, n_nodes):
     w = build_time_window(s, a, q, g1, g2, n_nodes, xi_min=grid.min_freq, xi_max=grid.nyquist)
-    n_panels = w.nodes.size // n_nodes - 1  # panels of the edges [0, 2^-n u, ..., u]
+    n_panels = w.nodes.size // n_nodes - 1  # Gauss-Legendre panels over the bottom panel
+    assert w.n_panels == n_panels
+    assert w.nodes[n_nodes - 1] - s < w.bottom_t < w.nodes[n_nodes] - s
     nodes, weights = _oracle_window(s, w.truncation_t, q * g1 / g2, n_nodes, n_panels)
     assert w.nodes.tobytes() == nodes.tobytes()
     assert w.weights.tobytes() == weights.tobytes()
+
+
+@pytest.mark.parametrize("n_nodes", [0, -1, 2.5])
+def test_window_rejects_bad_n_nodes(grid, n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be a positive integer"):
+        build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, n_nodes, xi_max=grid.nyquist)
+
+
+def test_window_accepts_numpy_integer_n_nodes(grid):
+    a = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, np.int64(4), xi_max=grid.nyquist)
+    b = build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, 4, xi_max=grid.nyquist)
+    assert a.nodes.tobytes() == b.nodes.tobytes()
 
 
 def test_infinite_window_truncation(grid):
@@ -128,8 +146,17 @@ def test_q2_bound_invariant(grid, corpus):
             assert lp_norm(G, 2) ** 2 <= c * (1.0 + 1e-3) * lp_norm(f, 2) ** 2
 
 
-@pytest.mark.parametrize("names, n_nodes", [(("heat", "heat"), 896), (("poisson", "poisson"), 608),
-                                             (("power:2", "poisson"), 1184)])
+def per_mode_sums(grid, psi1, psi2, w, q=2.0):
+    """sum_i w_i |psi1 e^(t_i psi2)|^q at every nonzero mode, with its psi1
+    and psi2 values there."""
+    xi = grid.xi_stack()
+    nonzero = grid.xi_norm() > 0.0
+    pre, psi = psi1(0.0, xi)[nonzero], psi2(0.0, xi)[nonzero]
+    return w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** q, pre, psi
+
+
+@pytest.mark.parametrize("names, n_nodes", [(("heat", "heat"), 464), (("poisson", "poisson"), 320),
+                                             (("power:2", "poisson"), 608)])
 def test_q2_window_identity_per_mode(grid, names, n_nodes):
     # Plancherel turns the q = 2 ratio into one time sum per mode: on the
     # windows of criteria 1 and 2, sum_i w_i |psi1 e^(t_i psi2)|^2 is the
@@ -137,12 +164,42 @@ def test_q2_window_identity_per_mode(grid, names, n_nodes):
     psi1, psi2 = (get_symbol(n) for n in names)
     w = _grid_window(grid, psi1, psi2)
     assert w.nodes.size == n_nodes
-    xi = grid.xi_stack()
-    nonzero = grid.xi_norm() > 0.0
-    pre, psi = psi1(0.0, xi)[nonzero], psi2(0.0, xi)[nonzero]
-    per_mode = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
+    per_mode = per_mode_sums(grid, psi1, psi2, w)[0]
     c = explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma)
-    assert np.abs(per_mode - c).max() <= 2e-8 * c
+    assert np.abs(per_mode - c).max() <= 1e-14 * c
+
+
+def test_q2_window_identity_per_mode_in_two_dimensions():
+    # the heat-pair window on 256^2 (416 nodes at 16 per panel)
+    grid = GridSpec(2, 256, 32.0)
+    w = _grid_window(grid, HEAT, HEAT)
+    assert w.nodes.size == 416
+    per_mode = per_mode_sums(grid, HEAT, HEAT, w)[0]
+    assert np.abs(per_mode - 0.25).max() <= 1e-14 * 0.25
+
+
+@pytest.mark.parametrize("a, q", [(1.0, 2.0), (0.1, 2.0), (1.0, 4.0)])
+def test_finite_window_identity_per_mode(grid, a, q):
+    # on [0, a] the time sum has a closed form at every mode: with
+    # omega = q g1/g2 and c = -q Re psi2,
+    # int_0^a t^(omega-1) |psi1 e^(t psi2)|^q dt = |psi1|^q Gamma(omega) P(omega, c a) / c^omega
+    from scipy.special import gamma, gammainc
+
+    w = _grid_window(grid, HEAT, HEAT, a=a, q=q)
+    per_mode, pre, psi = per_mode_sums(grid, HEAT, HEAT, w, q)
+    omega, c = q * HEAT.gamma / HEAT.gamma, -q * psi.real
+    want = np.abs(pre) ** q * gamma(omega) * gammainc(omega, c * a) / c**omega
+    assert np.abs(per_mode / want - 1.0).max() <= 1e-14
+
+
+def test_q4_window_converged_under_node_doubling(grid):
+    # q = 4 has no per-mode identity: G on criterion 10's window at 16 nodes
+    # per panel matches 32 nodes per panel, at n = 1024 and refined to 2048
+    f = generate_corpus(110, grid, "GAUSSIAN_MIX", 1, mean_removed=True)[0].field
+    windows = [_grid_window(grid, HEAT, HEAT, a=1.0, q=4.0, n_nodes=n) for n in (16, 32)]
+    for field in (f, refine_field(f, 2)):
+        G16, G32 = (g_function(field, HEAT, 0.0, HEAT, w, 4.0).values for w in windows)
+        assert np.abs(G16 - G32).max() <= 1e-10 * np.abs(G32).max()
 
 
 def plancherel_ratios(fields, psi1, psi2, w):

@@ -186,6 +186,26 @@ def test_hormander_scenario(tmp_path):
     assert [float(row.split(",")[0]) for row in lines[1:]] == [2.0**k for k in range(-4, 3)]
 
 
+@pytest.mark.parametrize("scenario, n, L, n_nodes", [("GFUN_RATIO", 512, 16.0, 16),
+                                                     ("HORMANDER", 8192, 32.0, 8)])
+def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L, n_nodes):
+    cfg = ScenarioConfig(scenario=scenario, n=n, L=L, corpus_count=1,
+                         output_dir=str(tmp_path / "out"))
+    assert run_scenario(cfg) == 0
+    window = json.loads((tmp_path / "out" / "run_meta.json").read_text())["window"]
+    grid = cfg.grid()
+    # heat pair, q = 2, a = inf: omega = 2, T from exp(-T min_freq^2) = 1e-16,
+    # panels of two octaves down to u = (1 / (16 nyquist^2))^2
+    T = math.log(1e16) / grid.min_freq**2
+    octaves = math.ceil(math.log2(T**2 * (16.0 * grid.nyquist**2) ** 2))
+    assert window["panels"] == math.ceil(min(max(octaves, 24), 120) / 2)
+    assert window["nodes"] == n_nodes * (window["panels"] + 1)
+    assert window["truncation_t"] == pytest.approx(T, rel=1e-12)
+    assert window["bottom_t"] == pytest.approx(T * 2.0 ** -window["panels"], rel=1e-12)
+    summary = (tmp_path / "out" / "summary.json").read_text()
+    assert "window" not in summary and "bottom_t" not in summary
+
+
 def test_kernel_decay_scenario(tmp_path):
     cfg = ScenarioConfig(scenario="KERNEL_DECAY", symbol1="poisson", symbol2="poisson",
                          n=4096, L=64.0, t=1.0, output_dir=str(tmp_path / "out"))

@@ -187,8 +187,8 @@ def field(d, complex_input=False):
     return f
 
 
-def finite_window(grid, q, n_nodes=4):
-    return build_time_window(0.0, 1.0, q, 2.0, 2.0, n_nodes=n_nodes, kappa2=1.0,
+def finite_window(grid, q, n_nodes=4, a=1.0):
+    return build_time_window(0.0, a, q, 2.0, 2.0, n_nodes=n_nodes, kappa2=1.0,
                              xi_min=grid.min_freq, xi_max=math.sqrt(grid.dim) * grid.nyquist)
 
 
@@ -257,7 +257,9 @@ def test_path_choice_follows_the_input(complex_input):
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_chunk_edge_cases(monkeypatch, k, psi2, complex_input):
     f = field(1, complex_input)
-    w = finite_window(f.grid, 2.0)
+    # a = 2: 16 panels of 4 nodes (a = 1 has 15 panels, a multiple of 5 nodes
+    # at every order)
+    w = finite_window(f.grid, 2.0, a=2.0)
     assert w.nodes.size % 5 != 0
     set_chunk(monkeypatch, f.grid, not complex_input, k)
     sizes = chunk_sizes(HEAT, psi2, w, f.grid, f)

@@ -77,7 +77,7 @@ def test_q2_window_identity_per_mode_on_any_grid(d, n, L, names):
     pre, psi = psi1(0.0, xi)[nonzero], psi2(0.0, xi)[nonzero]
     per_mode = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2
     c = explicit_q2_constant(1.0, psi2.kappa, psi1.gamma, psi2.gamma)
-    assert np.abs(per_mode - c).max() <= 5e-8 * c
+    assert np.abs(per_mode - c).max() <= 1e-14 * c
 
 
 builtins = st.sampled_from(["heat", "poisson", "power:1.5", "power-t:2", "power-t:0.5",
