@@ -17,6 +17,11 @@ Kernel normalization: the convolution kernel K with T f = K * f (Riemann-sum
 convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 :func:`kernel_field` returns K so that closed forms like the heat kernel
 (4 pi t)^(-d/2) e^(-|x|^2 / 4t) come out on the nose.
+
+Realness follows two rules here.  A kernel is real exactly when its
+multiplier is Hermitian (:func:`speclp.spectral._hermitian`), and is then
+synthesized on the ``rfftn`` half lattice as float64.  An evolution of a
+real field keeps the residue rule of :func:`_drop_residue`.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
-from .spectral import Field, GridSpec, _spectrum, _synthesize
+from .spectral import Field, GridSpec, _hermitian, _lattice, _spectrum, _synthesize
 from .symbols import SymbolSpec, _at
 
 __all__ = [
@@ -163,21 +168,31 @@ def build_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
 
 
 def _drop_residue(grid: GridSpec, values: np.ndarray) -> Field:
-    """Field of the values of a real input's evolution or kernel: real when
-    their imaginary residue is at most 1e-10 of their largest magnitude.
+    """Field of the values of a real input's evolution: real when their
+    imaginary residue is at most 1e-10 of their largest magnitude.
 
-    This is the real-output rule for multipliers of unknown symmetry (a
-    symbol may carry a drift i xi).  A conjugate-symmetric multiplier leaves
-    only round-off there, unless the result itself is round-off.
+    This is the real-output rule of :func:`apply_evolution`, for multipliers
+    of unknown symmetry (a symbol may carry a drift i xi).  A
+    conjugate-symmetric multiplier leaves only round-off there, unless the
+    result itself is round-off.
     """
     scale = np.abs(values).max()
     real = scale == 0.0 or np.abs(values.imag).max() <= 1e-10 * scale
     return Field(grid, values.real if real else values)
 
 
-def _kernel(grid: GridSpec, mult: np.ndarray) -> np.ndarray:
-    """Complex natural-order samples of the kernel of mult (fft order)."""
-    return _synthesize(grid, mult * KERNEL_SCALE(grid.dim))
+def _kernel(grid: GridSpec, mult: np.ndarray, half: Optional[bool] = None) -> np.ndarray:
+    """Natural-order samples of the kernel of mult (fft order).
+
+    An exactly Hermitian mult has a real kernel, synthesized from mult on the
+    ``rfftn`` half lattice as float64; any other gives complex samples from
+    the whole lattice.  A caller that has made the test itself passes
+    ``half``, its outcome, with mult already on ``_lattice(grid, half)``.
+    """
+    if half is None:
+        half = _hermitian(mult)
+        mult = mult[_lattice(grid, half)]
+    return _synthesize(grid, mult * KERNEL_SCALE(grid.dim), half)
 
 
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:
@@ -197,9 +212,11 @@ def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
     """Convolution kernel of [psi1(l, .)] T_psi2(t, s), sampled on the grid.
 
     The Riemann sum of the kernel equals the multiplier at xi = 0 (zero when
-    a pre-symbol is present, since built-ins vanish at the origin).
+    a pre-symbol is present, since built-ins vanish at the origin).  The
+    kernel is float64 when the multiplier is exactly Hermitian (see
+    :func:`_kernel`), else complex128.
     """
-    return _drop_residue(grid, _kernel(grid, multiplier_values(psi2, s, t, grid, pre=psi1_l)))
+    return Field(grid, _kernel(grid, multiplier_values(psi2, s, t, grid, pre=psi1_l)))
 
 
 def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: GridSpec,

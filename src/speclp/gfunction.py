@@ -38,7 +38,8 @@ inverse FFT over the spatial axes.
 
 * Real path: when the input samples are real (kernels have no input) and the
   multipliers psi1(l,.) and psi2 (or the first time increment of its
-  integral) are exactly Hermitian on the lattice, m(-xi) = conj(m(xi)), every
+  integral) are exactly Hermitian on the lattice, m(-xi) = conj(m(xi))
+  (:func:`speclp.spectral._hermitian`, the test kernels take too), every
   node field is real.  The stack then lives on the half spectrum of
   ``rfftn`` (last axis 0..n/2), the exponential runs on reals for
   real-valued symbols (their values are float64, see
@@ -91,7 +92,8 @@ from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import WindowError
 from .evolution import _dyadic_panels, _gauss_integral
-from .spectral import Field, _lattice, _spectrum, _two_pi_pow, lp_norm, refine_field
+from .spectral import (Field, _hermitian, _lattice, _spectrum, _two_pi_pow, lp_norm,
+                       refine_field)
 from .symbols import SymbolSpec, _at
 
 __all__ = [
@@ -238,12 +240,6 @@ def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: flo
             "infinite time window is only supported for q = 2 or for a "
             "time-constant homogeneous symbol pair; "
             f"got q={q}, pair=({psi1.name}, {psi2.name})")
-
-
-def _hermitian(m: np.ndarray) -> bool:
-    """True when m[-k] == conj(m[k]) exactly at every lattice index k (fft order)."""
-    mirror = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
-    return bool(np.array_equal(mirror, np.conj(m)))
 
 
 def _chunk_nodes(grid, real: bool) -> int:

@@ -4,7 +4,11 @@ Laplacian.
 
 All kernels here are convolution kernels of psi1(l,.) T_psi2(t, s) in the
 normalization of :func:`speclp.evolution.kernel_field`; their gradients are
-materialized spectrally as i xi_k * multiplier.
+materialized spectrally as i xi_k * multiplier.  A kernel, its blocks and
+its gradient are real, and synthesized on the ``rfftn`` half lattice as
+float64, exactly when the multiplier passes the Hermitian test
+(:func:`speclp.spectral._hermitian`); any other multiplier keeps the complex
+route on the whole lattice.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from scipy.special import gamma as gamma_fn
 from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, multiplier_values
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
-from .lp_decomp import DyadicDecomposition, block_multiplier
-from .spectral import Field, GridSpec, _lattice, _multiply, _two_pi_pow
+from .lp_decomp import DyadicDecomposition, _bump
+from .spectral import Field, GridSpec, _hermitian, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -67,10 +71,24 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     Returns (components, magnitude): a list of d Fields with the partial
     derivatives (spectral multipliers i xi_k) and the pointwise Euclidean
     magnitude field.
+
+    A Hermitian multiplier m gives real components: the real part of each
+    derivative, synthesized on the half lattice from the Hermitian part of
+    i xi_k m.  That is i xi_k m except on axis k's self-paired Nyquist plane,
+    where it is 0 (the rule of :func:`speclp.spectral._shift_phase`).  Any
+    other m gives complex components on the whole lattice.
     """
     mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
-    xi = grid.xi_stack()
-    comps = [Field(grid, _kernel(grid, 1j * xi[k] * mult)) for k in range(grid.dim)]
+    half = _hermitian(mult)
+    at = _lattice(grid, half)
+    xi, mult = grid.xi_stack()[at], mult[at]
+    nyquist = grid.freq_axis()[grid.n // 2]
+    comps = []
+    for k in range(grid.dim):
+        deriv = 1j * xi[k]
+        if half:
+            deriv[xi[k] == nyquist] = 0.0
+        comps.append(Field(grid, _kernel(grid, deriv * mult, half)))
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in comps))
     return comps, Field(grid, mag)
 
@@ -258,9 +276,11 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
         raise ValueError(f"j range {js[0]}..{js[-1]} outside active range "
                          f"[{D.j_min}, {D.j_max}]")
     mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
+    half = _hermitian(mult)
+    mult = mult[_lattice(grid, half)]
     g1, g2 = psi1.gamma, psi2.gamma
     # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it
-    measured = {j: float(np.abs(_kernel(grid, mult * block_multiplier(D, j))).sum()
+    measured = {j: float(np.abs(_kernel(grid, mult * _bump(D, j)(half), half)).sum()
                          * grid.cell_measure) for j in js}
     usable = [j for j in js if measured[j] > _UNDERFLOW]
     if len(usable) < 2:
@@ -335,12 +355,17 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
       dyadic panels, where the symmetric difference tames the singularity.
       The exact trigonometric interpolation of the shifted samples makes node y
       contribute -4 sin^2(y xi / 2), so the nodes add, in node order, into
-      one real multiplier -4 sum_k c_k sin^2(y_k xi / 2);
+      one real multiplier -4 sum_k c_k sin^2(y_k xi / 2).  The terms are
+      even in xi and are computed on the half lattice.  Each panel is the
+      one below it doubled, exactly, so a node's sines at half-lattice index
+      m <= n/4 are the sines of its twin one panel down at index 2m, bit for
+      bit, and only the indices above n/4 call ``np.sin``;
     * the far range [1, L], by product integration over lattice shifts
       with cell-exact masses of the periodized kernel, which accounts for the
       whole-line tail exactly against the periodic extension of the input.
       That circular convolution minus the masses' total times f is the
-      multiplier fft(cell masses) - sum(cell masses).
+      multiplier fft(cell masses) - sum(cell masses).  The masses depend on
+      |x| only, and are computed once for each distinct |x|.
 
     The image-kernel contribution on the near range is omitted; it is bounded
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
@@ -361,26 +386,36 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     m0 = round(1.0 / h)
     edge0 = (m0 - 0.5) * h
 
-    # near range (0, edge0]: symmetric difference on dyadic panels
+    # near range (0, edge0]: symmetric difference on dyadic panels, 8 nodes each
     ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(48, -1, -1)], 8)
     cs = ws * ys ** (-1.0 - eta)
+    xi = grid.freq_axis()[_lattice(grid, True)]
+    twin = (xi.size + 1) // 2  # the half-lattice indices m with 2m on the half lattice
+    near = np.zeros(xi.size)
+    sq = np.sin(0.5 * ys[:8, None] * xi) ** 2  # the bottom panel's squared sines
+    for p in range(0, ys.size, 8):
+        if p:  # this panel is the one below doubled
+            below, sq = sq, np.empty_like(sq)
+            sq[:, :twin] = below[:, ::2]
+            sq[:, twin:] = np.sin(0.5 * ys[p:p + 8, None] * xi[twin:]) ** 2
+        for c, row in zip(cs[p:p + 8], sq):
+            near += c * row
 
     # far range [edge0, L]: cell-exact periodized kernel masses on lattice shifts
-    r = np.abs(grid.x_axis())
+    r, index = np.unique(np.abs(grid.x_axis()), return_inverse=True)
     active = r >= m0 * h - 0.25 * h
     lo_edge = np.where(active, np.maximum(r - 0.5 * h, edge0), 1.0)
     hi_edge = np.where(active, np.minimum(r + 0.5 * h, grid.half_extent), 2.0)
-    cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta), 0.0)
+    cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent,
+                                                eta), 0.0)[index]
 
     def mult(half):
         # both ranges are even in xi; the cell masses are real and even in x,
         # so the far range's exact transform is real, its own Hermitian part
         at = _lattice(grid, half)
-        xi = grid.freq_axis()[at]
-        near = np.zeros(xi.size)
-        for y, c in zip(ys, cs):
-            near += c * np.sin(0.5 * y * xi) ** 2
         far = (np.fft.fft(np.fft.ifftshift(cell)) - cell.sum())[at]
-        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * near)
+        # the whole lattice in fft order mirrors the half lattice's 1..n/2 - 1
+        whole = near if half else np.concatenate([near, near[-2:0:-1]])
+        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * whole)
 
     return _multiply(f, mult)

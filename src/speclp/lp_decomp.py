@@ -32,7 +32,6 @@ __all__ = [
     "chi_profile",
     "bump_profile",
     "block",
-    "block_multiplier",
     "low_part",
     "besov_norm0",
     "sobolev_norm",
@@ -40,22 +39,19 @@ __all__ = [
 ]
 
 
-def _g(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
 def chi_profile(rho) -> np.ndarray:
-    """Smooth radial cutoff: 1 on [0,1], 0 on [2,inf), exponential ratio between."""
+    """Smooth radial cutoff: 1 on [0,1], 0 on [2,inf), exponential ratio between.
+
+    Both exponentials are evaluated on the transition band 1 < rho < 2 only,
+    where both arguments of g are positive.
+    """
     rho = np.asarray(rho, dtype=float)
-    a = _g(2.0 - rho)
-    b = _g(rho - 1.0)
     mid = (rho > 1.0) & (rho < 2.0)
+    band = rho[mid]
+    a = np.exp(-1.0 / (2.0 - band))
+    b = np.exp(-1.0 / (band - 1.0))
     out = np.where(rho <= 1.0, 1.0, 0.0)
-    out[mid] = a[mid] / (a[mid] + b[mid])
+    out[mid] = a / (a + b)
     return out
 
 
@@ -87,10 +83,6 @@ def build_decomposition(grid: GridSpec) -> DyadicDecomposition:
     return DyadicDecomposition(grid=grid, j_min=j_min, j_max=j_max)
 
 
-def block_multiplier(D: DyadicDecomposition, j: int) -> np.ndarray:
-    return bump_profile(D.grid.xi_norm() * 2.0 ** (-j))
-
-
 def _radial(grid: GridSpec, profile):
     """profile(|xi|) as a ``mult(half)`` of :func:`speclp.spectral._multiplied`:
     on the half lattice too it is the profile itself, its own Hermitian part."""
@@ -107,7 +99,7 @@ def _partition_defect(D: DyadicDecomposition) -> float:
     xi = D.grid.xi_norm()
     total = np.zeros(D.grid.shape)
     for j in D.j_range:
-        total += block_multiplier(D, j)
+        total += bump_profile(xi * 2.0 ** (-j))
     return float(np.abs(total[xi > 0] - 1.0).max())
 
 

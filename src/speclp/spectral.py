@@ -224,6 +224,14 @@ def _lattice(grid: GridSpec, half: bool) -> tuple:
     return (Ellipsis, slice(0, grid.n // 2 + 1) if half else slice(None))
 
 
+def _hermitian(m: np.ndarray) -> bool:
+    """True when m[-k] == conj(m[k]) exactly at every lattice index k (fft
+    order): the package's one test for a multiplier whose synthesis of real
+    input (or of a delta, a kernel) is real and may run on the half lattice."""
+    mirror = np.roll(np.flip(m), 1, axis=tuple(range(m.ndim)))
+    return bool(np.array_equal(mirror, np.conj(m)))
+
+
 def _multiplied(f: Field, mults) -> Iterator[Field]:
     """Finv(m * F(f)) for each m in ``mults``, from one transform of f.
 
@@ -234,8 +242,9 @@ def _multiplied(f: Field, mults) -> Iterator[Field]:
     ``mult(True)``, H(m) on the half lattice, and runs one ``rfftn`` and one
     ``irfftn`` per multiplier.  A real radial profile is its own Hermitian
     part; a shift phase is not, on the self-paired Nyquist planes.
-    Evolutions, of unknown symmetry, take the residue rule of
-    :func:`speclp.evolution._drop_residue` instead.
+    Kernels are real exactly when their multiplier passes :func:`_hermitian`;
+    evolutions, of unknown symmetry, take the residue rule of
+    :func:`speclp.evolution._drop_residue`.
     """
     half = np.isrealobj(f.values)
     F = _spectrum(f, half)

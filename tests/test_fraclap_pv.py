@@ -11,7 +11,9 @@ import pytest
 from scipy.special import roots_legendre
 
 from speclp import Field, GridSpec, forward_transform, fractional_laplacian_pv, pv_normalization
+from speclp.evolution import _dyadic_panels
 from speclp.kernel_audit import _folded_cell_masses
+from speclp.spectral import _lattice, _multiply
 
 
 def oracle_pv(f, eta, quad=48, nodes_per_panel=8, y_split=1.0):
@@ -62,3 +64,49 @@ def test_pv_multiplier_matches_per_node_loop(n, eta, complex_input):
     ref = oracle_pv(f, eta)
     assert np.isrealobj(got) == (not complex_input)
     assert float(np.abs(got - ref).max() / np.abs(ref).max()) <= 1e-13
+
+
+def spelled_out_pv(f, eta):
+    """The one-multiplier route with each step spelled out: every near-range
+    node calls np.sin on the whole (half) lattice, and every cell computes
+    its own mass."""
+    grid = f.grid
+    h = grid.spacing
+    m0 = round(1.0 / h)
+    edge0 = (m0 - 0.5) * h
+    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(48, -1, -1)], 8)
+    cs = ws * ys ** (-1.0 - eta)
+    r = np.abs(grid.x_axis())
+    active = r >= m0 * h - 0.25 * h
+    lo_edge = np.where(active, np.maximum(r - 0.5 * h, edge0), 1.0)
+    hi_edge = np.where(active, np.minimum(r + 0.5 * h, grid.half_extent), 2.0)
+    cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta), 0.0)
+
+    def mult(half):
+        at = _lattice(grid, half)
+        xi = grid.freq_axis()[at]
+        near = np.zeros(xi.size)
+        for y, c in zip(ys, cs):
+            near += c * np.sin(0.5 * y * xi) ** 2
+        far = (np.fft.fft(np.fft.ifftshift(cell)) - cell.sum())[at]
+        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * near)
+
+    return _multiply(f, mult)
+
+
+@pytest.mark.parametrize("n, L", [(512, 32.0), (2048, 64.0), (16384, 256.0), (1000, 40.0)],
+                         ids=["512", "2048", "16384", "1000"])
+@pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
+def test_shared_sines_and_masses_keep_every_bit(n, L, complex_input):
+    # n = 1000 is no power of two: its panels still double exactly
+    grid = GridSpec(1, n, L)
+    x = grid.x_axis()
+    values = np.exp(-((x - 0.3) ** 2) / 2.0)
+    if complex_input:
+        values = values * (1.0 + 0.5j * x)
+    f = Field(grid, values)
+    for eta in (0.3, 1.0, 1.7):
+        got = fractional_laplacian_pv(f, eta).values
+        ref = spelled_out_pv(f, eta).values
+        assert got.dtype == ref.dtype == (np.complex128 if complex_input else np.float64)
+        assert got.tobytes() == ref.tobytes()

@@ -31,6 +31,41 @@ def test_cutoff_profile_shape():
     assert np.all(np.diff(c) <= 1e-15)  # monotone
 
 
+def _g(u):
+    """g(u) = exp(-1/u) for u > 0, else 0, on the whole array."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    pos = u > 0
+    out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def _chi_oracle(rho):
+    """The cutoff with both g evaluated on the whole input, as first written."""
+    rho = np.asarray(rho, dtype=float)
+    a, b = _g(2.0 - rho), _g(rho - 1.0)
+    mid = (rho > 1.0) & (rho < 2.0)
+    out = np.where(rho <= 1.0, 1.0, 0.0)
+    out[mid] = a[mid] / (a[mid] + b[mid])
+    return out
+
+
+_EDGES = [1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0 - 1e-15, 2.0, 2.0 + 1e-15, 0.5, 0.0, -1.0,
+          np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_band_local_profiles_match_the_whole_lattice_formula(d):
+    rng = np.random.default_rng(d)
+    inputs = [rng.uniform(0.0, 4.0, size=(24,) * d), np.array(_EDGES),
+              np.array(_EDGES).reshape(3, 4), np.float64(1.37), 1.5, 2.0 - 1e-15]
+    for rho in inputs:
+        for got, ref in ((chi_profile(rho), _chi_oracle(rho)),
+                         (bump_profile(rho), _chi_oracle(rho) - _chi_oracle(2.0 * np.asarray(rho)))):
+            assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+
 def test_bump_support_exact_and_nonnegative():
     assert bump_profile(np.array([0.5, 2.0])).tolist() == [0.0, 0.0]
     rho = np.linspace(0.0, 4.0, 801)

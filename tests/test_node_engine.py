@@ -25,7 +25,7 @@ import pytest
 
 from speclp import (INF, Field, GridSpec, SymbolSpec, TimeIntegralRule, build_time_window,
                     forward_transform, g_function, get_symbol, hormander_report, mean_remove)
-from speclp import gfunction, kernel_audit
+from speclp import gfunction, kernel_audit, spectral
 from speclp.corpus import generate_corpus
 from speclp.evolution import KERNEL_SCALE, integrate_symbol
 from speclp.kernel_audit import _roll_blocks, _shift_stencil
@@ -147,7 +147,7 @@ def full_lattice_node_fields(psi1, l, psi2, window, grid, f=None):
     xi = grid.xi_stack()
     pre, first = psi1(l, xi), psi2(0.0, xi)
     assert psi2.time_constant and (f is None or np.isrealobj(f.values))
-    assert gfunction._hermitian(pre) and gfunction._hermitian(first)
+    assert spectral._hermitian(pre) and spectral._hermitian(first)
     half = (Ellipsis, slice(0, grid.n // 2 + 1))
     pre, first = pre[half].copy(), first[half].copy()
     if f is not None:

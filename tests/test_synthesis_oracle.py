@@ -16,6 +16,13 @@ half spectrum, which moves round-off: there the result must be float64 and
 within 1e-14 * max|f| of the complex oracle Re(ifftn(fftn(f) m)), content
 on the self-paired Nyquist planes included; the bound scales with max|m|
 where the multiplier exceeds 1, and is relative for a norm.
+
+Kernels of an exactly Hermitian multiplier (kernels, gradient components,
+envelope blocks) are synthesized on the half lattice too: there the result
+must be float64, within 1e-14 of Re(complex oracle) relative to its largest
+magnitude, and byte for byte the in-test ``irfftn`` oracle
+:func:`_half_kernel`.  The non-Hermitian ``SKEW`` keeps the complex oracle
+byte for byte.
 """
 
 import numpy as np
@@ -70,6 +77,31 @@ def _ref_residue(out):
 
 def _ref_kernel(grid, mult):
     return inverse_transform(SpectralField(grid, mult * KERNEL_SCALE(grid.dim)))
+
+
+def _half(grid, a):
+    """a (fft order) on the rfftn half lattice: last axis 0..n/2."""
+    return a[..., :grid.n // 2 + 1]
+
+
+def _half_kernel(grid, mult_half):
+    """Kernel of a Hermitian multiplier given on the half lattice: irfftn,
+    the synthesis factor (2 pi)^(d/2) / spacing^d, then natural order."""
+    d = grid.dim
+    samples = np.fft.irfftn(mult_half * KERNEL_SCALE(d), s=grid.shape, axes=range(d))
+    return Field(grid, np.fft.fftshift(samples * ((2.0 * np.pi) ** (d / 2.0) / grid.cell_measure)))
+
+
+def _same_real_kernel(got, ref, half_ref):
+    """Byte for byte the irfftn oracle, float64, and within 1e-14 of Re(ref)
+    relative to max|ref| (to |ref| for a norm)."""
+    _same(got, half_ref)
+    got, ref = getattr(got, "values", got), getattr(ref, "values", ref)
+    if isinstance(ref, np.ndarray):
+        assert got.dtype == np.float64
+        assert np.abs(got - ref.real).max() <= 1e-14 * np.abs(ref).max()
+    else:
+        assert abs(got - ref) <= 1e-14 * abs(ref)
 
 
 def _same(got, ref):
@@ -150,7 +182,11 @@ def test_evolution_damped_to_round_off(grid):
 def test_kernels(grid, psi, pre):
     for t in (0.1, 1.0):
         mult = multiplier_values(psi, 0.0, t, grid, pre=pre)
-        _same(kernel_field(pre, psi, 0.0, t, grid), _ref_residue(_ref_kernel(grid, mult)))
+        got, ref = kernel_field(pre, psi, 0.0, t, grid), _ref_kernel(grid, mult)
+        if psi is SKEW:
+            _same(got, _ref_residue(ref))
+        else:
+            _same_real_kernel(got, ref, _half_kernel(grid, _half(grid, mult)))
 
 
 @pytest.mark.parametrize("psi1, l, psi2", [(POISSON, 0.5, HEAT), (HEAT, 1.0, SKEW)],
@@ -161,19 +197,43 @@ def test_gradient_kernels(grid, psi1, l, psi2):
         xi = grid.xi_stack()
         ref = [_ref_kernel(grid, 1j * xi[k] * mult) for k in range(grid.dim)]
         comps, mag = gradient_kernel(psi1, l, psi2, 0.0, t, grid)
-        for c, r in zip(comps, ref):
-            _same(c, r)
-        _same(mag, Field(grid, np.sqrt(sum(np.abs(r.values) ** 2 for r in ref))))
+        if psi2 is SKEW:
+            for c, r in zip(comps, ref):
+                _same(c, r)
+            _same(mag, Field(grid, np.sqrt(sum(np.abs(r.values) ** 2 for r in ref))))
+            continue
+        # the Hermitian part of i xi_k m: 0 on axis k's self-paired Nyquist plane
+        xi_h, nyquist = _half(grid, xi), grid.freq_axis()[grid.n // 2]
+        half_ref = [_half_kernel(grid, np.where(xi_h[k] == nyquist, 0.0, 1j * xi_h[k])
+                                 * _half(grid, mult)) for k in range(grid.dim)]
+        for c, r, h in zip(comps, ref, half_ref):
+            _same_real_kernel(c, r, h)
+        _same_real_kernel(mag, Field(grid, np.sqrt(sum(r.values.real ** 2 for r in ref))),
+                          Field(grid, np.sqrt(sum(np.abs(h.values) ** 2 for h in half_ref))))
+
+
+def _envelope_rows(grid, psi2, t):
+    """(row, multiplier, bump profile, L1 norm of the complex-oracle block
+    kernel) for each row of dyadic_l1_envelope(HEAT, 1.0, psi2, 0.0, t)."""
+    D = build_decomposition(grid)
+    rep = dyadic_l1_envelope(HEAT, 1.0, psi2, 0.0, t, D.j_range, grid, D)
+    mult = multiplier_values(psi2, 0.0, t, grid, pre=(HEAT, 1.0))
+    for row in rep.rows:
+        bump = bump_profile(grid.xi_norm() * 2.0 ** (-row.j))
+        yield row, mult, bump, lp_norm(_ref_kernel(grid, mult * bump), 1.0)
 
 
 def test_envelope_l1_norms(grid):
-    D = build_decomposition(grid)
     for t in (0.1, 1.0):
-        rep = dyadic_l1_envelope(HEAT, 1.0, HEAT, 0.0, t, D.j_range, grid, D)
-        mult = multiplier_values(HEAT, 0.0, t, grid, pre=(HEAT, 1.0))
-        for row in rep.rows:
-            block_mult = mult * bump_profile(grid.xi_norm() * 2.0 ** (-row.j))
-            _same(row.l1_norm, lp_norm(_ref_kernel(grid, block_mult), 1.0))
+        for row, mult, bump, ref in _envelope_rows(grid, HEAT, t):
+            half_ref = lp_norm(_half_kernel(grid, _half(grid, mult) * _half(grid, bump)), 1.0)
+            _same_real_kernel(row.l1_norm, ref, half_ref)
+
+
+def test_envelope_l1_norms_of_a_complex_kernel(grid):
+    for t in (0.1, 1.0):
+        for row, _, _, ref in _envelope_rows(grid, SKEW, t):
+            _same(row.l1_norm, ref)
 
 
 @pytest.mark.parametrize("eta", [0.3, 1.0, 1.7])

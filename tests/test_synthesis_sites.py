@@ -10,6 +10,12 @@ FFT (``ifft*``, ``irfft*``) is named anywhere but in ``spectral._synthesize``,
 the time-node engine ``gfunction._node_fields`` and the corpus's random draw
 ``corpus._bandlimited_random`` (a draw, scaled away after, whose bits every
 BANDLIMITED_RANDOM corpus keeps).
+
+Realness has one exact test, ``spectral._hermitian``: it is defined there
+only, and the node engine and the kernels (``evolution._kernel`` and the
+kernel audits that test a multiplier once for several kernels) are its
+callers.  The residue rule ``evolution._drop_residue`` is left to
+``apply_evolution`` alone.
 """
 
 import ast
@@ -108,3 +114,22 @@ def test_node_engines_take_the_synthesis_factor_from_spectral(module, function):
     fn = dict(_functions(_tree(SRC / module)))[function]
     assert any(isinstance(n, ast.Call) and _called_name(n) == "_two_pi_pow"
                for n in ast.walk(fn))
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and _called_name(node) == name
+
+
+def test_one_hermitian_test_in_spectral():
+    defined = {(p.name, name) for p in MODULES for name, _ in _functions(_tree(p))
+               if name.rsplit(".", 1)[-1] == "_hermitian"}
+    assert defined == {("spectral.py", "_hermitian")}
+    callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_hermitian"))}
+    assert callers == {("gfunction.py", "_node_fields"), ("evolution.py", "_kernel"),
+                       ("kernel_audit.py", "gradient_kernel"),
+                       ("kernel_audit.py", "dyadic_l1_envelope")}
+
+
+def test_residue_rule_only_for_evolutions():
+    callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_drop_residue"))}
+    assert callers == {("evolution.py", "apply_evolution")}
