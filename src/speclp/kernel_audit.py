@@ -309,39 +309,44 @@ def pv_normalization(d: int, eta: float) -> float:
             / (np.pi ** (d / 2.0) * abs(float(gamma_fn(-eta / 2.0)))))
 
 
-def _tail_diff_sum(u, v, s):
-    """sum_{j>=0} (u+j)^(-s) - (v+j)^(-s), elementwise, via Euler-Maclaurin
-    after 64 direct terms.
+def _tail_diff_sums(x, s):
+    """sum_{j>=0} (x[i]+j)^(-s) - (x[i+1]+j)^(-s) for consecutive points of x,
+    via Euler-Maclaurin after 64 direct terms.
 
-    The individual sums diverge for s <= 1; the difference converges like
+    Every term is evaluated once per point and shared by the two differences
+    next to it; each difference still subtracts term by term, then sums.  The
+    individual sums diverge for s <= 1; the difference converges like
     j^(-1-s) and is what the periodized kernel masses need.
     """
     terms = 64
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    j = np.arange(terms, dtype=float).reshape((-1,) + (1,) * u.ndim)
-    direct = ((u + j) ** -s - (v + j) ** -s).sum(axis=0)
-    a, b = u + terms, v + terms
+    p = (x + np.arange(terms, dtype=float)[:, None]) ** -s
+    direct = (p[:, :-1] - p[:, 1:]).sum(axis=0)
+    a = x + terms
     if abs(s - 1.0) < 1e-12:
-        integral = np.log(b / a)
+        integral = np.log(a[1:] / a[:-1])
     else:
-        integral = (a ** (1.0 - s) - b ** (1.0 - s)) / (s - 1.0)
-    g = a**-s - b**-s
-    gp = -s * (a ** (-s - 1.0) - b ** (-s - 1.0))
-    return direct + integral + 0.5 * g - gp / 12.0
+        A = a ** (1.0 - s)
+        integral = (A[:-1] - A[1:]) / (s - 1.0)
+    g, h = a**-s, a ** (-s - 1.0)
+    gp = -s * (h[:-1] - h[1:])  # differences of the derivative of y^(-s)
+    return direct + integral + 0.5 * (g[:-1] - g[1:]) - gp / 12.0
 
 
-def _folded_cell_masses(lo_edge, hi_edge, period: float, eta: float):
-    """Cell masses of the 2L-periodized kernel |y|^(-1-eta) over [lo, hi] cells.
+def _folded_cell_masses(edges, period: float, eta: float):
+    """Masses of the 2L-periodized kernel |y|^(-1-eta) over the cells
+    [edges[i], edges[i + 1]].
 
     Direct piece plus the images y + 2Lj (j >= 1) and 2Lj - y (j >= 1), so
     the lattice convolution reproduces the whole-line integral against the
-    periodic extension of the field.
+    periodic extension of the field.  Every term is evaluated once per edge.
     """
-    base = (lo_edge**-eta - hi_edge**-eta) / eta
-    a, b = lo_edge / period, hi_edge / period
-    plus = _tail_diff_sum(1.0 + a, 1.0 + b, eta)
-    minus = _tail_diff_sum(1.0 - b, 1.0 - a, eta)
+    e = edges ** -eta
+    base = (e[:-1] - e[1:]) / eta
+    a = edges / period
+    plus = _tail_diff_sums(1.0 + a, eta)
+    # reversed, so that each cell's images 2Lj - y subtract its lower edge's
+    # terms from its upper edge's
+    minus = _tail_diff_sums((1.0 - a)[::-1], eta)[::-1]
     return base + period**-eta * (plus + minus) / eta
 
 
@@ -365,7 +370,8 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
       whole-line tail exactly against the periodic extension of the input.
       That circular convolution minus the masses' total times f is the
       multiplier fft(cell masses) - sum(cell masses).  The masses depend on
-      |x| only, and are computed once for each distinct |x|.
+      the shift's length m h only, and are computed once for each m; each
+      cell edge's terms are computed once, for the two cells that share it.
 
     The image-kernel contribution on the near range is omitted; it is bounded
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
@@ -401,13 +407,13 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
         for c, row in zip(cs[p:p + 8], sq):
             near += c * row
 
-    # far range [edge0, L]: cell-exact periodized kernel masses on lattice shifts
-    r, index = np.unique(np.abs(grid.x_axis()), return_inverse=True)
-    active = r >= m0 * h - 0.25 * h
-    lo_edge = np.where(active, np.maximum(r - 0.5 * h, edge0), 1.0)
-    hi_edge = np.where(active, np.minimum(r + 0.5 * h, grid.half_extent), 2.0)
-    cell = np.where(active, _folded_cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent,
-                                                eta), 0.0)[index]
+    # far range [edge0, L]: cell-exact periodized kernel masses on lattice
+    # shifts m h, m = m0..n/2, over the cells [(m - 1/2) h, (m + 1/2) h] cut at L
+    half_n = grid.n // 2
+    edges = np.append((np.arange(m0, half_n + 1) - 0.5) * h, grid.half_extent)
+    masses = np.zeros(half_n + 1)
+    masses[m0:] = _folded_cell_masses(edges, 2.0 * grid.half_extent, eta)
+    cell = masses[np.abs(np.arange(grid.n) - half_n)]
 
     def mult(half):
         # both ranges are even in xi; the cell masses are real and even in x,

@@ -56,9 +56,16 @@ def chi_profile(rho) -> np.ndarray:
 
 
 def bump_profile(rho) -> np.ndarray:
-    """Phi as a function of radius: chi(rho) - chi(2 rho)."""
+    """Phi as a function of radius: chi(rho) - chi(2 rho).
+
+    Both cutoffs are evaluated on the support 1/2 <= rho <= 2 only; the
+    difference is exactly 0.0 elsewhere.
+    """
     rho = np.asarray(rho, dtype=float)
-    return chi_profile(rho) - chi_profile(2.0 * rho)
+    support = (rho >= 0.5) & (rho <= 2.0)
+    out = np.zeros(rho.shape)
+    out[support] = chi_profile(rho[support]) - chi_profile(2.0 * rho[support])
+    return out
 
 
 @dataclass(frozen=True, eq=False)

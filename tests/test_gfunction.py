@@ -52,19 +52,20 @@ def test_nodes_inside_window(grid):
 
 def _oracle_window(s, T, omega, n_nodes, n_panels):
     """A per-panel loop: Gauss-Jacobi on [0, t_b] in t with the weight
-    t^(omega - 1), then Gauss-Legendre in u = t^omega on [4^-(k+1) u, 4^-k u]."""
+    t^(omega - 1), then Gauss-Legendre in t on [2^-1.5(k+1) T, 2^-1.5k T] with
+    the weight folded into its weights."""
     from scipy.special import roots_jacobi, roots_legendre
 
-    u = T**omega
-    t_b = (u * 4.0 ** (-n_panels)) ** (1.0 / omega)
+    t_b = T * 2.0 ** (-1.5 * n_panels)
     x, v = roots_jacobi(n_nodes, 0.0, omega - 1.0)
     nodes, weights = [s + 0.5 * t_b * (1.0 + x)], [(0.5 * t_b) ** omega * v]
     z, w = roots_legendre(n_nodes)
     for k in range(n_panels - 1, -1, -1):
-        lo, hi = u * 4.0 ** (-(k + 1)), u * 4.0 ** (-k)
+        lo, hi = T * 2.0 ** (-1.5 * (k + 1)), T * 2.0 ** (-1.5 * k)
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(s + (mid + half * z) ** (1.0 / omega))
-        weights.append(half * w / omega)
+        t = mid + half * z
+        nodes.append(s + t)
+        weights.append(half * w * t ** (omega - 1.0))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -155,8 +156,8 @@ def per_mode_sums(grid, psi1, psi2, w, q=2.0):
     return w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** q, pre, psi
 
 
-@pytest.mark.parametrize("names, n_nodes", [(("heat", "heat"), 464), (("poisson", "poisson"), 320),
-                                             (("power:2", "poisson"), 608)])
+@pytest.mark.parametrize("names, n_nodes", [(("heat", "heat"), 320), (("poisson", "poisson"), 224),
+                                             (("power:2", "poisson"), 224)])
 def test_q2_window_identity_per_mode(grid, names, n_nodes):
     # Plancherel turns the q = 2 ratio into one time sum per mode: on the
     # windows of criteria 1 and 2, sum_i w_i |psi1 e^(t_i psi2)|^2 is the
@@ -170,10 +171,10 @@ def test_q2_window_identity_per_mode(grid, names, n_nodes):
 
 
 def test_q2_window_identity_per_mode_in_two_dimensions():
-    # the heat-pair window on 256^2 (416 nodes at 16 per panel)
+    # the heat-pair window on 256^2 (288 nodes at 16 per panel)
     grid = GridSpec(2, 256, 32.0)
     w = _grid_window(grid, HEAT, HEAT)
-    assert w.nodes.size == 416
+    assert w.nodes.size == 288
     per_mode = per_mode_sums(grid, HEAT, HEAT, w)[0]
     assert np.abs(per_mode - 0.25).max() <= 1e-14 * 0.25
 
@@ -190,6 +191,48 @@ def test_finite_window_identity_per_mode(grid, a, q):
     omega, c = q * HEAT.gamma / HEAT.gamma, -q * psi.real
     want = np.abs(pre) ** q * gamma(omega) * gammainc(omega, c * a) / c**omega
     assert np.abs(per_mode / want - 1.0).max() <= 1e-14
+
+
+def time_sum_defect(w, psi2, q, grid):
+    """Worst relative defect, over the grid's decay rates c = -q Re psi2 > 0,
+    of sum_i w_i e^(-c (t_i - s)) against its closed form
+    int_0^T t^(omega-1) e^(-c t) dt = Gamma(omega) P(omega, c T) / c^omega,
+    T the window's truncation time.  Up to |psi1|^q, which cancels, that sum
+    is the per-mode q-th power of G."""
+    from scipy.special import gamma, gammainc
+
+    omega, T = w.weight_exponent + 1.0, w.truncation_t
+    c = np.unique(-q * psi2(0.0, grid.xi_stack())[grid.xi_norm() > 0.0].real)
+    worst = 0.0
+    for cc in np.array_split(c, -(-c.size // 2048)):  # at most 2048 rates at a time
+        got = w.weights @ np.exp(-np.multiply.outer(w.nodes - w.s, cc))
+        want = gamma(omega) * gammainc(omega, cc * T) / cc**omega
+        worst = max(worst, np.abs(got / want - 1.0).max())
+    return worst
+
+
+@pytest.mark.parametrize("omega", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0])
+def test_time_sum_identity_per_mode_sweep(omega):
+    # power:omega over heat at q = 2 has weight exponent omega - 1; every
+    # decay rate of the lattice, on short, long and infinite windows
+    psi1 = get_symbol(f"power:{omega:g}")
+    for n in (256, 1024, 4096, 32768):
+        grid = GridSpec(1, n, 32.0)
+        for a in (0.001, 0.01, 1.0, 10.0, INF):
+            w = _grid_window(grid, psi1, HEAT, a=a)
+            assert time_sum_defect(w, HEAT, 2.0, grid) <= 2e-14, (n, a)
+
+
+@pytest.mark.parametrize("names, n, L", [(("power:3", "heat"), 4096, 64.0),
+                                         (("power:2", "poisson"), 32768, 32.0),
+                                         (("heat", "heat"), 32768, 32.0)])
+def test_q4_infinite_window_resolves_every_mode(names, n, L):
+    # omega = 6, 8 and 4: these windows span more than 120 octaves of
+    # (t - s)^omega, and every lattice mode still gets its closed form
+    psi1, psi2 = (get_symbol(name) for name in names)
+    grid = GridSpec(1, n, L)
+    w = _grid_window(grid, psi1, psi2, q=4.0)
+    assert time_sum_defect(w, psi2, 4.0, grid) <= 2e-14
 
 
 def test_q4_window_converged_under_node_doubling(grid):

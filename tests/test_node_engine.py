@@ -421,7 +421,8 @@ def test_kernel_stacks_bits_match_real_spectrum_inverse(d):
 
 # --- the underflow band -------------------------------------------------------
 
-BAND_GRIDS = {1: GridSpec(1, 4096, 16.0), 2: GridSpec(2, 64, 8.0), 3: GridSpec(3, 48, 8.0)}
+# a chunk of each grid's windows is narrower than n/2 + 1 for heat and poisson alike
+BAND_GRIDS = {1: GridSpec(1, 8192, 16.0), 2: GridSpec(2, 128, 8.0), 3: GridSpec(3, 48, 8.0)}
 BAND_SHIFTS = {1: [np.array([2.0])], 2: [np.array([2.5, 0.0])], 3: [np.array([3.0, 0.0, 0.0])]}
 # zero on every column with |xi_d| >= 3, the half spectrum's last ones among them
 FLAT_TAIL = SymbolSpec(name="flat-tail", kappa=1.0, mu=10.0, gamma=2.0, n_cert=2,
