@@ -195,13 +195,13 @@ def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L, n_nodes):
     window = json.loads((tmp_path / "out" / "run_meta.json").read_text())["window"]
     grid = cfg.grid()
     # heat pair, q = 2, a = inf: T from exp(-T min_freq^2) = 1e-16, panels of
-    # 1.5 octaves in t down to 1 / (16 nyquist^2)
+    # 2 octaves in log t down to 1 / (4 nyquist^2)
     T = math.log(1e16) / grid.min_freq**2
-    octaves = math.log2(T * 16.0 * grid.nyquist**2)
-    assert window["panels"] == math.ceil(octaves / 1.5)
+    octaves = math.log2(T * 4.0 * grid.nyquist**2)
+    assert window["panels"] == math.ceil(octaves / 2.0)
     assert window["nodes"] == n_nodes * (window["panels"] + 1)
     assert window["truncation_t"] == pytest.approx(T, rel=1e-12)
-    assert window["bottom_t"] == pytest.approx(T * 2.0 ** (-1.5 * window["panels"]), rel=1e-12)
+    assert window["bottom_t"] == pytest.approx(T * 2.0 ** (-2.0 * window["panels"]), rel=1e-12)
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "window" not in summary and "bottom_t" not in summary
 
