@@ -205,21 +205,20 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
 
     t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
     n_panels = max(1, math.ceil(math.log2(2.0 * T / t_fast) / 2.0))
-    # panel k spans [T_k / 4, T_k], T_k = T 4^(-k), in u = ln t: u = ln T_k + h (z - 1)
-    # with h = ln 2, each node taken from its own panel's top edge
+    # panels in u = ln t, u = ln T_k + h (z - 1): each node from its own top edge T_k
     z, wz = _legendre(n_nodes)
     h = math.log(2.0)
     tops = T * 2.0 ** (-2.0 * np.arange(n_panels - 1, -1, -1))
-    t = (tops[:, None] * np.exp(h * (z - 1.0))).ravel()
-    w = h * np.tile(wz, n_panels) * t * t ** (omega - 1.0)
+    t = tops[:, None] * np.exp(h * (z - 1.0))
+    w = h * wz * t * t ** (omega - 1.0)
     # bottom panel [0, t_b]: Gauss-Jacobi, its weight t^(omega - 1) built in
     t_b = T * 2.0 ** (-2.0 * n_panels)
     x, wj = _jacobi(n_nodes, omega - 1.0)
     return TimeWindow(
         s=float(s), a=float(a), q=float(q), gamma1=float(gamma1), gamma2=float(gamma2),
         kappa2=float(kappa2), weight_exponent=omega - 1.0,
-        nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), t]),
-        weights=np.concatenate([(0.5 * t_b) ** omega * wj, w]),
+        nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), t.ravel()]),
+        weights=np.concatenate([(0.5 * t_b) ** omega * wj, w.ravel()]),
         truncation_t=T, bottom_t=t_b, n_panels=n_panels,
     )
 
