@@ -27,7 +27,10 @@ writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
 summary tagged with schema_version, scenario and passed, no times), the CSV
 tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config;
 for GFUN_RATIO and HORMANDER also the window geometry: node count,
-Gauss-Legendre panel count, bottom-panel end time t_b and truncation time T).
+Gauss-Legendre panel count, bottom-panel end time t_b and truncation time T;
+for FRACLAP_XCHECK the principal-value quadrature: near-range panels summed
+by moments and node by node, nodes per panel, series terms, and the image
+sums' direct terms and Euler-Maclaurin order).
 Exit status 0 means the scenario's pass criterion held.  The acceptance
 criteria with a scenario twin run the same measure steps
 (``acceptance.TWINS``), so each check exists once.
@@ -49,7 +52,7 @@ from .corpus import generate_corpus
 from .errors import ConfigError, WindowError
 from .gfunction import (INF, TimeWindow, _check_window, _exact_ratio, _grid_window,
                         ratio_report)
-from .kernel_audit import (decay_fit_space, decay_fit_time, dyadic_l1_envelope,
+from .kernel_audit import (_pv_geometry, decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
 from .lp_decomp import _low_and_blocks, _partition_defect, block, build_decomposition
 from .spectral import Field, GridSpec, _spectrum, _synthesize, lp_norm
@@ -155,6 +158,8 @@ def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
         w = cfg.window()
         meta["window"] = {"nodes": int(w.nodes.size), "panels": w.n_panels,
                           "bottom_t": w.bottom_t, "truncation_t": w.truncation_t}
+    if cfg.scenario == "FRACLAP_XCHECK":
+        meta["principal_value"] = _pv_geometry(cfg.grid())
     return meta
 
 

@@ -43,6 +43,16 @@ __all__ = [
 ]
 
 _UNDERFLOW = 1e-280
+# the principal-value near range: dyadic panels and Gauss-Legendre nodes on each
+_PV_PANELS, _PV_NODES = 48, 8
+# near-range panels whose largest argument u = y xi_max / 2 is at most
+# _MOMENT_ARG are summed by the first _MOMENT_TERMS terms of the series of
+# sin^2(u); the first omitted term is then u^6 / 315 < 2.4e-18 of the first,
+# below 2^-53
+_MOMENT_ARG = 3e-3
+_MOMENT_TERMS = 3
+# direct terms of each image sum before its Euler-Maclaurin tail
+_TAIL_TERMS = 16
 
 
 @dataclass(frozen=True)
@@ -312,14 +322,21 @@ def pv_normalization(d: int, eta: float) -> float:
 
 def _tail_diff_sums(x, s):
     """sum_{j>=0} (x[i]+j)^(-s) - (x[i+1]+j)^(-s) for consecutive points of x,
-    via Euler-Maclaurin after 64 direct terms.
+    by :data:`_TAIL_TERMS` direct terms and Euler-Maclaurin through B6
+    (DLMF 2.10.1) for the rest.
 
     Every term is evaluated once per point and shared by the two differences
-    next to it; each difference still subtracts term by term, then sums.  The
+    next to it; each difference still subtracts term by term, then sums, and
+    the integral and the endpoint corrections are differenced apart.  The
     individual sums diverge for s <= 1; the difference converges like
-    j^(-1-s) and is what the periodized kernel masses need.
+    j^(-1-s) and is what the periodized kernel masses need.  The sums are
+    Hurwitz zeta differences zeta(s, x[i]) - zeta(s, x[i+1]) (DLMF 25.11.1;
+    digamma at s = 1).  For x >= 1/2 and s < 2 the Euler-Maclaurin remainder
+    is below 1e-12 of the difference; what is left is the rounding of O(1)
+    terms that nearly cancel, a few 1e-11 of the difference on criterion 11's
+    grid.
     """
-    terms = 64
+    terms = _TAIL_TERMS
     p = (x + np.arange(terms, dtype=float)[:, None]) ** -s
     direct = (p[:, :-1] - p[:, 1:]).sum(axis=0)
     a = x + terms
@@ -328,9 +345,14 @@ def _tail_diff_sums(x, s):
     else:
         A = a ** (1.0 - s)
         integral = (A[:-1] - A[1:]) / (s - 1.0)
-    g, h = a**-s, a ** (-s - 1.0)
-    gp = -s * (h[:-1] - h[1:])  # differences of the derivative of y^(-s)
-    return direct + integral + 0.5 * (g[:-1] - g[1:]) - gp / 12.0
+    # f(a)/2 - sum_k B_2k/(2k)! f^(2k-1)(a) for f(y) = y^(-s) and k = 1, 2, 3,
+    # in powers of 1/a^2
+    c1 = s / 12.0
+    c3 = -s * (s + 1.0) * (s + 2.0) / 720.0
+    c5 = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0
+    inv2 = 1.0 / (a * a)
+    ends = a**-s * (0.5 + (c1 + (c3 + c5 * inv2) * inv2) / a)
+    return direct + integral + (ends[:-1] - ends[1:])
 
 
 def _folded_cell_masses(edges, period: float, eta: float):
@@ -351,6 +373,31 @@ def _folded_cell_masses(edges, period: float, eta: float):
     return base + period**-eta * (plus + minus) / eta
 
 
+def _near_nodes(grid: GridSpec):
+    """The principal-value near range's Gauss-Legendre nodes y_k and weights,
+    panel by panel from the bottom: :data:`_PV_NODES` on each of
+    :data:`_PV_PANELS` dyadic panels of (0, (m0 - 1/2) h], m0 = round(1/h),
+    the split at y = 1 aligned with a lattice cell edge.  Also the number of
+    leading nodes whose panels the moment series sums: the panels whose
+    largest argument y xi_max / 2 is at most :data:`_MOMENT_ARG`."""
+    edge0 = (round(1.0 / grid.spacing) - 0.5) * grid.spacing
+    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(_PV_PANELS, -1, -1)],
+                            _PV_NODES)
+    top = 0.5 * np.abs(grid.freq_axis()).max() * ys[_PV_NODES - 1::_PV_NODES]
+    return ys, ws, _PV_NODES * int(np.searchsorted(top, _MOMENT_ARG, side="right"))
+
+
+def _pv_geometry(grid: GridSpec) -> dict:
+    """The quadrature :func:`fractional_laplacian_pv` runs on ``grid``: its
+    near-range panels summed by moments and node by node, the nodes per
+    panel and series terms, and the image sums' direct terms and highest
+    Euler-Maclaurin Bernoulli index."""
+    moment = _near_nodes(grid)[2] // _PV_NODES
+    return {"moment_panels": moment, "direct_panels": _PV_PANELS - moment,
+            "nodes_per_panel": _PV_NODES, "series_terms": _MOMENT_TERMS,
+            "tail_direct_terms": _TAIL_TERMS, "tail_euler_maclaurin": "B6"}
+
+
 def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     """Principal-value form of -(-Laplacian)^(eta/2) f in one dimension.
 
@@ -360,19 +407,29 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     * the near range (0, 1], by Gauss-Legendre with 8 nodes on each of 48
       dyadic panels, where the symmetric difference tames the singularity.
       The exact trigonometric interpolation of the shifted samples makes node y
-      contribute -4 sin^2(y xi / 2), so the nodes add, in node order, into
-      one real multiplier -4 sum_k c_k sin^2(y_k xi / 2).  The terms are
-      even in xi and are computed on the half lattice.  Each panel is the
-      one below it doubled, exactly, so a node's sines at half-lattice index
-      m <= n/4 are the sines of its twin one panel down at index 2m, bit for
-      bit, and only the indices above n/4 call ``np.sin``;
+      contribute -4 sin^2(y xi / 2), so the nodes add into one real
+      multiplier -4 sum_k c_k sin^2(y_k xi / 2).  The terms are even in xi
+      and are computed on the half lattice.  The deep panels, those whose
+      largest argument y xi / 2 stays at most :data:`_MOMENT_ARG`, are
+      summed in closed form: the moments M_2j = sum_k c_k y_k^(2j) of their
+      nodes weight the first :data:`_MOMENT_TERMS` terms of the series
+      sin^2(u) = sum_j (-1)^(j+1) (2u)^(2j) / (2 (2j)!), whose first omitted
+      term is below 2^-53 of the first there.  The other panels add node by
+      node, in node order.  Each panel is the one below it doubled, exactly,
+      so a node's sines at half-lattice index m <= n/4 are the sines of its
+      twin one panel down at index 2m, bit for bit: the first of these
+      panels calls ``np.sin`` on the whole half lattice, each one above it
+      only on the indices above n/4;
     * the far range [1, L], by product integration over lattice shifts
-      with cell-exact masses of the periodized kernel, which accounts for the
-      whole-line tail exactly against the periodic extension of the input.
-      That circular convolution minus the masses' total times f is the
-      multiplier fft(cell masses) - sum(cell masses).  The masses depend on
-      the shift's length m h only, and are computed once for each m; each
-      cell edge's terms are computed once, for the two cells that share it.
+      with cell masses of the periodized kernel, which account for the
+      whole-line tail against the periodic extension of the input: each
+      image sum is a Hurwitz zeta difference, summed directly over its first
+      terms and by Euler-Maclaurin through B6 beyond them
+      (:func:`_tail_diff_sums`).  That circular convolution minus the
+      masses' total times f is the multiplier fft(cell masses) - sum(cell
+      masses).  The masses depend on the shift's length m h only, and are
+      computed once for each m; each cell edge's terms are computed once,
+      for the two cells that share it.
 
     The image-kernel contribution on the near range is omitted; it is bounded
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
@@ -389,27 +446,35 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
         raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
                          f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
 
-    # split point y = 1 aligned with a lattice cell edge (m0 - 1/2) h
-    m0 = round(1.0 / h)
-    edge0 = (m0 - 0.5) * h
-
-    # near range (0, edge0]: symmetric difference on dyadic panels, 8 nodes each
-    ys, ws = _dyadic_panels([edge0 * 2.0 ** (-k) for k in range(48, -1, -1)], 8)
+    # near range: symmetric difference on dyadic panels, the deep ones by
+    # moments M_2j = sum_k c_k y_k^(2j) of the series
+    # sin^2(y xi / 2) = sum_j (-1)^(j+1) (y xi)^(2j) / (2 (2j)!), Horner in xi^2
+    ys, ws, deep = _near_nodes(grid)
     cs = ws * ys ** (-1.0 - eta)
     xi = grid.freq_axis()[_lattice(grid, True)]
-    twin = (xi.size + 1) // 2  # the half-lattice indices m with 2m on the half lattice
+    y2 = ys[:deep] ** 2
+    xi2 = xi * xi
     near = np.zeros(xi.size)
-    sq = np.sin(0.5 * ys[:8, None] * xi) ** 2  # the bottom panel's squared sines
-    for p in range(0, ys.size, 8):
-        if p:  # this panel is the one below doubled
+    for j in range(_MOMENT_TERMS, 0, -1):
+        coef = (-1) ** (j + 1) * float(cs[:deep] @ y2**j) / (2.0 * math.factorial(2 * j))
+        near = (near + coef) * xi2
+    # the rest node by node, in node order
+    twin = (xi.size + 1) // 2  # the half-lattice indices m with 2m on the half lattice
+    sq = None
+    for p in range(deep, ys.size, _PV_NODES):
+        panel = slice(p, p + _PV_NODES)
+        if sq is None:  # the first direct panel: every squared sine
+            sq = np.sin(0.5 * ys[panel, None] * xi) ** 2
+        else:  # this panel is the one below doubled
             below, sq = sq, np.empty_like(sq)
             sq[:, :twin] = below[:, ::2]
-            sq[:, twin:] = np.sin(0.5 * ys[p:p + 8, None] * xi[twin:]) ** 2
-        for c, row in zip(cs[p:p + 8], sq):
+            sq[:, twin:] = np.sin(0.5 * ys[panel, None] * xi[twin:]) ** 2
+        for c, row in zip(cs[panel], sq):
             near += c * row
 
-    # far range [edge0, L]: cell-exact periodized kernel masses on lattice
-    # shifts m h, m = m0..n/2, over the cells [(m - 1/2) h, (m + 1/2) h] cut at L
+    # far range [(m0 - 1/2) h, L]: periodized kernel masses on lattice shifts
+    # m h, m = m0..n/2, over the cells [(m - 1/2) h, (m + 1/2) h] cut at L
+    m0 = round(1.0 / h)
     half_n = grid.n // 2
     edges = np.append((np.arange(m0, half_n + 1) - 0.5) * h, grid.half_extent)
     masses = np.zeros(half_n + 1)

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+from scipy.special import roots_legendre
 
 from speclp import acceptance
 from speclp.cli import main
@@ -204,6 +205,25 @@ def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L, n_nodes):
     assert window["bottom_t"] == pytest.approx(T * 2.0 ** (-2.0 * window["panels"]), rel=1e-12)
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "window" not in summary and "bottom_t" not in summary
+
+
+def test_pv_geometry_goes_to_run_meta(tmp_path):
+    cfg = ScenarioConfig(scenario="FRACLAP_XCHECK", n=16384, L=256.0,
+                         output_dir=str(tmp_path / "out"))
+    assert run_scenario(cfg) == 0
+    pv = json.loads((tmp_path / "out" / "run_meta.json").read_text())["principal_value"]
+    # criterion 11's grid: spacing 1/32, xi_max = 32 pi, near range (0, 31.5/32]
+    # in 48 dyadic panels; a panel [e/2, e] goes to the moment series when its
+    # top Gauss-Legendre node e (3 + z_8) / 4 has y xi_max / 2 <= 3e-3
+    z8 = float(roots_legendre(8)[0].max())
+    top = [31.5 / 32.0 * 2.0**-k * (3.0 + z8) / 4.0 for k in range(48)]
+    moment = sum(0.5 * 32.0 * math.pi * y <= 3e-3 for y in top)
+    assert moment == 34
+    assert pv == {"moment_panels": moment, "direct_panels": 48 - moment,
+                  "nodes_per_panel": 8, "series_terms": 3,
+                  "tail_direct_terms": 16, "tail_euler_maclaurin": "B6"}
+    summary = (tmp_path / "out" / "summary.json").read_text()
+    assert "principal_value" not in summary and "moment_panels" not in summary
 
 
 def test_kernel_decay_scenario(tmp_path):
