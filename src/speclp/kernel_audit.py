@@ -446,9 +446,7 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
         raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
                          f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
 
-    # near range: symmetric difference on dyadic panels, the deep ones by
-    # moments M_2j = sum_k c_k y_k^(2j) of the series
-    # sin^2(y xi / 2) = sum_j (-1)^(j+1) (y xi)^(2j) / (2 (2j)!), Horner in xi^2
+    # near range: the deep panels by their moments M_2j, Horner in xi^2
     ys, ws, deep = _near_nodes(grid)
     cs = ws * ys ** (-1.0 - eta)
     xi = grid.freq_axis()[_lattice(grid, True)]
