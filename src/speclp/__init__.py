@@ -6,8 +6,7 @@ from .errors import (AuditError, ConfigError, MultiplierError, QuadratureError,
 from .spectral import (Field, GridSpec, SpectralField, forward_transform, inverse_transform,
                        lp_norm, mean_remove, refine_field, spectral_shift)
 from .symbols import (AuditReport, SymbolSpec, audit_s1, audit_s2, check_homogeneity,
-                      eval_symbol, frac_lap_symbol, get_symbol, heat_symbol,
-                      poisson_symbol, power_symbol, power_t_symbol)
+                      eval_symbol, get_symbol, power_symbol, power_t_symbol)
 from .evolution import (EvolutionMultiplier, TimeIntegralRule, apply_evolution,
                         build_multiplier, kernel_field, multiplier_values, verify_composition)
 from .lp_decomp import (DyadicDecomposition, besov_norm0, block, block_energy_table,
@@ -18,7 +17,6 @@ from .kernel_audit import (DecayFitReport, EnvelopeReport, HormanderReport,
                            decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, gradient_kernel, hormander_report,
                            pv_normalization)
-from .corpus import (ANNULUS, BANDLIMITED_RANDOM, GAUSSIAN_MIX, CorpusEntry,
-                     generate_corpus)
+from .corpus import BANDLIMITED_RANDOM, GAUSSIAN_MIX, CorpusEntry, generate_corpus
 
 __version__ = "0.1.0"

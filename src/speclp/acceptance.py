@@ -61,13 +61,14 @@ CRITERIA: List[Callable[[], CriterionResult]] = []
 
 def _criterion(cid: int, name: str):
     """Register a measure step ``() -> (passed, details)`` as criterion cid,
-    timed, returning a CriterionResult."""
+    failed if its wall time reaches 30 s, returning a CriterionResult."""
     def register(measure):
         @functools.wraps(measure)
         def run() -> CriterionResult:
             t0 = time.perf_counter()
             passed, details = measure()
-            return CriterionResult(cid, name, passed, details, time.perf_counter() - t0)
+            dt = time.perf_counter() - t0
+            return CriterionResult(cid, name, passed and dt < 30.0, details, dt)
         CRITERIA.append(run)
         return run
     return register
@@ -76,8 +77,7 @@ def _criterion(cid: int, name: str):
 @_criterion(1, "exact q=2 square-function constant (heat pair)")
 def criterion_1_exact_q2_constant():
     """Heat pair, q=2, infinite window: every ratio 0.500 within 1e-3 and
-    the squared norm under the closed-form bound; wall time below 30 s."""
-    t0 = time.perf_counter()
+    the squared norm under the closed-form bound."""
     grid = GridSpec(1, 1024, 32.0)
     heat = get_symbol("heat")
     entries = generate_corpus(101, grid, "GAUSSIAN_MIX", 16, mean_removed=True)
@@ -87,8 +87,7 @@ def criterion_1_exact_q2_constant():
                      _grid_window(grid, heat, heat))[2.0]
     worst_ratio_err = max(abs(r - target) for r in ratios)
     worst_bound_excess = max(r**2 - bound * (1.0 + 1e-3) for r in ratios)
-    dt = time.perf_counter() - t0
-    passed = worst_ratio_err <= 1e-3 and worst_bound_excess <= 0.0 and dt < 30.0
+    passed = worst_ratio_err <= 1e-3 and worst_bound_excess <= 0.0
     return passed, {"worst_ratio_err": worst_ratio_err, "explicit_constant": bound,
                     "worst_bound_excess": worst_bound_excess}
 
@@ -191,8 +190,8 @@ def criterion_8_dyadic_envelope():
     """Dyadic block L1 envelope fits with positive rate; low-j slope is the
     outer symbol order within 5%: the DYADIC_ENVELOPE scenario."""
     passed, summary = _twin(8)
-    slope = summary["low_j_slope"]
-    slope_err = abs(slope - 2.0) / 2.0 if slope is not None else math.inf
+    slope, gamma = summary["low_j_slope"], get_symbol(TWINS[8].symbol1).gamma
+    slope_err = abs(slope - gamma) / gamma if slope is not None else math.inf
     return passed, {"rate": summary["rate"], "constant": summary["constant"],
                     "low_j_slope": slope or math.nan, "low_j_slope_rel_err": slope_err}
 

@@ -15,13 +15,12 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Field, GridSpec, forward_transform, mean_remove
+from .spectral import Field, GridSpec, mean_remove
 
-__all__ = ["CorpusEntry", "generate_corpus", "GAUSSIAN_MIX", "BANDLIMITED_RANDOM", "ANNULUS"]
+__all__ = ["CorpusEntry", "generate_corpus", "GAUSSIAN_MIX", "BANDLIMITED_RANDOM"]
 
 GAUSSIAN_MIX = "GAUSSIAN_MIX"
 BANDLIMITED_RANDOM = "BANDLIMITED_RANDOM"
-ANNULUS = "ANNULUS"
 
 _BOUNDARY_TOL = 1e-14
 
@@ -41,14 +40,6 @@ def _check_boundary(grid: GridSpec, raw: np.ndarray) -> None:
     if mask.any() and np.abs(raw[mask]).max() > _BOUNDARY_TOL * peak:
         raise ConfigError("corpus entry violates the boundary-decay envelope; "
                           "grid too small for the requested content")
-
-
-def _check_band(grid: GridSpec, band: Tuple[float, float]) -> None:
-    lo, hi = band
-    if not (0.0 < lo < hi):
-        raise ConfigError(f"band must satisfy 0 < lo < hi, got {band}")
-    if hi > grid.nyquist / 2.0:
-        raise ConfigError(f"band upper edge {hi} exceeds Nyquist/2 = {grid.nyquist / 2.0}")
 
 
 def _flat_top(grid: GridSpec) -> np.ndarray:
@@ -90,60 +81,24 @@ def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, f
     return vals, (lo, hi)
 
 
-def _annulus(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]:
-    # largest dyadic shell fitting under Nyquist/2
-    j0 = int(np.floor(np.log2(grid.nyquist / 2.0) - 0.1))
-    xi0 = 2.0**j0
-    half_width = xi0 * (2.0**0.1 - 2.0**-0.1) / 2.0
-    sigma_e = 0.105 * grid.half_extent  # largest envelope still decaying by 0.9 L
-    if sigma_e * half_width < 2.6:  # >= 99.97% of the energy inside the shell
-        raise ConfigError("half extent too small to concentrate energy in the "
-                          f"2^{j0} shell; increase L or n")
-    direction = rng.standard_normal(grid.dim)
-    direction /= np.linalg.norm(direction)
-    phase = rng.uniform(0.0, 2.0 * np.pi)
-    x = grid.x_stack()
-    envelope = np.exp(-(x**2).sum(axis=0) / (2.0 * sigma_e**2))
-    carrier = np.cos(xi0 * np.tensordot(direction, x, axes=(0, 0)) + phase)
-    return envelope * carrier, (xi0 * 2.0**-0.1, xi0 * 2.0**0.1)
-
-
 def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
                     mean_removed: bool = True) -> List[CorpusEntry]:
-    """Seed-deterministic corpus of ``count`` fields of the requested kind.
-
-    ANNULUS entries are Gaussian-enveloped plane waves on the largest dyadic
-    shell (2^(j0 - 0.1), 2^(j0 + 0.1)) under Nyquist/2.
-    """
+    """Seed-deterministic corpus of ``count`` fields; each band has 0 < lo < hi <= Nyquist/2."""
     if count < 1:
         raise ValueError("count must be at least 1")
     kind = kind.upper().replace("-", "_")
-    if kind not in (GAUSSIAN_MIX, BANDLIMITED_RANDOM, ANNULUS):
+    if kind not in (GAUSSIAN_MIX, BANDLIMITED_RANDOM):
         raise ConfigError(f"unknown corpus kind {kind!r}")
     rng = np.random.default_rng(seed)
     entries = []
     for i in range(count):
         if kind == GAUSSIAN_MIX:
             raw, b = _gaussian_mix(rng, grid)
-        elif kind == BANDLIMITED_RANDOM:
-            raw, b = _bandlimited_random(rng, grid)
         else:
-            raw, b = _annulus(rng, grid)
-        _check_band(grid, b)
+            raw, b = _bandlimited_random(rng, grid)
         _check_boundary(grid, raw)
         f = Field(grid, raw)
         if mean_removed:
             f = mean_remove(f)
         entries.append(CorpusEntry(id=i, field=f, band=b, mean_removed=mean_removed))
     return entries
-
-
-def annulus_energy_fraction(entry: CorpusEntry) -> float:
-    """Spectral energy fraction inside the entry's recorded band."""
-    F = forward_transform(entry.field)
-    xi = entry.field.grid.xi_norm()
-    e = np.abs(F.coeffs) ** 2
-    lo, hi = entry.band
-    inside = e[(xi >= lo) & (xi <= hi)].sum()
-    total = e.sum()
-    return float(inside / total) if total > 0 else 0.0

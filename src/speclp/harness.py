@@ -12,7 +12,7 @@ ignored).  Core keys, all optional unless a scenario needs them:
     s, a, l, t    window start, window length ("inf" allowed), outer symbol
                   time, kernel time
     seed          corpus seed
-    corpus_kind   GAUSSIAN_MIX | BANDLIMITED_RANDOM | ANNULUS
+    corpus_kind   GAUSSIAN_MIX | BANDLIMITED_RANDOM
     corpus_count  number of corpus fields
     output_dir    where reports are written
     workers       parallelism cap for embarrassingly parallel loops

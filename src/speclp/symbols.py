@@ -42,11 +42,8 @@ __all__ = [
     "audit_s2",
     "check_homogeneity",
     "get_symbol",
-    "heat_symbol",
-    "poisson_symbol",
     "power_symbol",
     "power_t_symbol",
-    "frac_lap_symbol",
     "BUILTIN_NAMES",
 ]
 
@@ -319,19 +316,6 @@ def power_symbol(gamma: float, name: Optional[str] = None) -> SymbolSpec:
     )
 
 
-def heat_symbol() -> SymbolSpec:
-    return power_symbol(2.0, name="heat")
-
-
-def poisson_symbol() -> SymbolSpec:
-    return power_symbol(1.0, name="poisson")
-
-
-def frac_lap_symbol(eta: float) -> SymbolSpec:
-    """-|xi|^eta, the multiplier magnitude of the order-eta fractional Laplacian."""
-    return power_symbol(eta, name=f"frac-lap:{eta:g}")
-
-
 def power_t_symbol(gamma: float) -> SymbolSpec:
     """psi(t, xi) = -(1 + t) |xi|^gamma, named power-t:gamma: k(t) = t.
 
@@ -368,12 +352,13 @@ def get_symbol(name: str) -> SymbolSpec:
     """Resolve a registry name: heat, poisson, power:g, power-t:g, frac-lap:e."""
     key = name.strip()
     if key == "heat":
-        return heat_symbol()
+        return power_symbol(2.0, name="heat")
     if key == "poisson":
-        return poisson_symbol()
+        return power_symbol(1.0, name="poisson")
     for prefix, factory in (("power-t:", power_t_symbol),
                             ("power:", power_symbol),
-                            ("frac-lap:", frac_lap_symbol)):
+                            # -|xi|^E, the order-E fractional Laplacian's multiplier magnitude
+                            ("frac-lap:", lambda e: power_symbol(e, name=f"frac-lap:{e:g}"))):
         if key.startswith(prefix):
             try:
                 value = float(key[len(prefix):])

@@ -1,7 +1,11 @@
 """Full verification gate: one test per criterion, each printing a
 PASS/FAIL line with its headline measurements (visible with pytest -s)."""
 
+import dataclasses
+import itertools
+
 from speclp import acceptance
+from speclp.harness import _MEASURES
 
 
 def _run(fn):
@@ -18,6 +22,13 @@ def test_criteria_registered_in_order():
     names = [fn.__name__ for fn in acceptance.CRITERIA]
     assert [int(n.split("_")[1]) for n in names] == list(range(1, 12))
     assert all(getattr(acceptance, n) is fn for n, fn in zip(names, acceptance.CRITERIA))
+
+
+def test_wall_time_gate_fails_a_slow_criterion(monkeypatch):
+    clock = itertools.count(0.0, 31.0)  # each reading 31 s after the last
+    monkeypatch.setattr(acceptance.time, "perf_counter", lambda: next(clock))
+    res = acceptance.criterion_3_composition()
+    assert res.runtime_s >= 31.0 and not res.passed
 
 
 def test_criterion_01_exact_q2_constant():
@@ -66,6 +77,17 @@ def test_criterion_08_dyadic_envelope():
     res = _run(acceptance.criterion_8_dyadic_envelope)
     assert res.details["rate"] > 0.0
     assert res.details["low_j_slope_rel_err"] <= 0.05
+
+
+def test_criterion_08_reads_its_twins_order(monkeypatch):
+    # the low-j slope error is taken against psi1's own order, not heat's 2
+    cfg = dataclasses.replace(acceptance.TWINS[8], symbol1="power:1.5")
+    monkeypatch.setitem(acceptance.TWINS, 8, cfg)
+    res = acceptance.criterion_8_dyadic_envelope()
+    summary, _, passed = _MEASURES[cfg.scenario](cfg)
+    assert res.details["low_j_slope"] == summary["low_j_slope"]
+    assert res.details["low_j_slope_rel_err"] == abs(summary["low_j_slope"] - 1.5) / 1.5
+    assert res.passed == passed
 
 
 def test_criterion_09_scaling_identity():

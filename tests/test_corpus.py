@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from speclp import ConfigError, GridSpec, forward_transform, generate_corpus, lp_norm
-from speclp.corpus import annulus_energy_fraction
 
 
 @pytest.fixture
@@ -31,14 +30,14 @@ def test_single_entry_nontrivial(grid):
 
 
 def test_mean_removed_zero_mode(grid):
-    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM", "ANNULUS"):
+    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM"):
         e = generate_corpus(4, grid, kind, 1, mean_removed=True)[0]
         F = forward_transform(e.field)
         assert abs(F.coeffs[0]) <= 1e-12 * np.abs(F.coeffs).max()
 
 
 def test_boundary_decay_of_raw_bumps(grid):
-    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM", "ANNULUS"):
+    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM"):
         e = generate_corpus(5, grid, kind, 2, mean_removed=False)[0]
         v = np.abs(e.field.values)
         mask = np.abs(grid.x_axis()) > 0.9 * grid.half_extent
@@ -46,30 +45,10 @@ def test_boundary_decay_of_raw_bumps(grid):
 
 
 def test_band_within_half_nyquist(grid):
-    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM", "ANNULUS"):
+    for kind in ("GAUSSIAN_MIX", "BANDLIMITED_RANDOM"):
         for e in generate_corpus(6, grid, kind, 2):
             lo, hi = e.band
             assert 0.0 < lo < hi <= grid.nyquist / 2.0
-
-
-def test_annulus_energy_concentration():
-    # Nyquist/2 = 8 pi: the largest dyadic shell under it is 2^4
-    g = GridSpec(1, 2048, 64.0)
-    e = generate_corpus(9, g, "ANNULUS", 1)[0]
-    assert e.band == (16.0 * 2.0**-0.1, 16.0 * 2.0**0.1)
-    assert annulus_energy_fraction(e) >= 1.0 - 1e-15
-
-
-def test_annulus_default_shell(grid):
-    e = generate_corpus(9, grid, "ANNULUS", 1)[0]
-    assert annulus_energy_fraction(e) >= 0.999
-
-
-def test_annulus_band_overflow_rejected():
-    # Nyquist/2 = 8 pi puts the shell at 2^3, too narrow for the envelope a
-    # half extent of 32 allows to concentrate its energy
-    with pytest.raises(ConfigError, match="increase L or n"):
-        generate_corpus(9, GridSpec(1, 512, 32.0), "ANNULUS", 1)
 
 
 def test_argument_errors(grid):

@@ -153,6 +153,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("l", "-1", "l must be nonnegative, got -1.0"),
     ("seed", "-1", "seed must be nonnegative, got -1"),
     ("corpus_count", "0", "corpus_count must be at least 1, got 0"),
+    ("corpus_kind", "ANNULUS", "unknown corpus kind 'ANNULUS'"),
 ])
 def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})
