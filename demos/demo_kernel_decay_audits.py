@@ -27,8 +27,8 @@ print(f"space decay, poisson pair: fitted exponent {rep.fitted_exponent:+.3f} "
 print()
 print("smoothness integral H(y) over 8 octaves of |y| (heat pair, q=2):")
 gH = GridSpec(1, 32768, 32.0)
-w = build_time_window(0.0, INF, 2.0, 2.0, 2.0, n_nodes=8, kappa2=1.0,
-                      xi_min=gH.min_freq, xi_max=gH.nyquist)
+w = build_time_window(0.0, INF, 2.0, 2.0, 2.0, kappa2=1.0, xi_min=gH.min_freq,
+                      xi_max=gH.nyquist)
 ys = [np.array([2.0**k]) for k in range(-6, 3)]
 hrep = hormander_report(heat, 0.0, heat, 0.0, w, 2.0, ys, gH)
 for y, H in zip(hrep.y_values, hrep.integrals):

@@ -81,14 +81,20 @@ def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, f
     return vals, (lo, hi)
 
 
+def _kind(kind: str) -> str:
+    """The kind ``kind`` names, in any case and with '-' for '_'; else ConfigError."""
+    kind = kind.upper().replace("-", "_")
+    if kind not in (GAUSSIAN_MIX, BANDLIMITED_RANDOM):
+        raise ConfigError(f"unknown corpus kind {kind!r}")
+    return kind
+
+
 def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
                     mean_removed: bool = True) -> List[CorpusEntry]:
     """Seed-deterministic corpus of ``count`` fields; each band has 0 < lo < hi <= Nyquist/2."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    kind = kind.upper().replace("-", "_")
-    if kind not in (GAUSSIAN_MIX, BANDLIMITED_RANDOM):
-        raise ConfigError(f"unknown corpus kind {kind!r}")
+    kind = _kind(kind)
     rng = np.random.default_rng(seed)
     entries = []
     for i in range(count):

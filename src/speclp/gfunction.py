@@ -5,7 +5,7 @@ For a pair of symbols (psi1, psi2) and exponents q >= 1 the square function is
     G(f)(x) = ( int_s^(s+a) (t-s)^(q g1/g2 - 1) |psi1(l,.) T_psi2(t,s) f(x)|^q dt )^(1/q),
 
 where g1, g2 are the symbol orders.  With omega = q g1/g2 the window is one
-bottom panel and Gauss-Legendre panels above it, ``n_nodes`` nodes on each:
+bottom panel and Gauss-Legendre panels above it, all of the order omega sets:
 
 * Bottom panel [s, s + t_b]: Gauss-Jacobi in t - s with the weight
   (t-s)^(omega - 1) built into its weights.  There the integrand is that
@@ -25,9 +25,12 @@ bottom panel and Gauss-Legendre panels above it, ``n_nodes`` nodes on each:
   that do, at least one), so the bottom panel sees every mode over at most
   about one of its decay times.
 
-At 16 nodes per panel the per-mode time sum matches its closed form to about
-2e-14 for every omega from 0.25 to 8, finite or infinite window; at 8 nodes
-to about 5e-10.
+The panel order (``_ORDERS``) is the lowest whose per-mode time sums match
+their closed forms to 1e-14 for omega up to 6 (1.2e-14 at omega = 8), at
+every lattice decay rate for n = 256..32768, L = 32 and a = 0.001..inf:
+
+    omega   <= 1   <= 2   <= 4   <= 6   > 6
+    order     11     12     13     14    15
 
 For a = inf the integral is truncated at the time where the slowest nonzero
 lattice mode has decayed below 1e-16, which requires a spectral gap: the
@@ -128,6 +131,8 @@ _CHUNK_BYTES = 1 << 20
 _EXP_FLOOR = -746.0
 # Gauss-Legendre order of a time-dependent psi2's integral between window nodes
 _NODE_ORDER = 16
+# (largest omega, panel order) of the window's panels (module docstring)
+_ORDERS = ((1.0, 11), (2.0, 12), (4.0, 13), (6.0, 14), (math.inf, 15))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +156,7 @@ class TimeWindow:
     truncation_t: float  # effective duration of integration
     bottom_t: float  # end of the Gauss-Jacobi bottom panel, as t - s
     n_panels: int  # Gauss-Legendre panels above the bottom panel
+    order: int  # nodes per panel
 
     @property
     def is_infinite(self) -> bool:
@@ -158,14 +164,18 @@ class TimeWindow:
 
 
 def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float,
-                      n_nodes: int = 16, *, kappa2: float = 1.0,
+                      n_nodes: Optional[int] = None, *, kappa2: float = 1.0,
                       xi_min: Optional[float] = None, xi_max: float) -> TimeWindow:
     """Build the singular-weight quadrature window.
 
-    ``n_nodes`` is the order of every panel (module docstring): the window has
-    n_nodes * (n_panels + 1) nodes, n_panels Gauss-Legendre panels in log t of
-    2 octaves each over the Gauss-Jacobi bottom panel.  It must be a positive
-    integer.
+    The window has order * (n_panels + 1) nodes: n_panels Gauss-Legendre
+    panels in log t of 2 octaves each over the Gauss-Jacobi bottom panel,
+    each panel of the order omega = q gamma1/gamma2 sets (module docstring):
+
+        omega   <= 1   <= 2   <= 4   <= 6   > 6
+        order     11     12     13     14    15
+
+    ``n_nodes``, a positive integer, overrides the order.
 
     Parameters beyond the window geometry:
 
@@ -190,10 +200,11 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError(f"s must be finite and nonnegative, got {s}")
     if not 0 < xi_max < math.inf:
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
-    if isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
-        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-
     omega = q * gamma1 / gamma2
+    if n_nodes is None:
+        n_nodes = next(order for top, order in _ORDERS if omega <= top)
+    elif isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     if math.isinf(a):
         if xi_min is None or not xi_min > 0:
             raise WindowError(
@@ -219,7 +230,7 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         kappa2=float(kappa2), weight_exponent=omega - 1.0,
         nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), t.ravel()]),
         weights=np.concatenate([(0.5 * t_b) ** omega * wj, w.ravel()]),
-        truncation_t=T, bottom_t=t_b, n_panels=n_panels,
+        truncation_t=T, bottom_t=t_b, n_panels=n_panels, order=int(n_nodes),
     )
 
 
@@ -467,10 +478,10 @@ def _ratios(fields: Sequence[Field], ps: Sequence[float], q: float, psi1: Symbol
 
 
 def _grid_window(grid, psi1: SymbolSpec, psi2: SymbolSpec, s: float = 0.0, a: float = INF,
-                 q: float = 2.0, n_nodes: int = 16) -> TimeWindow:
+                 q: float = 2.0) -> TimeWindow:
     """The window for a pair on a grid: truncation at the grid's spectral gap
     and panel depth down to its largest frequency magnitude."""
-    return build_time_window(s, a, q, psi1.gamma, psi2.gamma, n_nodes, kappa2=psi2.kappa,
+    return build_time_window(s, a, q, psi1.gamma, psi2.gamma, kappa2=psi2.kappa,
                              xi_min=grid.min_freq, xi_max=math.sqrt(grid.dim) * grid.nyquist)
 
 

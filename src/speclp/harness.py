@@ -26,8 +26,9 @@ Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
 writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
 summary tagged with schema_version, scenario and passed, no times), the CSV
 tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config;
-for GFUN_RATIO and HORMANDER also the window geometry: node count,
-Gauss-Legendre panel count, bottom-panel end time t_b and truncation time T;
+for GFUN_RATIO and HORMANDER also the window geometry: node count, panel
+order (set by omega, see :mod:`speclp.gfunction`), Gauss-Legendre panel
+count, bottom-panel end time t_b and truncation time T;
 for FRACLAP_XCHECK the principal-value quadrature: near-range panels summed
 by moments and node by node, nodes per panel, series terms, and the image
 sums' direct terms and Euler-Maclaurin order).
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import generate_corpus
+from .corpus import _kind, generate_corpus
 from .errors import ConfigError, WindowError
 from .gfunction import (INF, TimeWindow, _check_window, _exact_ratio, _grid_window,
                         ratio_report)
@@ -61,8 +62,6 @@ from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "SCENARIOS", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = "1"
-# Gauss-Legendre order per panel of the scenarios that integrate over a window
-_WINDOW_NODES = {"GFUN_RATIO": 16, "HORMANDER": 8}
 
 
 @dataclass
@@ -91,7 +90,7 @@ class ScenarioConfig:
     def window(self) -> TimeWindow:
         """The scenario's time window for its symbol pair on its grid."""
         return _grid_window(self.grid(), get_symbol(self.symbol1), get_symbol(self.symbol2),
-                            self.s, self.a, self.q, _WINDOW_NODES.get(self.scenario, 16))
+                            self.s, self.a, self.q)
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -105,6 +104,7 @@ class ScenarioConfig:
                               ("corpus_count", self.corpus_count >= 1, "be at least 1")):
             if not ok:
                 raise ConfigError(f"{key} must {rule}, got {getattr(self, key)!r}")
+        _kind(self.corpus_kind)
         try:
             psi1, psi2 = get_symbol(self.symbol1), get_symbol(self.symbol2)
             # the window checks q, a and s; _check_window its fit to the pair
@@ -154,9 +154,9 @@ def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
               for k, v in dataclasses.asdict(cfg).items()}
     meta = {"config": public, "measure_s": measure_s,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
-    if cfg.scenario in _WINDOW_NODES:
+    if cfg.scenario in ("GFUN_RATIO", "HORMANDER"):
         w = cfg.window()
-        meta["window"] = {"nodes": int(w.nodes.size), "panels": w.n_panels,
+        meta["window"] = {"nodes": int(w.nodes.size), "order": w.order, "panels": w.n_panels,
                           "bottom_t": w.bottom_t, "truncation_t": w.truncation_t}
     if cfg.scenario == "FRACLAP_XCHECK":
         meta["principal_value"] = _pv_geometry(cfg.grid())

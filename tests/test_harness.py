@@ -163,6 +163,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_unknown_corpus_kind_exits_2_without_a_corpus(tmp_path, capsys):
+    # AUDIT_SYMBOL draws no corpus; the config check still rejects the kind
+    p = write_cfg(tmp_path / "c.cfg", corpus_kind="NOISE")
+    assert main(["audit-symbol", "--config", p, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: unknown corpus kind 'NOISE'\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_hormander_coarse_grid_exits_2(tmp_path, capsys):
     # 8 * spacing <= 2^k <= L/8 spans under 6 octaves (no k at all on n = 64, L = 4)
     for n, L, ks in ((1024, 32, "k = -1..2"), (64, 4, "k = 0..-1")):
@@ -188,9 +196,9 @@ def test_hormander_scenario(tmp_path):
     assert [float(row.split(",")[0]) for row in lines[1:]] == [2.0**k for k in range(-4, 3)]
 
 
-@pytest.mark.parametrize("scenario, n, L, n_nodes", [("GFUN_RATIO", 512, 16.0, 16),
-                                                     ("HORMANDER", 8192, 32.0, 8)])
-def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L, n_nodes):
+@pytest.mark.parametrize("scenario, n, L", [("GFUN_RATIO", 512, 16.0),
+                                            ("HORMANDER", 8192, 32.0)])
+def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L):
     cfg = ScenarioConfig(scenario=scenario, n=n, L=L, corpus_count=1,
                          output_dir=str(tmp_path / "out"))
     assert run_scenario(cfg) == 0
@@ -201,7 +209,8 @@ def test_window_geometry_goes_to_run_meta(tmp_path, scenario, n, L, n_nodes):
     T = math.log(1e16) / grid.min_freq**2
     octaves = math.log2(T * 4.0 * grid.nyquist**2)
     assert window["panels"] == math.ceil(octaves / 2.0)
-    assert window["nodes"] == n_nodes * (window["panels"] + 1)
+    assert window["order"] == cfg.window().order
+    assert window["nodes"] == window["order"] * (window["panels"] + 1)
     assert window["truncation_t"] == pytest.approx(T, rel=1e-12)
     assert window["bottom_t"] == pytest.approx(T * 2.0 ** (-2.0 * window["panels"]), rel=1e-12)
     summary = (tmp_path / "out" / "summary.json").read_text()

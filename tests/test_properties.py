@@ -5,14 +5,17 @@ Examples are derandomized and few, and no example database is kept, so the
 suite runs the same examples on every run.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speclp import (Field, GridSpec, SpectralField, block, build_decomposition, bump_profile,
-                    chi_profile, explicit_q2_constant, forward_transform,
-                    fractional_laplacian_pv, get_symbol, inverse_transform, low_part, lp_norm,
-                    refine_field, sobolev_norm, spectral_shift, verify_composition)
+from speclp import (Field, GridSpec, SpectralField, block, build_decomposition,
+                    build_time_window, bump_profile, chi_profile, explicit_q2_constant,
+                    forward_transform, fractional_laplacian_pv, get_symbol, inverse_transform,
+                    low_part, lp_norm, refine_field, sobolev_norm, spectral_shift,
+                    verify_composition)
 from speclp import kernel_audit
 from speclp.acceptance import _scaling_identity_error
 from speclp.gfunction import _grid_window, _node_fields
@@ -91,7 +94,8 @@ def test_real_input_takes_the_real_path(d, n, L, seed, name1, name2):
     # gives float64 node fields, and the same field made complex complex128
     grid = GridSpec(d, n, L)
     psi1, psi2 = get_symbol(name1), get_symbol(name2)
-    w = _grid_window(grid, psi1, psi2, a=1.0, n_nodes=2)
+    w = build_time_window(0.0, 1.0, 2.0, psi1.gamma, psi2.gamma, 2,
+                          xi_max=math.sqrt(d) * grid.nyquist)
     rng = np.random.default_rng(seed)
     f = Field(grid, rng.standard_normal(grid.shape))
     g = Field(grid, f.values + 1j * rng.standard_normal(grid.shape))

@@ -151,7 +151,7 @@ def test_power_t_eval_is_its_parts():
 
 
 def test_g_function_evaluates_the_spatial_part_at_most_twice():
-    # criterion 10's a = 1 window (128 nodes): one evaluation on the whole
+    # criterion 10's a = 1 window (96 nodes): one evaluation on the whole
     # lattice for the Hermitian test, then for real input one on the half
     # lattice for every node; complex input reuses the whole-lattice one
     grid = GridSpec(1, 1024, 32.0)
@@ -165,7 +165,7 @@ def test_g_function_evaluates_the_spatial_part_at_most_twice():
     counted = dataclasses.replace(psi, spatial=spatial)
     w = _grid_window(grid, heat, psi, a=1.0, q=2.0)
     f = generate_corpus(110, grid, "GAUSSIAN_MIX", 1, mean_removed=True)[0].field
-    assert w.nodes.size == 128
+    assert w.nodes.size == 96
     for field, shapes in ((f, [(1, 1024), (1, 513)]),
                           (Field(grid, f.values * (1.0 + 0.5j)), [(1, 1024)])):
         calls.clear()
