@@ -51,8 +51,11 @@ _PV_PANELS, _PV_NODES = 48, 8
 # below 2^-53
 _MOMENT_ARG = 3e-3
 _MOMENT_TERMS = 3
-# direct terms of each image sum before its Euler-Maclaurin tail
-_TAIL_TERMS = 16
+# direct terms of each image sum before its Euler-Maclaurin tail, and the
+# tail's coefficients B_2k / (2k)!, k = 1..6 (DLMF 24.2.1)
+_TAIL_TERMS = 8
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000)
 
 
 @dataclass(frozen=True)
@@ -320,39 +323,43 @@ def pv_normalization(d: int, eta: float) -> float:
             / (np.pi ** (d / 2.0) * abs(float(gamma_fn(-eta / 2.0)))))
 
 
-def _tail_diff_sums(x, s):
-    """sum_{j>=0} (x[i]+j)^(-s) - (x[i+1]+j)^(-s) for consecutive points of x,
-    by :data:`_TAIL_TERMS` direct terms and Euler-Maclaurin through B6
+def _power_diff(u, lg, p):
+    """u^(-p) - (u + delta)^(-p) from lg = log1p(delta / u), as
+    u^(-p) (-expm1(-p lg)): no two powers that nearly cancel are subtracted,
+    so the difference keeps the relative accuracy of its inputs however small
+    delta / u is."""
+    return u**-p * -np.expm1(-p * lg)
+
+
+def _tail_diff_sums(x, delta, s):
+    """sum_{j>=0} (x+j)^(-s) - (x+delta+j)^(-s), elementwise, by
+    :data:`_TAIL_TERMS` direct terms and Euler-Maclaurin through B12
     (DLMF 2.10.1) for the rest.
 
-    Every term is evaluated once per point and shared by the two differences
-    next to it; each difference still subtracts term by term, then sums, and
-    the integral and the endpoint corrections are differenced apart.  The
-    individual sums diverge for s <= 1; the difference converges like
-    j^(-1-s) and is what the periodized kernel masses need.  The sums are
-    Hurwitz zeta differences zeta(s, x[i]) - zeta(s, x[i+1]) (DLMF 25.11.1;
-    digamma at s = 1).  For x >= 1/2 and s < 2 the Euler-Maclaurin remainder
-    is below 1e-12 of the difference; what is left is the rounding of O(1)
-    terms that nearly cancel, a few 1e-11 of the difference on criterion 11's
-    grid.
+    The sums are Hurwitz zeta differences zeta(s, x) - zeta(s, x + delta)
+    (DLMF 25.11.1; digamma at s = 1).  The individual sums diverge for
+    s <= 1; the difference converges like j^(-1-s) and is what the
+    periodized kernel masses need.  Every term is a difference formed from
+    delta by :func:`_power_diff`: the direct terms, the integral of the
+    remainder and each Euler-Maclaurin correction.  On criterion 11's grids
+    the result is within 5e-15 of the exact difference, relative.
     """
-    terms = _TAIL_TERMS
-    p = (x + np.arange(terms, dtype=float)[:, None]) ** -s
-    direct = (p[:, :-1] - p[:, 1:]).sum(axis=0)
-    a = x + terms
-    if abs(s - 1.0) < 1e-12:
-        integral = np.log(a[1:] / a[:-1])
-    else:
-        A = a ** (1.0 - s)
-        integral = (A[:-1] - A[1:]) / (s - 1.0)
-    # f(a)/2 - sum_k B_2k/(2k)! f^(2k-1)(a) for f(y) = y^(-s) and k = 1, 2, 3,
-    # in powers of 1/a^2
-    c1 = s / 12.0
-    c3 = -s * (s + 1.0) * (s + 2.0) / 720.0
-    c5 = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0
-    inv2 = 1.0 / (a * a)
-    ends = a**-s * (0.5 + (c1 + (c3 + c5 * inv2) * inv2) / a)
-    return direct + integral + (ends[:-1] - ends[1:])
+    direct = 0.0
+    for j in range(_TAIL_TERMS):
+        u = x + j
+        direct = direct + _power_diff(u, np.log1p(delta / u), s)
+    a = x + _TAIL_TERMS
+    lg = np.log1p(delta / a)
+    # int_a^(a + delta) y^(-s) dy
+    integral = lg if abs(s - 1.0) < 1e-12 else _power_diff(a, lg, s - 1.0) / (s - 1.0)
+    # f(a)/2 - sum_k B_2k/(2k)! f^(2k-1)(a) for f(y) = y^(-s), whose
+    # derivative f^(2k-1) is -s (s+1) ... (s+2k-2) y^(-s-2k+1)
+    ends = 0.5 * _power_diff(a, lg, s)
+    rising = s
+    for k, b in enumerate(_BERNOULLI):
+        ends += b * rising * _power_diff(a, lg, s + 2 * k + 1)
+        rising *= (s + 2 * k + 1) * (s + 2 * k + 2)
+    return direct + integral + ends
 
 
 def _folded_cell_masses(edges, period: float, eta: float):
@@ -361,15 +368,16 @@ def _folded_cell_masses(edges, period: float, eta: float):
 
     Direct piece plus the images y + 2Lj (j >= 1) and 2Lj - y (j >= 1), so
     the lattice convolution reproduces the whole-line integral against the
-    periodic extension of the field.  Every term is evaluated once per edge.
+    periodic extension of the field.  Each piece is a difference between a
+    cell's two edges, formed from the cell's width without cancellation
+    (:func:`_power_diff`), so no rounding of an edge's image point
+    1 +- edge / period enters it.
     """
-    e = edges ** -eta
-    base = (e[:-1] - e[1:]) / eta
-    a = edges / period
-    plus = _tail_diff_sums(1.0 + a, eta)
-    # reversed, so that each cell's images 2Lj - y subtract its lower edge's
-    # terms from its upper edge's
-    minus = _tail_diff_sums((1.0 - a)[::-1], eta)[::-1]
+    lo, hi, width = edges[:-1], edges[1:], np.diff(edges)
+    base = _power_diff(lo, np.log1p(width / lo), eta) / eta
+    delta = width / period
+    plus = _tail_diff_sums(1.0 + lo / period, delta, eta)
+    minus = _tail_diff_sums(1.0 - hi / period, delta, eta)
     return base + period**-eta * (plus + minus) / eta
 
 
@@ -395,43 +403,81 @@ def _pv_geometry(grid: GridSpec) -> dict:
     moment = _near_nodes(grid)[2] // _PV_NODES
     return {"moment_panels": moment, "direct_panels": _PV_PANELS - moment,
             "nodes_per_panel": _PV_NODES, "series_terms": _MOMENT_TERMS,
-            "tail_direct_terms": _TAIL_TERMS, "tail_euler_maclaurin": "B6"}
+            "tail_direct_terms": _TAIL_TERMS,
+            "tail_euler_maclaurin": f"B{2 * len(_BERNOULLI)}"}
+
+
+def _moment_sums(y, c, xi):
+    """sum_k c_k sin^2(y_k xi / 2) for nodes whose arguments y_k xi / 2 stay
+    at most :data:`_MOMENT_ARG`: the moments M_2j = sum_k c_k y_k^(2j) weight
+    the first :data:`_MOMENT_TERMS` terms of the series
+    sin^2(u) = sum_j (-1)^(j+1) (2u)^(2j) / (2 (2j)!), Horner in xi^2."""
+    y2, xi2 = y * y, xi * xi
+    out = np.zeros(xi.size)
+    for j in range(_MOMENT_TERMS, 0, -1):
+        coef = (-1) ** (j + 1) * float(c @ y2**j) / (2.0 * math.factorial(2 * j))
+        out = (out + coef) * xi2
+    return out
+
+
+def _sin2_sums(theta, c, size: int):
+    """sum_k c_k sin^2(theta_k m) for m = 0..size - 1, by angle addition.
+
+    With m = B a + b and B = ceil(sqrt(size)), sin(theta m) is
+    SA[a] CB[b] + CA[a] SB[b] for the sines and cosines SA, CA of
+    theta B a and SB, CB of theta b, so each node calls sin and cos on
+    2 (A + B) arguments instead of sin on ``size``.  The sum is one
+    contraction over k of the rows [c SA^2, 2 c SA CA, c CA^2] against
+    [CB^2, SB CB, SB^2]; below theta m = pi/2 every term is non-negative, so
+    small arguments lose nothing to cancellation, as the cos(2 theta m) form
+    would.  The contraction is numpy's own einsum, whose reduction runs in a
+    fixed order: a BLAS product would make the bits depend on its thread
+    count.
+    """
+    B = math.isqrt(size - 1) + 1
+    A = -(-size // B)
+    ua = theta[:, None] * (B * np.arange(A))
+    ub = theta[:, None] * np.arange(B)
+    sa, ca, sb, cb = np.sin(ua), np.cos(ua), np.sin(ub), np.cos(ub)
+    c = c[:, None]
+    left = np.concatenate([c * sa * sa, 2.0 * c * sa * ca, c * ca * ca])
+    right = np.concatenate([cb * cb, sb * cb, sb * sb])
+    return np.einsum("ka,kb->ab", left, right, optimize=False).reshape(-1)[:size]
 
 
 def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     """Principal-value form of -(-Laplacian)^(eta/2) f in one dimension.
 
     Evaluates C(eta) * int_0^inf (f(x+y) + f(x-y) - 2 f(x)) y^(-1-eta) dy as
-    one Fourier multiplier built from two pieces:
+    one Fourier multiplier built from two pieces, both real and even in xi,
+    so both are computed on the half lattice xi_m = m pi / L, m = 0..n/2:
 
     * the near range (0, 1], by Gauss-Legendre with 8 nodes on each of 48
       dyadic panels, where the symmetric difference tames the singularity.
       The exact trigonometric interpolation of the shifted samples makes node y
       contribute -4 sin^2(y xi / 2), so the nodes add into one real
-      multiplier -4 sum_k c_k sin^2(y_k xi / 2).  The terms are even in xi
-      and are computed on the half lattice.  The deep panels, those whose
+      multiplier -4 sum_k c_k sin^2(y_k xi / 2).  The deep panels, those whose
       largest argument y xi / 2 stays at most :data:`_MOMENT_ARG`, are
-      summed in closed form: the moments M_2j = sum_k c_k y_k^(2j) of their
-      nodes weight the first :data:`_MOMENT_TERMS` terms of the series
-      sin^2(u) = sum_j (-1)^(j+1) (2u)^(2j) / (2 (2j)!), whose first omitted
-      term is below 2^-53 of the first there.  The other panels add node by
-      node, in node order.  Each panel is the one below it doubled, exactly,
-      so a node's sines at half-lattice index m <= n/4 are the sines of its
-      twin one panel down at index 2m, bit for bit: the first of these
-      panels calls ``np.sin`` on the whole half lattice, each one above it
-      only on the indices above n/4;
+      summed in closed form from their moments (:func:`_moment_sums`), whose
+      first omitted series term is below 2^-53 of the first there.  The
+      other panels' sines come from small tables by angle addition on the
+      lattice's index m = B a + b, and their sum is one fixed-order
+      contraction (:func:`_sin2_sums`);
     * the far range [1, L], by product integration over lattice shifts
       with cell masses of the periodized kernel, which account for the
       whole-line tail against the periodic extension of the input: each
       image sum is a Hurwitz zeta difference, summed directly over its first
-      terms and by Euler-Maclaurin through B6 beyond them
-      (:func:`_tail_diff_sums`).  That circular convolution minus the
+      terms and by Euler-Maclaurin through B12 beyond them
+      (:func:`_tail_diff_sums`), and every difference between a cell's edges
+      is formed without cancellation.  That circular convolution minus the
       masses' total times f is the multiplier fft(cell masses) - sum(cell
-      masses).  The masses depend on the shift's length m h only, and are
-      computed once for each m; each cell edge's terms are computed once,
-      for the two cells that share it.
+      masses).  The masses are real and even in x, so that transform is
+      real: the half lattice's is the real part of one ``rfft``.  The masses
+      depend on the shift's length m h only, and are computed once for each
+      m.
 
-    The image-kernel contribution on the near range is omitted; it is bounded
+    The whole lattice, for complex f, mirrors the half lattice.  The
+    image-kernel contribution on the near range is omitted; it is bounded
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
     tolerances for sane grids.  The split at y = 1 needs spacing <= 1 <= L/4.
     A real f gives the real part of the result.
@@ -446,29 +492,11 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
         raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
                          f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
 
-    # near range: the deep panels by their moments M_2j, Horner in xi^2
     ys, ws, deep = _near_nodes(grid)
     cs = ws * ys ** (-1.0 - eta)
     xi = grid.freq_axis()[_lattice(grid, True)]
-    y2 = ys[:deep] ** 2
-    xi2 = xi * xi
-    near = np.zeros(xi.size)
-    for j in range(_MOMENT_TERMS, 0, -1):
-        coef = (-1) ** (j + 1) * float(cs[:deep] @ y2**j) / (2.0 * math.factorial(2 * j))
-        near = (near + coef) * xi2
-    # the rest node by node, in node order
-    twin = (xi.size + 1) // 2  # the half-lattice indices m with 2m on the half lattice
-    sq = None
-    for p in range(deep, ys.size, _PV_NODES):
-        panel = slice(p, p + _PV_NODES)
-        if sq is None:  # the first direct panel: every squared sine
-            sq = np.sin(0.5 * ys[panel, None] * xi) ** 2
-        else:  # this panel is the one below doubled
-            below, sq = sq, np.empty_like(sq)
-            sq[:, :twin] = below[:, ::2]
-            sq[:, twin:] = np.sin(0.5 * ys[panel, None] * xi[twin:]) ** 2
-        for c, row in zip(cs[panel], sq):
-            near += c * row
+    near = _moment_sums(ys[:deep], cs[:deep], xi)
+    near += _sin2_sums(0.5 * grid.min_freq * ys[deep:], cs[deep:], xi.size)
 
     # far range [(m0 - 1/2) h, L]: periodized kernel masses on lattice shifts
     # m h, m = m0..n/2, over the cells [(m - 1/2) h, (m + 1/2) h] cut at L
@@ -478,14 +506,9 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     masses = np.zeros(half_n + 1)
     masses[m0:] = _folded_cell_masses(edges, 2.0 * grid.half_extent, eta)
     cell = masses[np.abs(np.arange(grid.n) - half_n)]
+    far = np.fft.rfft(np.fft.ifftshift(cell)).real - cell.sum()
+    half_mult = pv_normalization(1, eta) * (far - 4.0 * near)
 
-    def mult(half):
-        # both ranges are even in xi; the cell masses are real and even in x,
-        # so the far range's exact transform is real, its own Hermitian part
-        at = _lattice(grid, half)
-        far = (np.fft.fft(np.fft.ifftshift(cell)) - cell.sum())[at]
-        # the whole lattice in fft order mirrors the half lattice's 1..n/2 - 1
-        whole = near if half else np.concatenate([near, near[-2:0:-1]])
-        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * whole)
-
-    return _multiply(f, mult)
+    # the whole lattice in fft order mirrors the half lattice's 1..n/2 - 1
+    return _multiply(f, lambda half: half_mult if half
+                     else np.concatenate([half_mult, half_mult[-2:0:-1]]))

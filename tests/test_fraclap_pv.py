@@ -1,6 +1,6 @@
 """The one-multiplier principal-value route against the per-node loop it
-replaced, against its own steps spelled out, and its image sums against the
-Hurwitz zeta function.
+replaced, against its own steps spelled out, its near-range sums against
+long-double sines, and its image sums and cell masses against mpmath.
 
 The oracle below is the former ``fractional_laplacian_pv``: one full inverse
 FFT per near-range quadrature node, and the far range as a circular
@@ -8,6 +8,11 @@ convolution with the cell masses, whose image sums take 2048 direct terms.
 The multiplier route must reproduce it to round-off for real and complex
 input.
 """
+
+import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -17,7 +22,8 @@ from scipy.special import roots_legendre
 from speclp import Field, GridSpec, forward_transform, fractional_laplacian_pv, pv_normalization
 from speclp import kernel_audit
 from speclp.evolution import _dyadic_panels
-from speclp.kernel_audit import _pv_geometry, _tail_diff_sums
+from speclp.kernel_audit import (_folded_cell_masses, _moment_sums, _near_nodes, _pv_geometry,
+                                 _sin2_sums, _tail_diff_sums)
 from speclp.spectral import _lattice, _multiply
 
 
@@ -106,13 +112,38 @@ def test_pv_multiplier_matches_per_node_loop(n, eta, complex_input):
     assert float(np.abs(got - ref).max() / np.abs(ref).max()) <= 1e-13
 
 
+def image_sum(u, d, s):
+    """sum_{j>=0} (u+j)^(-s) - (u+d+j)^(-s), elementwise, each cell on its own:
+    8 direct terms, the integral and Euler-Maclaurin through B12, every term
+    written as z^(-p) (-expm1(-p log1p(d / z)))."""
+    def diff(z, p, lg):
+        return z**-p * -np.expm1(-p * lg)
+
+    direct = 0.0
+    for j in range(8):
+        z = u + j
+        direct = direct + diff(z, s, np.log1p(d / z))
+    a = u + 8
+    lg = np.log1p(d / a)
+    integral = lg if s == 1.0 else diff(a, s - 1.0, lg) / (s - 1.0)
+    ends = 0.5 * diff(a, s, lg)
+    bernoulli = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
+    rising = s  # s (s+1) ... (s+2k-2)
+    for k, b in enumerate(bernoulli, start=1):
+        ends += b * rising * diff(a, s + 2 * k - 1, lg)
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+    return direct + integral + ends
+
+
 def spelled_out_pv(f, eta):
-    """The one-multiplier route with each step spelled out: the bottom panels
-    whose top node has y xi_max / 2 <= 3e-3 by the moments of the first three
-    terms of the series of sin^2, every other near-range node calling np.sin
-    on the whole (half) lattice, and every sample's cell
-    [(m - 1/2) h, (m + 1/2) h], m = |k - n/2|, computing its own mass with 16
-    direct image terms."""
+    """The one-multiplier route with each step spelled out on m = 0..n/2,
+    mirrored to the whole lattice as |m|: the bottom panels whose top node has
+    y xi_max / 2 <= 3e-3 by the moments of the first three terms of the
+    series of sin^2; every other near-range node's sines by angle addition
+    from its own tables at m = B a + b, B = ceil(sqrt(n/2 + 1)), contracted
+    row by row in stacking order; every sample's cell
+    [(m - 1/2) h, (m + 1/2) h], m = |k - n/2|, computing its own mass; and
+    the far range as the real part of an rfft."""
     grid = f.grid
     h = grid.spacing
     m0 = round(1.0 / h)
@@ -125,31 +156,45 @@ def spelled_out_pv(f, eta):
         deep += 8
     m = np.abs(np.arange(grid.n) - grid.n // 2).astype(float)
     active = m >= m0
-    lo_edge = np.where(active, (m - 0.5) * h, 1.0)
-    hi_edge = np.where(active, np.minimum((m + 0.5) * h, grid.half_extent), 2.0)
-    cell = np.where(active, cell_masses(lo_edge, hi_edge, 2.0 * grid.half_extent, eta, 16), 0.0)
+    lo = np.where(active, (m - 0.5) * h, 1.0)
+    hi = np.where(active, np.minimum((m + 0.5) * h, grid.half_extent), 2.0)
+    period = 2.0 * grid.half_extent
+    base = lo**-eta * -np.expm1(-eta * np.log1p((hi - lo) / lo)) / eta
+    d = (hi - lo) / period
+    images = image_sum(1.0 + lo / period, d, eta) + image_sum(1.0 - hi / period, d, eta)
+    cell = np.where(active, base + period**-eta * images / eta, 0.0)
 
-    def mult(half):
-        at = _lattice(grid, half)
-        xi = grid.freq_axis()[at]
-        # sum_j (-1)^(j+1) M_2j xi^(2j) / (2 (2j)!) by Horner in xi^2, j = 3, 2, 1
-        moments = [float(cs[:deep] @ (ys[:deep] ** 2) ** j) for j in (1, 2, 3)]
-        near = np.zeros(xi.size)
-        for j, sign, fact in ((3, 1, 720), (2, -1, 24), (1, 1, 2)):
-            near = (near + sign * moments[j - 1] / (2.0 * fact)) * (xi * xi)
-        for y, c in zip(ys[deep:], cs[deep:]):
-            near += c * np.sin(0.5 * y * xi) ** 2
-        far = (np.fft.fft(np.fft.ifftshift(cell)) - cell.sum())[at]
-        return pv_normalization(1, eta) * ((far.real if half else far) - 4.0 * near)
-
-    return _multiply(f, mult)
+    size = grid.n // 2 + 1
+    xi = grid.freq_axis()[:size]
+    # sum_j (-1)^(j+1) M_2j xi^(2j) / (2 (2j)!) by Horner in xi^2, j = 3, 2, 1
+    moments = [float(cs[:deep] @ (ys[:deep] ** 2) ** j) for j in (1, 2, 3)]
+    near = np.zeros(size)
+    for j, sign, fact in ((3, 1, 720), (2, -1, 24), (1, 1, 2)):
+        near = (near + sign * moments[j - 1] / (2.0 * fact)) * (xi * xi)
+    B = math.ceil(math.sqrt(size))
+    A = -(-size // B)
+    left, right = [], []
+    for theta, c in zip(0.5 * grid.min_freq * ys[deep:], cs[deep:]):
+        sa, ca = np.sin(theta * (B * np.arange(A))), np.cos(theta * (B * np.arange(A)))
+        sb, cb = np.sin(theta * np.arange(B)), np.cos(theta * np.arange(B))
+        left.append((c * sa * sa, 2.0 * c * sa * ca, c * ca * ca))
+        right.append((cb * cb, sb * cb, sb * sb))
+    table = np.zeros((A, B))
+    for term in range(3):  # term by term, node by node within each
+        for lk, rk in zip(left, right):
+            table += lk[term][:, None] * rk[term]
+    near = near + table.reshape(-1)[:size]
+    far = np.fft.rfft(np.fft.ifftshift(cell)).real - cell.sum()
+    on_m = pv_normalization(1, eta) * (far - 4.0 * near)
+    k = np.arange(grid.n)
+    return _multiply(f, lambda half: on_m if half else on_m[np.minimum(k, grid.n - k)])
 
 
 @pytest.mark.parametrize("n, L", [(512, 32.0), (2048, 64.0), (16384, 256.0), (1000, 40.0)],
                          ids=["512", "2048", "16384", "1000"])
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_shared_sines_and_masses_keep_every_bit(n, L, complex_input):
-    # n = 1000 is no power of two: its panels still double exactly
+    # n = 1000: the spacing 0.08 is not binary, so the cell edges round
     grid = GridSpec(1, n, L)
     x = grid.x_axis()
     values = np.exp(-((x - 0.3) ** 2) / 2.0)
@@ -172,43 +217,129 @@ def pv_multiplier(f, eta, monkeypatch):
     return taken[0]
 
 
-@pytest.mark.parametrize("n, L", [(512, 32.0), (1000, 40.0), (2048, 16.0), (16384, 256.0)],
-                         ids=["512", "1000", "2048", "16384"])
+NEAR_GRIDS = pytest.mark.parametrize(
+    "n, L", [(512, 32.0), (1000, 40.0), (2048, 16.0), (16384, 256.0)],
+    ids=["512", "1000", "2048", "16384"])
+
+
+def near_coefficients(grid, eta):
+    """The near range's nodes y_k, their weights c_k = w_k y_k^(-1-eta), the
+    number summed by moments, and the half lattice's frequencies."""
+    ys, ws, deep = _near_nodes(grid)
+    return ys, ws * ys ** (-1.0 - eta), deep, grid.freq_axis()[_lattice(grid, True)]
+
+
+@NEAR_GRIDS
 @pytest.mark.parametrize("eta", [0.3, 1.0, 1.7])
 def test_moment_panels_match_direct_sines(n, L, eta, monkeypatch):
-    # every other term of the multiplier keeps its bits; only the deep
-    # panels' sum moves from np.sin node by node to the moment series
-    f = Field(GridSpec(1, n, L), np.ones(n))  # the multiplier does not read f's values
-    assert _pv_geometry(f.grid)["moment_panels"] >= 30
-    split = pv_multiplier(f, eta, monkeypatch)
-    monkeypatch.setattr(kernel_audit, "_MOMENT_ARG", 0.0)
-    assert _pv_geometry(f.grid)["moment_panels"] == 0
-    direct = pv_multiplier(f, eta, monkeypatch)
-    assert float(np.abs(split - direct).max() / np.abs(direct).max()) <= 1e-15
+    # the deep panels' moment series against np.sin over their nodes alone,
+    # node by node in node order, relative to the whole multiplier
+    grid = GridSpec(1, n, L)
+    assert _pv_geometry(grid)["moment_panels"] >= 30
+    ys, cs, deep, xi = near_coefficients(grid, eta)
+    direct = np.zeros(xi.size)
+    for y, c in zip(ys[:deep], cs[:deep]):
+        direct += c * np.sin(0.5 * y * xi) ** 2
+    moment = _moment_sums(ys[:deep], cs[:deep], xi)
+    # the multiplier does not read f's values
+    mult = pv_multiplier(Field(grid, np.ones(n)), eta, monkeypatch)
+    err = 4.0 * pv_normalization(1, eta) * np.abs(moment - direct).max()
+    assert float(err / np.abs(mult).max()) <= 1e-15
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than double on this platform")
+@NEAR_GRIDS
+@pytest.mark.parametrize("eta", [0.3, 1.0, 1.7])
+def test_direct_near_sum_matches_longdouble_sines(n, L, eta):
+    # the angle-addition sum over the direct panels against sin^2(y_k xi_m / 2)
+    # with xi_m = m pi / L, each term and the sum in long double
+    grid = GridSpec(1, n, L)
+    ys, cs, deep, _ = near_coefficients(grid, eta)
+    got = _sin2_sums(0.5 * grid.min_freq * ys[deep:], cs[deep:], n // 2 + 1)
+    xi = np.arange(n // 2 + 1, dtype=np.longdouble) * np.longdouble(np.pi) / np.longdouble(L)
+    ref = np.zeros(xi.size, dtype=np.longdouble)
+    for y, c in zip(ys[deep:].astype(np.longdouble), cs[deep:].astype(np.longdouble)):
+        ref += c * np.sin(y * xi / 2) ** 2
+    assert got[0] == 0.0
+    assert float((np.abs(got[1:] - ref[1:]) / ref[1:]).max()) <= 5e-15
+
+
+def test_pv_bytes_do_not_depend_on_blas_threads():
+    # criterion 11's grid and input; the contraction of the near range must
+    # not go through a threaded BLAS product
+    script = ("import hashlib, numpy as np\n"
+              "from speclp import Field, GridSpec, fractional_laplacian_pv\n"
+              "grid = GridSpec(1, 16384, 256.0)\n"
+              "f = Field(grid, np.exp(-grid.x_axis() ** 2 / 2.0))\n"
+              "digest = hashlib.sha256()\n"
+              "for eta in (0.5, 1.0, 1.5):\n"
+              "    digest.update(fractional_laplacian_pv(f, eta).values.tobytes())\n"
+              "print(digest.hexdigest())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def hurwitz_diff(u, v, s):
+    """sum_j (u+j)^(-s) - (v+j)^(-s) = zeta(s, u) - zeta(s, v) (DLMF 25.11.1),
+    psi(v) - psi(u) at s = 1, at the working precision of mpmath."""
+    u, v = mpmath.mpf(u), mpmath.mpf(v)
+    if s == 1.0:
+        return mpmath.digamma(v) - mpmath.digamma(u)
+    return mpmath.zeta(s, u) - mpmath.zeta(s, v)
+
+
+def far_edges(n, L):
+    """The far range's cell edges (m - 1/2) h, m = m0..n/2, and L."""
+    h = 2.0 * L / n
+    return np.append((np.arange(round(1.0 / h), n // 2 + 1) - 0.5) * h, L)
 
 
 @pytest.mark.parametrize("n, L", [(16384, 256.0), (512, 32.0)], ids=["16384", "512"])
 @pytest.mark.parametrize("eta", [0.3, 0.5, 1.0, 1.5, 1.7])
 def test_tail_diff_sums_match_hurwitz_zeta(n, L, eta):
     # the image sums of _folded_cell_masses at 40 cells spread over the far
-    # range: sum_j (x+j)^(-s) - (x'+j)^(-s) = zeta(s, x) - zeta(s, x')
-    # (DLMF 25.11.1), psi(x') - psi(x) at s = 1
-    grid = GridSpec(1, n, L)
-    h = grid.spacing
-    edges = np.append((np.arange(round(1.0 / h), n // 2 + 1) - 0.5) * h, L)
-    a = edges / (2.0 * L)
-    at = np.linspace(0, edges.size - 2, 40).round().astype(int)
+    # range, at the points x and widths delta it passes
+    edges = far_edges(n, L)
+    period = 2.0 * L
+    delta = np.diff(edges) / period
+    at = np.linspace(0, delta.size - 1, 40).round().astype(int)
     worst = 0.0
     with mpmath.workdps(30):
-        def exact(u, v):
-            u, v = mpmath.mpf(float(u)), mpmath.mpf(float(v))
-            if eta == 1.0:
-                return mpmath.digamma(v) - mpmath.digamma(u)
-            return mpmath.zeta(eta, u) - mpmath.zeta(eta, v)
-
-        for x in (1.0 + a, (1.0 - a)[::-1]):
-            got = _tail_diff_sums(x, eta)
+        for x in (1.0 + edges[:-1] / period, 1.0 - edges[1:] / period):
+            got = _tail_diff_sums(x, delta, eta)
             for i in at:
-                ref = exact(x[i], x[i + 1])
+                u = mpmath.mpf(x[i])
+                ref = hurwitz_diff(u, u + mpmath.mpf(delta[i]), eta)
                 worst = max(worst, abs(float((got[i] - ref) / ref)))
-    assert worst <= 5e-11
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n, L", [(16384, 256.0), (512, 32.0), (1000, 40.0)],
+                         ids=["16384", "512", "1000"])
+@pytest.mark.parametrize("eta", [0.3, 1.0, 1.7])
+def test_cell_masses_match_mpmath(n, L, eta):
+    # each cell's mass, direct piece and both image sums, at 25 cells spread
+    # over the far range.  Both pieces difference a cell's two edges; on
+    # n = 1000, L = 40 the image points 1 +- edge / 2L are rounded, so a width
+    # taken from them would be off by 1e-13 relative
+    edges = far_edges(n, L)
+    period = 2.0 * L
+    got = _folded_cell_masses(edges, period, eta)
+    worst = 0.0
+    with mpmath.workdps(30):
+        P = mpmath.mpf(period)
+        for i in np.linspace(0, edges.size - 2, 25).round().astype(int):
+            lo, hi = mpmath.mpf(edges[i]), mpmath.mpf(edges[i + 1])
+            images = hurwitz_diff(1 + lo / P, 1 + hi / P, eta) \
+                + hurwitz_diff(1 - hi / P, 1 - lo / P, eta)
+            ref = (lo**-eta - hi**-eta + P**-eta * images) / eta
+            worst = max(worst, abs(float((got[i] - ref) / ref)))
+    assert worst <= 1e-14

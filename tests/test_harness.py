@@ -231,7 +231,7 @@ def test_pv_geometry_goes_to_run_meta(tmp_path):
     assert moment == 34
     assert pv == {"moment_panels": moment, "direct_panels": 48 - moment,
                   "nodes_per_panel": 8, "series_terms": 3,
-                  "tail_direct_terms": 16, "tail_euler_maclaurin": "B6"}
+                  "tail_direct_terms": 8, "tail_euler_maclaurin": "B12"}
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "principal_value" not in summary and "moment_panels" not in summary
 
