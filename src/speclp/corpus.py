@@ -4,7 +4,8 @@ Every entry is effectively supported inside the torus (boundary samples of
 the raw bump below 1e-14 of the peak, checked before any mean removal - a
 constant offset is exactly periodic and harmless) and band-limited below
 half the Nyquist frequency, so periodization and aliasing sit far below the
-verification tolerances.
+verification tolerances.  BANDLIMITED_RANDOM synthesizes its random draw by
+:func:`speclp.spectral._synthesize`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Field, GridSpec, mean_remove
+from .spectral import Field, GridSpec, _synthesize, mean_remove
 
 __all__ = ["CorpusEntry", "generate_corpus", "GAUSSIAN_MIX", "BANDLIMITED_RANDOM"]
 
@@ -75,10 +76,8 @@ def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, f
     env = np.exp(-1.0 / np.maximum(1e-12, 1.0 - (2.0 * (xi - lo) / (hi - lo) - 1.0) ** 2))
     env[(xi <= lo) | (xi >= hi)] = 0.0
     coeffs = env * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    raw = np.fft.ifftn(coeffs).real  # Hermitian part only; just a random draw
-    raw = raw / max(np.abs(raw).max(), 1e-300)
-    vals = raw * _flat_top(grid)
-    return vals, (lo, hi)
+    raw = _synthesize(grid, coeffs).real  # a random draw: its scale is divided out
+    return raw / max(np.abs(raw).max(), 1e-300) * _flat_top(grid), (lo, hi)
 
 
 def _kind(kind: str) -> str:

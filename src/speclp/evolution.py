@@ -19,9 +19,9 @@ convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
 (4 pi t)^(-d/2) e^(-|x|^2 / 4t) come out on the nose.
 
 Realness follows two rules here.  A kernel is real exactly when its
-multiplier is Hermitian (:func:`speclp.spectral._hermitian`), and is then
-synthesized on the ``rfftn`` half lattice as float64.  An evolution of a
-real field keeps the residue rule of :func:`_drop_residue`.
+multiplier passes the Hermitian test of :func:`_kernel_multiplier`, and is
+then synthesized on the ``rfftn`` half lattice as float64.  An evolution of
+a real field keeps the residue rule of :func:`_drop_residue`.
 """
 
 from __future__ import annotations
@@ -181,17 +181,18 @@ def _drop_residue(grid: GridSpec, values: np.ndarray) -> Field:
     return Field(grid, values.real if real else values)
 
 
-def _kernel(grid: GridSpec, mult: np.ndarray, half: Optional[bool] = None) -> np.ndarray:
-    """Natural-order samples of the kernel of mult (fft order).
+def _kernel_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
+                       pre: Optional[Tuple[SymbolSpec, float]] = None):
+    """(mult, half): the multiplier of [psi1(l, .)] T_psi2(t, s) on
+    ``_lattice(grid, half)``, ``half`` true when it is exactly Hermitian
+    (:func:`speclp.spectral._hermitian`), so that its kernels are real."""
+    mult = multiplier_values(psi2, s, t, grid, pre=pre)
+    half = _hermitian(mult)
+    return mult[_lattice(grid, half)], half
 
-    An exactly Hermitian mult has a real kernel, synthesized from mult on the
-    ``rfftn`` half lattice as float64; any other gives complex samples from
-    the whole lattice.  A caller that has made the test itself passes
-    ``half``, its outcome, with mult already on ``_lattice(grid, half)``.
-    """
-    if half is None:
-        half = _hermitian(mult)
-        mult = mult[_lattice(grid, half)]
+
+def _kernel(grid: GridSpec, mult: np.ndarray, half: bool) -> np.ndarray:
+    """Natural-order kernel samples of mult on ``_lattice(grid, half)``."""
     return _synthesize(grid, mult * KERNEL_SCALE(grid.dim), half)
 
 
@@ -214,9 +215,9 @@ def kernel_field(psi1_l: Optional[Tuple[SymbolSpec, float]], psi2: SymbolSpec,
     The Riemann sum of the kernel equals the multiplier at xi = 0 (zero when
     a pre-symbol is present, since built-ins vanish at the origin).  The
     kernel is float64 when the multiplier is exactly Hermitian (see
-    :func:`_kernel`), else complex128.
+    :func:`_kernel_multiplier`), else complex128.
     """
-    return Field(grid, _kernel(grid, multiplier_values(psi2, s, t, grid, pre=psi1_l)))
+    return Field(grid, _kernel(grid, *_kernel_multiplier(psi2, s, t, grid, psi1_l)))
 
 
 def verify_composition(psi2: SymbolSpec, s: float, r: float, t: float, grid: GridSpec,

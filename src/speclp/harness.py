@@ -21,6 +21,8 @@ These are the fields of :class:`ScenarioConfig`, each read by its field's
 type; any other key is a :class:`ConfigError`.  Ranges follow from the grid:
 HORMANDER shifts by |y| = 2^k for every k with 8 * spacing <= 2^k <= L/8;
 DYADIC_ENVELOPE fits the grid's blocks max(j_min+2, -6)..min(j_max-2, 5).
+A grid whose dyadic range misses one of LP_DECOMP's block pairs, or one the
+principal-value route rejects (FRACLAP_XCHECK, d = 1 only), is a ConfigError.
 
 Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
 writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
@@ -55,8 +57,8 @@ from .gfunction import (INF, TimeWindow, _check_window, _exact_ratio, _grid_wind
                         ratio_report)
 from .kernel_audit import (_pv_geometry, decay_fit_space, decay_fit_time, dyadic_l1_envelope,
                            fractional_laplacian_pv, hormander_report)
-from .lp_decomp import _low_and_blocks, _partition_defect, block, build_decomposition
-from .spectral import Field, GridSpec, _spectrum, _synthesize, lp_norm
+from .lp_decomp import _low_and_blocks, _partition_defect, _radial, block, build_decomposition
+from .spectral import Field, GridSpec, _multiply, lp_norm
 from .symbols import audit_s1, audit_s2, check_homogeneity, get_symbol
 
 __all__ = ["ScenarioConfig", "parse_config", "run_scenario", "SCENARIOS", "SCHEMA_VERSION"]
@@ -198,11 +200,11 @@ def _measure_audit_symbol(cfg: ScenarioConfig):
 
 
 def _time_fit(cfg: ScenarioConfig):
-    """KERNEL_DECAY's time step: the gradient-kernel sup on t 2^(-1..2) fitted
-    against its scaling exponent.  Returns (t_list, fit, relative error,
-    passed); the fit passes within 2 %."""
+    """KERNEL_DECAY's time step: the gradient-kernel sup at times s + t 2^(-1..2)
+    fitted against its scaling exponent.  Returns (t_list, fit, relative
+    error, passed); the fit passes within 2 %."""
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
-    t_list = [cfg.t * 2.0**k for k in (-1, 0, 1, 2)]
+    t_list = [cfg.s + cfg.t * 2.0**k for k in (-1, 0, 1, 2)]
     tdec = decay_fit_time(psi1, cfg.l, psi2, cfg.s, cfg.grid(), t_list)
     rel = abs(tdec.fitted_exponent - tdec.target_exponent) / abs(tdec.target_exponent)
     return t_list, tdec, rel, rel <= 0.02
@@ -292,11 +294,15 @@ def _measure_lp_decomp(cfg: ScenarioConfig):
     more apart, and reconstruction error, the larger of relative L2 and sup."""
     grid = cfg.grid()
     D = build_decomposition(grid)
+    pairs = ((D.j_min, D.j_min + 2), (D.j_min + 1, D.j_min + 3), (0, 2), (1, 4),
+             (D.j_max - 3, D.j_max), (D.j_max - 2, D.j_max))
+    outside = sorted({j for pair in pairs for j in pair} - set(D.j_range))
+    if outside:
+        raise ConfigError(f"LP_DECOMP's block pairs need j = {outside}, outside the grid's "
+                          f"dyadic range [{D.j_min}, {D.j_max}]")
     part_defect = _partition_defect(D)
     entries = generate_corpus(cfg.seed, grid, cfg.corpus_kind, cfg.corpus_count,
                               mean_removed=False)
-    pairs = ((D.j_min, D.j_min + 2), (D.j_min + 1, D.j_min + 3), (0, 2), (1, 4),
-             (D.j_max - 3, D.j_max), (D.j_max - 2, D.j_max))
     worst_orth, worst_rec = 0.0, 0.0
     for e in entries:
         f = e.field
@@ -315,16 +321,18 @@ def _measure_lp_decomp(cfg: ScenarioConfig):
 
 def _measure_fraclap_xcheck(cfg: ScenarioConfig):
     """Relative L2 discrepancy of the principal-value fractional Laplacian
-    against the |xi|^eta multiplier on a unit Gaussian, eta = 0.5, 1, 1.5."""
+    against the -|xi|^eta multiplier on a unit Gaussian, eta = 0.5, 1, 1.5."""
+    if cfg.d != 1:
+        raise ConfigError(f"FRACLAP_XCHECK runs in d = 1 only, got d = {cfg.d}")
     grid = cfg.grid()
-    x = grid.x_axis()
-    f = Field(grid, np.exp(-(x**2) / 2.0))
-    F = _spectrum(f)
-    xi = grid.freq_axis()
+    f = Field(grid, np.exp(-(grid.x_axis() ** 2) / 2.0))
     rows = []
     for eta in (0.5, 1.0, 1.5):
-        A = _synthesize(grid, -np.abs(xi) ** eta * F)
-        B = fractional_laplacian_pv(f, eta).values
+        try:
+            B = fractional_laplacian_pv(f, eta).values
+        except ValueError as exc:  # a grid off the split at y = 1
+            raise ConfigError(str(exc)) from exc
+        A = _multiply(f, _radial(grid, lambda rho: -rho**eta)).values
         rows.append((eta, math.sqrt(float((np.abs(A - B) ** 2).sum()))
                      / math.sqrt(float((np.abs(A) ** 2).sum()))))
     return ({"discrepancies": {repr(e): r for e, r in rows}},

@@ -6,9 +6,9 @@ All kernels here are convolution kernels of psi1(l,.) T_psi2(t, s) in the
 normalization of :func:`speclp.evolution.kernel_field`; their gradients are
 materialized spectrally as i xi_k * multiplier.  A kernel, its blocks and
 its gradient are real, and synthesized on the ``rfftn`` half lattice as
-float64, exactly when the multiplier passes the Hermitian test
-(:func:`speclp.spectral._hermitian`); any other multiplier keeps the complex
-route on the whole lattice.
+float64, exactly when the multiplier passes the Hermitian test of
+:func:`speclp.evolution._kernel_multiplier`; any other multiplier keeps the
+complex route on the whole lattice.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .errors import AuditError
-from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, multiplier_values
+from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, _bump
-from .spectral import Field, GridSpec, _hermitian, _lattice, _multiply, _two_pi_pow
+from .spectral import Field, GridSpec, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -91,17 +91,11 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     where it is 0 (the rule of :func:`speclp.spectral._shift_phase`).  Any
     other m gives complex components on the whole lattice.
     """
-    mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
-    half = _hermitian(mult)
-    at = _lattice(grid, half)
-    xi, mult = grid.xi_stack()[at], mult[at]
+    mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
+    xi = grid.xi_stack()[_lattice(grid, half)]
     nyquist = grid.freq_axis()[grid.n // 2]
-    comps = []
-    for k in range(grid.dim):
-        deriv = 1j * xi[k]
-        if half:
-            deriv[xi[k] == nyquist] = 0.0
-        comps.append(Field(grid, _kernel(grid, deriv * mult, half)))
+    derivs = (np.where(half and xk == nyquist, 0.0, 1j * xk) for xk in xi)
+    comps = [Field(grid, _kernel(grid, deriv * mult, half)) for deriv in derivs]
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in comps))
     return comps, Field(grid, mag)
 
@@ -289,9 +283,7 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     if js[0] < D.j_min or js[-1] > D.j_max:
         raise ValueError(f"j range {js[0]}..{js[-1]} outside active range "
                          f"[{D.j_min}, {D.j_max}]")
-    mult = multiplier_values(psi2, s, t, grid, pre=(psi1, l))
-    half = _hermitian(mult)
-    mult = mult[_lattice(grid, half)]
+    mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
     g1, g2 = psi1.gamma, psi2.gamma
     # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it
     measured = {j: float(np.abs(_kernel(grid, mult * _bump(D, j)(half), half)).sum()

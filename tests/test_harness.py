@@ -9,7 +9,7 @@ from scipy.special import roots_legendre
 from speclp import acceptance
 from speclp.cli import main
 from speclp.errors import ConfigError
-from speclp.harness import ScenarioConfig, parse_config, run_scenario
+from speclp.harness import ScenarioConfig, _time_fit, parse_config, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -180,6 +180,38 @@ def test_cli_hormander_coarse_grid_exits_2(tmp_path, capsys):
         assert err.startswith("error: HORMANDER shifts |y| = 2^k with 8*spacing <= 2^k "
                               "<= L/8 must span at least 6 octaves") and ks in err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario, keys, message", [
+    ("fraclap-xcheck", {"d": 2}, "FRACLAP_XCHECK runs in d = 1 only, got d = 2"),
+    ("fraclap-xcheck", {"L": 2}, "grid must have spacing <= 1 <= L/4 for the split at y = 1, "
+                                 "got spacing 0.00390625 and L/4 = 0.5"),
+    ("fraclap-xcheck", {"n": 32, "L": 32}, "grid must have spacing <= 1 <= L/4 for the split "
+                                           "at y = 1, got spacing 2.0 and L/4 = 8.0"),
+    ("lp-decomp", {"d": 3, "n": 32, "L": 16, "corpus_kind": "BANDLIMITED_RANDOM"},
+     "LP_DECOMP's block pairs need j = [4], outside the grid's dyadic range [-3, 3]"),
+    ("lp-decomp", {"n": 16, "L": 4, "corpus_kind": "BANDLIMITED_RANDOM"},
+     "LP_DECOMP's block pairs need j = [4], outside the grid's dyadic range [-1, 3]"),
+], ids=["fraclap-d2", "fraclap-L2", "fraclap-n32-L32", "lp-d3", "lp-d1"])
+def test_cli_bad_grid_exits_2(tmp_path, capsys, scenario, keys, message):
+    p = write_cfg(tmp_path / "c.cfg", **keys)
+    assert main([scenario, "--config", p, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_kernel_decay_time_fit_starts_at_s(s):
+    # a time-constant pair's kernels depend on t - s only, and s + t 2^k - s
+    # is exact here, so the fit keeps the s = 0 bits (criterion 6's value)
+    def fit(s):
+        return _time_fit(ScenarioConfig(scenario="KERNEL_DECAY", symbol1="poisson",
+                                        symbol2="poisson", n=4096, L=64.0, s=s))
+    t_list, rep, _, ok = fit(s)
+    assert t_list == [s + 0.5, s + 1.0, s + 2.0, s + 4.0] and ok
+    assert rep == fit(0.0)[1]
+    assert rep.fitted_exponent == -2.998824184000926
 
 
 def test_bad_symbol_rejected_for_every_scenario():

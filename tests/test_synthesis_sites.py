@@ -6,16 +6,14 @@ syntax trees of the package modules and fails when a module other than
 ``spectral.py`` builds a ``SpectralField`` or calls ``inverse_transform``,
 when ``(2.0 * np.pi) **`` is spelled anywhere but in
 ``spectral._two_pi_pow`` and ``evolution.KERNEL_SCALE``, or when an inverse
-FFT (``ifft*``, ``irfft*``) is named anywhere but in ``spectral._synthesize``,
-the time-node engine ``gfunction._node_fields`` and the corpus's random draw
-``corpus._bandlimited_random`` (a draw, scaled away after, whose bits every
-BANDLIMITED_RANDOM corpus keeps).
+FFT (``ifft*``, ``irfft*``) is named anywhere but in ``spectral._synthesize``
+and the time-node engine ``gfunction._node_fields``.
 
 Realness has one exact test, ``spectral._hermitian``: it is defined there
-only, and the node engine and the kernels (``evolution._kernel`` and the
-kernel audits that test a multiplier once for several kernels) are its
-callers.  The residue rule ``evolution._drop_residue`` is left to
-``apply_evolution`` alone.
+only, and its callers are the node engine and
+``evolution._kernel_multiplier``, which tests each kernel multiplier once
+for every kernel built from it.  The residue rule
+``evolution._drop_residue`` is left to ``apply_evolution`` alone.
 """
 
 import ast
@@ -102,10 +100,9 @@ def test_two_pi_power_has_two_owners():
     assert sites == {("spectral.py", "_two_pi_pow"), ("evolution.py", "KERNEL_SCALE")}
 
 
-def test_inverse_ffts_have_three_owners():
+def test_inverse_ffts_have_two_owners():
     sites = {(p.name, name) for p in MODULES for name in _sites(p, _is_inverse_fft)}
-    assert sites == {("spectral.py", "_synthesize"), ("gfunction.py", "_node_fields"),
-                     ("corpus.py", "_bandlimited_random")}
+    assert sites == {("spectral.py", "_synthesize"), ("gfunction.py", "_node_fields")}
 
 
 @pytest.mark.parametrize("module, function", [("gfunction.py", "g_function"),
@@ -125,9 +122,7 @@ def test_one_hermitian_test_in_spectral():
                if name.rsplit(".", 1)[-1] == "_hermitian"}
     assert defined == {("spectral.py", "_hermitian")}
     callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_hermitian"))}
-    assert callers == {("gfunction.py", "_node_fields"), ("evolution.py", "_kernel"),
-                       ("kernel_audit.py", "gradient_kernel"),
-                       ("kernel_audit.py", "dyadic_l1_envelope")}
+    assert callers == {("gfunction.py", "_node_fields"), ("evolution.py", "_kernel_multiplier")}
 
 
 def test_residue_rule_only_for_evolutions():
