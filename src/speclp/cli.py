@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    speclp <scenario> --config FILE [--seed N] [--out DIR]
+    speclp <scenario> --config FILE [--out DIR]
     speclp reproduce [--out DIR]
 
 Scenario names are case-insensitive; hyphens and underscores are
@@ -29,7 +29,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("scenario", help="scenario name or 'reproduce'")
     ap.add_argument("--config", help="flat key = value config file")
-    ap.add_argument("--seed", type=int, help="override the corpus seed")
     ap.add_argument("--out", help="override the output directory")
     return ap
 
@@ -46,8 +45,6 @@ def main(argv=None) -> int:
                 return 2
             cfg = parse_config(args.config)
             cfg.scenario = scenario
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.out is not None:
             cfg.output_dir = args.out
         return run_scenario(cfg)

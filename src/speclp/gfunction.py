@@ -47,8 +47,8 @@ Time-node engine
 ``g_function`` and the kernel audit's smoothness integral both integrate
 psi1(l,.) T_psi2(t,s) F over the window nodes.  One private generator,
 :func:`_node_fields`, serves both: it builds the multiplier of a whole chunk
-of nodes as one (k,) + lattice stack and transforms it with one batched
-inverse FFT over the spatial axes.
+of nodes as one (k,) + lattice stack and transforms it with one call of the
+package's inverse FFT, ``spectral._ifft``, over the spatial axes.
 
 * Real path: when the input samples are real (kernels have no input) and the
   multipliers psi1(l,.) and psi2 (or the first time increment of its
@@ -108,7 +108,7 @@ from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import WindowError
 from .evolution import _gauss_integral, _legendre
-from .spectral import (Field, _hermitian, _lattice, _spectrum, _two_pi_pow, lp_norm,
+from .spectral import (Field, _hermitian, _ifft, _lattice, _spectrum, _two_pi_pow, lp_norm,
                        refine_field)
 from .symbols import SymbolSpec, _at
 
@@ -324,8 +324,6 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     if f is not None:
         pre = pre * _input_spectrum(f, real, window.is_infinite)
 
-    inverse = np.fft.irfftn if real else np.fft.ifftn
-    axes = tuple(range(1, grid.dim + 1))
     k = _chunk_nodes(grid, real)
     band = slice(None)  # the leading last-axis columns a chunk keeps
     if psi2.time_constant:
@@ -351,7 +349,7 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         np.exp(E, out=E)
         # stored complex: the inverse's own cast of a real spectrum is slower
         spec = np.multiply(pre[..., band], E, out=np.empty(E.shape, dtype=complex))
-        yield window.weights[sl], inverse(spec, s=grid.shape, axes=axes)
+        yield window.weights[sl], _ifft(grid, spec, real)
 
 
 def _accumulate(acc: np.ndarray, stack: np.ndarray, w: np.ndarray, q: float) -> None:

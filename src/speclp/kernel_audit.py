@@ -25,7 +25,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, _bump
-from .spectral import Field, GridSpec, _lattice, _multiply, _two_pi_pow
+from .spectral import Field, GridSpec, _fft, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -123,6 +123,8 @@ def decay_fit_space(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     (stable across t for self-similar kernels).
     """
     r_lo, r_hi = fit_window
+    if r_lo <= 0.0:
+        raise AuditError(f"fit window must start at a positive radius, got r_lo={r_lo}")
     if r_hi / r_lo < 8.0:
         raise AuditError("fit window must span at least 3 octaves")
     _, mag = gradient_kernel(psi1, l, psi2, s, t, grid)
@@ -187,9 +189,9 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
     kernels across the region.  Each chunk of node kernels is materialized
     once and reused across the y list, which may hold any number of shifts:
-    each H(y) is the same as from a call with that y alone.  Every |y| must
-    stay below L/2.  How many octaves a trend fit needs is the HORMANDER
-    scenario's rule, not this function's.
+    each H(y) is the same as from a call with that y alone.  Every y must
+    have ``grid.dim`` components and |y| below L/2.  How many octaves a
+    trend fit needs is the HORMANDER scenario's rule, not this function's.
 
     No roll allocates: each roll's index blocks (:func:`_roll_blocks`) are
     built once per call, and K(x - y) - K(x) is written block by block into
@@ -208,6 +210,8 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
         raise ValueError("empty y list")
     mags = [float(np.linalg.norm(y)) for y in ys]
     for y, m in zip(ys, mags):
+        if y.shape != (grid.dim,):
+            raise ValueError(f"shift vector must have length {grid.dim}")
         if m <= 0.0:
             raise ValueError("y must be nonzero")
         if grid.spacing > m / 8.0:
@@ -464,7 +468,8 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
       is formed without cancellation.  That circular convolution minus the
       masses' total times f is the multiplier fft(cell masses) - sum(cell
       masses).  The masses are real and even in x, so that transform is
-      real: the half lattice's is the real part of one ``rfft``.  The masses
+      real: the half lattice's is the real part of one half-spectrum step
+      :func:`speclp.spectral._fft`, an ``rfft`` in one dimension.  The masses
       depend on the shift's length m h only, and are computed once for each
       m.
 
@@ -498,7 +503,7 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     masses = np.zeros(half_n + 1)
     masses[m0:] = _folded_cell_masses(edges, 2.0 * grid.half_extent, eta)
     cell = masses[np.abs(np.arange(grid.n) - half_n)]
-    far = np.fft.rfft(np.fft.ifftshift(cell)).real - cell.sum()
+    far = _fft(cell, half=True).real - cell.sum()
     half_mult = pv_normalization(1, eta) * (far - 4.0 * near)
 
     # the whole lattice in fft order mirrors the half lattice's 1..n/2 - 1

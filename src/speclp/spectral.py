@@ -14,7 +14,9 @@ measures the discrete inverse is the exact inverse of the discrete forward,
 and the discrete Plancherel identity holds to round-off.
 
 Physical samples are stored in natural order (x = -L, ..., L - spacing);
-spectral coefficients are stored in ``numpy.fft`` frequency order.
+spectral coefficients are stored in ``numpy.fft`` frequency order.  This
+module alone calls the ``numpy.fft`` transforms: one forward step
+(:func:`_fft`) and one inverse step (:func:`_ifft`).
 
 A multiplier keeps the real part of its result for a real field (the
 real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
@@ -185,11 +187,18 @@ class SpectralField:
         object.__setattr__(self, "coeffs", _as_grid_array(self.grid, self.coeffs))
 
 
+def _fft(samples: np.ndarray, half: bool = False) -> np.ndarray:
+    """Unscaled fft-order coefficients of natural-order samples, or with
+    ``half`` (real samples only) their ``rfftn`` half spectrum, last axis
+    0..n/2: the package's one forward FFT."""
+    g = np.fft.ifftshift(samples)
+    return np.fft.rfftn(g) if half else np.fft.fftn(g)
+
+
 def _spectrum(f: Field, half: bool = False) -> np.ndarray:
     """The coefficients of :func:`forward_transform`, or with ``half`` (real
-    f only) their ``rfftn`` half spectrum: last axis 0..n/2."""
-    g = np.fft.ifftshift(f.values)
-    F = np.fft.rfftn(g) if half else np.fft.fftn(g)
+    f only) their half spectrum."""
+    F = _fft(f.values, half)
     F *= f.grid.cell_measure / _two_pi_pow(f.grid.dim)
     return F
 
@@ -203,12 +212,19 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, _spectrum(f))
 
 
+def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
+    """Unscaled inverse FFT over the trailing ``grid.dim`` axes, in fft order,
+    so a stack of spectra is one call; with ``half``, real samples of a half
+    spectrum whose last axis is zero-padded to n/2 + 1."""
+    axes = tuple(range(-grid.dim, 0))
+    return (np.fft.irfftn(coeffs, s=grid.shape, axes=axes) if half
+            else np.fft.ifftn(coeffs, axes=axes))
+
+
 def _synthesize(grid: GridSpec, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
     """Natural-order samples of fft-order coefficients times the synthesis
-    factor (2 pi)^(d/2) / spacing^d: the package's one inverse transform.
-    With ``half``, real samples of an ``rfftn`` half spectrum."""
-    samples = (np.fft.irfftn(coeffs, s=grid.shape, axes=range(grid.dim)) if half
-               else np.fft.ifftn(coeffs))
+    factor (2 pi)^(d/2) / spacing^d: the package's one synthesis step."""
+    samples = _ifft(grid, coeffs, half)
     samples *= _two_pi_pow(grid.dim) / grid.cell_measure
     return np.fft.fftshift(samples)
 
@@ -317,22 +333,20 @@ def refine_field(f: Field, factor: int = 2) -> Field:
         raise ValueError("factor must be a positive integer")
     g = f.grid
     fine = GridSpec(g.dim, g.n * factor, g.half_extent)
-    if not np.isrealobj(f.values):
-        # the centred coarse spectrum sits in the middle of the centred fine one
-        centred = np.pad(np.fft.fftshift(_spectrum(f)), (fine.n - g.n) // 2)
-        return Field(fine, _synthesize(fine, np.fft.ifftshift(centred)))
-    # The real part is the synthesis of the Hermitian part of the padded
-    # spectrum, which splits each coarse Nyquist index -n/2 into halves at the
-    # fine -n/2 and +n/2.  On the half lattice that is the mean of two
-    # placements of the coarse half spectrum: one sends the coarse Nyquist to
-    # -n/2 (off the half lattice on the last axis unless factor is 1), the
-    # other to +n/2.  A corner with Nyquist components of both signs gets
-    # neither placement, so it stays 0, as it must.
-    h = g.n // 2
-    F = 0.5 * _spectrum(f, half=True)
-    X = np.zeros(fine.shape[:-1] + (fine.n // 2 + 1,), dtype=complex)
-    for top in (h, h + 1):  # the coarse Nyquist sent to the fine -n/2, then to +n/2
+    # Each placement copies the coarse spectrum to the fine lattice with the
+    # coarse Nyquist index -n/2 sent to the fine -n/2 (top = n/2) or to the
+    # fine +n/2 (top = n/2 + 1).  A complex f takes the first placement.  A
+    # real f takes the mean of both on the half lattice: that is the
+    # Hermitian part of the padded spectrum, whose synthesis is the real part
+    # of the exact result.  On the last axis the -n/2 placement falls off the
+    # half lattice unless factor is 1, and a corner with Nyquist components of
+    # both signs gets neither placement, so it stays 0, as it must.
+    real = np.isrealobj(f.values)
+    tops = (g.n // 2, g.n // 2 + 1) if real else (g.n // 2,)
+    F = (0.5 if real else 1.0) * _spectrum(f, real)
+    X = np.zeros(fine.shape[:-1] + (fine.n // 2 + 1 if real else fine.n,), dtype=complex)
+    for top in tops:
         rows = np.r_[0:top, fine.n - g.n + top:fine.n]
-        cols = rows[rows <= fine.n // 2]
+        cols = rows[rows < X.shape[-1]]
         X[np.ix_(*[rows] * (g.dim - 1), cols)] += F[..., :cols.size]
-    return Field(fine, _synthesize(fine, X, half=True))
+    return Field(fine, _synthesize(fine, X, real))

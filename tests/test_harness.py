@@ -125,6 +125,16 @@ def test_cli_requires_config_for_scenarios(capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_cli_has_no_seed_flag(tmp_path, capsys):
+    # the corpus seed is the config key ``seed``; the command line does not override it
+    p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO")
+    with pytest.raises(SystemExit) as exc:
+        main(["gfun-ratio", "--config", p, "--seed", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", symbol1="heat",
                   symbol2="power-t:2", q=4, a="inf")

@@ -63,6 +63,13 @@ def test_space_decay_window_too_short():
         decay_fit_space(POISSON, 0.0, POISSON, 0.0, 1.0, g, fit_window=(1.0, 4.0))
 
 
+@pytest.mark.parametrize("r_lo", [0.0, -1.0])
+def test_space_decay_window_must_start_at_a_positive_radius(r_lo):
+    g = GridSpec(1, 512, 8.0)
+    with pytest.raises(AuditError, match="positive radius"):
+        decay_fit_space(POISSON, 0.0, POISSON, 0.0, 1.0, g, fit_window=(r_lo, 4.0))
+
+
 def test_time_decay_heat_pair():
     g = GridSpec(1, 4096, 64.0)
     rep = decay_fit_time(HEAT, 0.0, HEAT, 0.0, g, [0.5, 1.0, 2.0, 4.0])
@@ -100,6 +107,9 @@ def test_hormander_preconditions():
         hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([0.0])], g)
     with pytest.raises(AuditError, match="resolve"):
         hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([g.spacing])], g)
+    # unchecked, y = [1, 3] on a 1-D grid rolls by 1 only and reports H at |y| = 3.162
+    with pytest.raises(ValueError, match="length 1"):
+        hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [np.array([1.0, 3.0])], g)
 
 
 def test_hormander_y_list_matches_single_calls():

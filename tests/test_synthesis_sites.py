@@ -1,13 +1,15 @@
-"""The coefficient-to-samples step and its factors each have one owner.
+"""The lattice FFTs, the coefficient-to-samples step and its factors each
+have one owner.
 
 ``spectral`` owns the synthesis step and its factor (2 pi)^(d/2) / spacing^d,
 ``evolution`` owns the kernel factor (2 pi)^(-d/2).  This test reads the
 syntax trees of the package modules and fails when a module other than
 ``spectral.py`` builds a ``SpectralField`` or calls ``inverse_transform``,
 when ``(2.0 * np.pi) **`` is spelled anywhere but in
-``spectral._two_pi_pow`` and ``evolution.KERNEL_SCALE``, or when an inverse
-FFT (``ifft*``, ``irfft*``) is named anywhere but in ``spectral._synthesize``
-and the time-node engine ``gfunction._node_fields``.
+``spectral._two_pi_pow`` and ``evolution.KERNEL_SCALE``, when an inverse FFT
+(``ifft*``, ``irfft*``) is named anywhere but in ``spectral._ifft``, or when
+a forward FFT (``fft*``, ``rfft*``) is named anywhere but in
+``spectral._fft``.
 
 Realness has one exact test, ``spectral._hermitian``: it is defined there
 only, and its callers are the node engine and
@@ -60,14 +62,18 @@ def _functions(tree):
     return list(walk(tree, ""))
 
 
-_INVERSE_FFT = re.compile(r"i(r)?fft(n|2)?")
-
-
-def _is_inverse_fft(node):
-    """node names an inverse FFT, such as np.fft.irfftn (fftshift and
-    ifftshift are permutations, not transforms)."""
-    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-    return name is not None and _INVERSE_FFT.fullmatch(name) is not None
+def _names(pattern):
+    """node names a transform whose name fully matches pattern: ``<x>.fft.<name>``,
+    such as np.fft.irfftn, or a bare imported name (the module ``np.fft``
+    itself, fftshift, ifftshift and fftfreq are not transforms)."""
+    def is_site(node):
+        if isinstance(node, ast.Attribute):
+            fft_module = isinstance(node.value, ast.Attribute) and node.value.attr == "fft"
+            name = node.attr if fft_module else None
+        else:
+            name = getattr(node, "id", None)
+        return name is not None and re.fullmatch(pattern, name) is not None
+    return is_site
 
 
 def _sites(path, is_site):
@@ -100,9 +106,14 @@ def test_two_pi_power_has_two_owners():
     assert sites == {("spectral.py", "_two_pi_pow"), ("evolution.py", "KERNEL_SCALE")}
 
 
-def test_inverse_ffts_have_two_owners():
-    sites = {(p.name, name) for p in MODULES for name in _sites(p, _is_inverse_fft)}
-    assert sites == {("spectral.py", "_synthesize"), ("gfunction.py", "_node_fields")}
+def test_inverse_ffts_have_one_owner():
+    sites = {(p.name, name) for p in MODULES for name in _sites(p, _names(r"i(r)?fft(n|2)?"))}
+    assert sites == {("spectral.py", "_ifft")}
+
+
+def test_forward_ffts_have_one_owner():
+    sites = {(p.name, name) for p in MODULES for name in _sites(p, _names(r"(r)?fft(n|2)?"))}
+    assert sites == {("spectral.py", "_fft")}
 
 
 @pytest.mark.parametrize("module, function", [("gfunction.py", "g_function"),
