@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import MultiplierError, QuadratureError
 from .spectral import Field, GridSpec, _hermitian, _lattice, _spectrum, _synthesize
@@ -50,6 +49,11 @@ __all__ = [
 
 _REL_FLOOR = 1e-280
 _TOLERANCE = 1e-10  # relative change at which adaptive doubling stops
+# Newton steps on a Gauss rule's nodes stop once every step is below this; the
+# node error left is then below (step)^2 / (1 - x^2), sub-ulp to order 8192.
+# A start that has not settled after _NEWTON_STEPS steps raises.
+_NEWTON_STEP = 1e-12
+_NEWTON_STEPS = 20
 
 
 def KERNEL_SCALE(d: int) -> float:
@@ -78,10 +82,51 @@ class TimeIntegralRule:
         return cls(order=order, adaptive=adaptive)
 
 
+def _jacobi_recurrence(order: int, beta: float, x: np.ndarray):
+    """P_n(x) and (1 - x^2) P_n'(x) for the Jacobi polynomial P_n^(0, beta),
+    n = ``order``, by the three-term recurrence (P_n(1) = 1)."""
+    p0, p = np.ones_like(x), 0.5 * ((beta + 2.0) * x - beta)
+    for j in range(2, order + 1):
+        c = 2.0 * j + beta
+        p0, p = p, (((c - 1.0) * (c * (c - 2.0) * x - beta * beta) * p
+                     - 2.0 * (j - 1.0) * (j - 1.0 + beta) * c * p0)
+                    / (2.0 * j * (j + beta) * (c - 2.0)))
+    c = 2.0 * order + beta
+    return p, order * (2.0 * (order + beta) * p0 - (beta + c * x) * p) / c
+
+
+def _gauss_rule(order: int, beta: float, x: np.ndarray):
+    """Gauss nodes and weights for the weight (1 + x)^beta on [-1, 1], by
+    Newton's method on P_n^(0, beta) from starting nodes ``x``, and the
+    classical weights 2^(beta + 1) / ((1 - x^2) P_n'(x)^2) at the nodes.
+    1 - x^2 is formed as (1 - x)(1 + x), exact near the ends of [-1, 1]."""
+    for _ in range(_NEWTON_STEPS):
+        p, d = _jacobi_recurrence(order, beta, x)
+        dx = p * (1.0 - x) * (1.0 + x) / d
+        x = x - dx
+        if np.abs(dx).max() <= _NEWTON_STEP:
+            break
+    else:
+        raise QuadratureError(f"Gauss rule of order {order} did not converge")
+    d = _jacobi_recurrence(order, beta, x)[1]
+    return x, 2.0 ** (beta + 1.0) * (1.0 - x) * (1.0 + x) / d**2
+
+
 @lru_cache(maxsize=16)
 def _legendre(order: int):
-    """Gauss-Legendre nodes and weights, read-only: every caller shares them."""
-    nodes, weights = roots_legendre(order)
+    """Gauss-Legendre nodes and weights, read-only: every caller shares them.
+
+    :func:`_gauss_rule` from the guesses cos(pi (k - 1/4) / (order + 1/2)) on
+    the nonnegative half of the nodes, mirrored, so the nodes are exactly
+    antisymmetric and the weights exactly symmetric: O(order^2) work.
+    """
+    k = np.arange(1, (order + 1) // 2 + 1)
+    half = np.cos(np.pi * (k - 0.25) / (order + 0.5))  # decreasing, > 0
+    if order % 2:
+        half[-1] = 0.0  # P_n(0) = 0 exactly for odd n
+    half, w = _gauss_rule(order, 0.0, half)
+    nodes = np.concatenate([-half[: order // 2], half[::-1]])
+    weights = np.concatenate([w[: order // 2], w[::-1]])
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

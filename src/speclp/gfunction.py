@@ -104,10 +104,9 @@ from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, roots_jacobi
 
 from .errors import WindowError
-from .evolution import _gauss_integral, _legendre
+from .evolution import _gauss_integral, _gauss_rule, _legendre
 from .spectral import (Field, _hermitian, _ifft, _lattice, _spectrum, _two_pi_pow, lp_norm,
                        refine_field)
 from .symbols import SymbolSpec, _at
@@ -237,8 +236,18 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
 @lru_cache(maxsize=16)
 def _jacobi(order: int, beta: float):
     """Gauss-Jacobi nodes and weights for the weight (1 + x)^beta on [-1, 1],
-    read-only: every window of the same order and exponent shares them."""
-    nodes, weights = roots_jacobi(order, 0.0, beta)
+    read-only: every window of the same order and exponent shares them.
+
+    Golub-Welsch starting nodes (Math. Comp. 23, 1969), the eigenvalues of the
+    order x order Jacobi matrix of P_n^(0, beta), polished by
+    :func:`speclp.evolution._gauss_rule`, which also gives the weights.
+    """
+    k = np.arange(1.0, order)
+    c = 2.0 * k + beta
+    diagonal = np.append(beta / (beta + 2.0), beta * beta / (c * (c + 2.0)))
+    off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (c * c * (c + 1.0) * (c - 1.0)))
+    matrix = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, weights = _gauss_rule(order, beta, np.linalg.eigvalsh(matrix))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -397,7 +406,11 @@ def explicit_q2_constant(mu1: float, kappa2: float, gamma1: float, gamma2: float
     if not (mu1 > 0 and kappa2 > 0 and gamma1 > 0 and gamma2 > 0):
         raise ValueError("all parameters must be positive")
     e = 2.0 * gamma1 / gamma2
-    return mu1**2 * float(gamma_fn(e)) * (2.0 * kappa2) ** (-e)
+    try:
+        gamma_e = math.gamma(e)
+    except OverflowError:  # e > 171.6
+        gamma_e = math.inf
+    return mu1**2 * gamma_e * (2.0 * kappa2) ** (-e)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
@@ -315,8 +314,10 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
 
 def pv_normalization(d: int, eta: float) -> float:
     """Constant C(eta) making the principal-value form match the |xi|^eta multiplier."""
-    return (2.0**eta * float(gamma_fn((d + eta) / 2.0))
-            / (np.pi ** (d / 2.0) * abs(float(gamma_fn(-eta / 2.0)))))
+    if not (0.0 < eta < 2.0):
+        raise ValueError(f"eta must lie in (0, 2), got {eta}")
+    return (2.0**eta * math.gamma((d + eta) / 2.0)
+            / (np.pi ** (d / 2.0) * abs(math.gamma(-eta / 2.0))))
 
 
 def _power_diff(u, lg, p):
@@ -479,8 +480,7 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     tolerances for sane grids.  The split at y = 1 needs spacing <= 1 <= L/4.
     A real f gives the real part of the result.
     """
-    if not (0.0 < eta < 2.0):
-        raise ValueError(f"eta must lie in (0, 2), got {eta}")
+    norm = pv_normalization(1, eta)
     if f.grid.dim != 1:
         raise ValueError("principal-value route is implemented for d = 1")
     grid = f.grid
@@ -504,7 +504,7 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     masses[m0:] = _folded_cell_masses(edges, 2.0 * grid.half_extent, eta)
     cell = masses[np.abs(np.arange(grid.n) - half_n)]
     far = _fft(cell, half=True).real - cell.sum()
-    half_mult = pv_normalization(1, eta) * (far - 4.0 * near)
+    half_mult = norm * (far - 4.0 * near)
 
     # the whole lattice in fft order mirrors the half lattice's 1..n/2 - 1
     return _multiply(f, lambda half: half_mult if half

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from speclp import (Field, GridSpec, SymbolSpec, TimeIntegralRule, apply_evoluti
                     verify_composition)
 from speclp.acceptance import _scaling_identity_error
 from speclp.corpus import generate_corpus
-from speclp.errors import MultiplierError
-from speclp.evolution import integrate_symbol
+from speclp.errors import MultiplierError, QuadratureError
+from speclp.evolution import _legendre, integrate_symbol
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -172,6 +174,27 @@ def test_multiplier_ellipticity_envelope():
         vals = multiplier_values(sym, 0.2, 1.4, g)
         bound = np.exp(-sym.kappa * 1.2 * xi**sym.gamma)
         assert np.all(np.abs(vals) <= bound * (1.0 + 1e-12))
+
+
+def test_kinked_time_factor_exhausts_the_doubling():
+    # sqrt|t - 0.37| defeats Gauss-Legendre: the estimates change by about
+    # n^-1.5, so every doubling 16..8192 misses _TOLERANCE.  The rules are
+    # built fresh; an O(n^3) builder would take over a minute at order 8192.
+    def time_factor(t):
+        return -(1.0 + abs(t - 0.37) ** 0.5)
+
+    def spatial(xi):
+        return (xi**2).sum(axis=0)
+
+    kink = SymbolSpec("kink", lambda t, xi: time_factor(t) * spatial(xi), kappa=1.0, mu=4.0,
+                      gamma=2.0, n_cert=2, time_factor=time_factor, spatial=spatial)
+    xi = GridSpec(1, 8, 4.0).xi_stack()
+    _legendre.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match=r"did not converge; worst xi=\("):
+        integrate_symbol(kink, 0.0, 1.0, xi, TimeIntegralRule())
+    assert time.perf_counter() - start < 30.0
+    assert _legendre.cache_info().currsize == 11  # orders 8, 16, ..., 8192
 
 
 def test_composition_adaptive_converges_tightly():

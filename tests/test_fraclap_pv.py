@@ -17,11 +17,10 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from speclp import Field, GridSpec, forward_transform, fractional_laplacian_pv, pv_normalization
 from speclp import kernel_audit
-from speclp.evolution import _dyadic_panels
+from speclp.evolution import _dyadic_panels, _legendre
 from speclp.kernel_audit import (_folded_cell_masses, _moment_sums, _near_nodes, _pv_geometry,
                                  _sin2_sums, _tail_diff_sums)
 from speclp.spectral import _lattice, _multiply
@@ -69,7 +68,7 @@ def oracle_pv(f, eta, quad=48, nodes_per_panel=8, y_split=1.0):
     back = (2.0 * np.pi) ** 0.5 / grid.cell_measure
     m0 = max(1, round(y_split / h))
     edge0 = (m0 - 0.5) * h
-    z, w = roots_legendre(nodes_per_panel)
+    z, w = _legendre(nodes_per_panel)
     edges = [edge0 * 2.0 ** (-k) for k in range(quad, -1, -1)]
     acc = np.zeros(grid.shape, dtype=np.complex128)
     for lo, hi in zip(edges[:-1], edges[1:]):

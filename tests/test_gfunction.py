@@ -7,7 +7,8 @@ from speclp import (INF, Field, GridSpec, WindowError, build_time_window,
                     explicit_q2_constant, g_function, get_symbol, lp_norm, mean_remove,
                     ratio_report, refine_field, spectral_shift)
 from speclp.corpus import generate_corpus
-from speclp.gfunction import _grid_window, _ratios
+from speclp.evolution import _legendre
+from speclp.gfunction import _grid_window, _jacobi, _ratios
 from speclp.harness import ScenarioConfig, _measure_gfun_ratio, parse_config
 
 GFUN_RATIO_CFG = os.path.join(os.path.dirname(__file__), "..", "demos", "gfun_ratio.cfg")
@@ -57,12 +58,10 @@ def _oracle_window(s, T, omega, n_nodes, n_panels):
     weight and dt = t du folded into its weights."""
     import math
 
-    from scipy.special import roots_jacobi, roots_legendre
-
     t_b = T * 2.0 ** (-2.0 * n_panels)
-    x, v = roots_jacobi(n_nodes, 0.0, omega - 1.0)
+    x, v = _jacobi(n_nodes, omega - 1.0)
     nodes, weights = [s + 0.5 * t_b * (1.0 + x)], [(0.5 * t_b) ** omega * v]
-    z, w = roots_legendre(n_nodes)
+    z, w = _legendre(n_nodes)
     h = math.log(2.0)  # half a panel's width in u
     for k in range(n_panels - 1, -1, -1):
         t = T * 2.0 ** (-2.0 * k) * np.exp(h * (z - 1.0))
@@ -310,6 +309,11 @@ def test_explicit_constant_values():
     assert explicit_q2_constant(2.0, 1.0, 2.0, 2.0) == pytest.approx(1.0)  # mu^2 scaling
     with pytest.raises(ValueError):
         explicit_q2_constant(0.0, 1.0, 1.0, 1.0)
+
+
+def test_explicit_constant_overflows_to_inf():
+    # Gamma(200) is past the float range: the bound is +inf, not an error
+    assert explicit_q2_constant(1.0, 1.0, 100.0, 1.0) == INF
 
 
 def test_mean_removal_enforced(grid):

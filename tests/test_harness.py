@@ -4,10 +4,10 @@ import math
 from pathlib import Path
 
 import pytest
-from scipy.special import roots_legendre
 
 from speclp import acceptance
 from speclp.cli import main
+from speclp.evolution import _legendre
 from speclp.errors import ConfigError
 from speclp.harness import ScenarioConfig, _time_fit, parse_config, run_scenario
 
@@ -267,7 +267,7 @@ def test_pv_geometry_goes_to_run_meta(tmp_path):
     # criterion 11's grid: spacing 1/32, xi_max = 32 pi, near range (0, 31.5/32]
     # in 48 dyadic panels; a panel [e/2, e] goes to the moment series when its
     # top Gauss-Legendre node e (3 + z_8) / 4 has y xi_max / 2 <= 3e-3
-    z8 = float(roots_legendre(8)[0].max())
+    z8 = float(_legendre(8)[0].max())
     top = [31.5 / 32.0 * 2.0**-k * (3.0 + z8) / 4.0 for k in range(48)]
     moment = sum(0.5 * 32.0 * math.pi * y <= 3e-3 for y in top)
     assert moment == 34

@@ -260,6 +260,12 @@ def test_pv_normalization_classic_value():
     assert pv_normalization(1, 1.0) == pytest.approx(1.0 / np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("eta", [0.0, 2.0, -0.5, 3.0, float("nan")])
+def test_pv_normalization_rejects_eta_outside_0_2(eta):
+    with pytest.raises(ValueError, match=r"eta must lie in \(0, 2\)"):
+        pv_normalization(1, eta)
+
+
 def test_fraclap_dual_route_eta_1():
     g = GridSpec(1, 8192, 256.0)
     x = g.x_axis()

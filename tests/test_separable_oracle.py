@@ -11,11 +11,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
 
 from speclp import (Field, GridSpec, SymbolEvalError, SymbolSpec, TimeIntegralRule, eval_symbol,
                     g_function, generate_corpus, get_symbol, power_t_symbol)
-from speclp.evolution import _TOLERANCE, integrate_symbol
+from speclp.evolution import _TOLERANCE, _legendre, integrate_symbol
 from speclp.gfunction import _grid_window
 
 GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 12, 6.0)}
@@ -25,7 +24,7 @@ RULES = {"gauss8": TimeIntegralRule.gauss_legendre(8, adaptive=False),
 
 
 def _ref_gauss(psi, s, t, xi, order):
-    nodes, weights = roots_legendre(order)
+    nodes, weights = _legendre(order)
     mid, half = 0.5 * (s + t), 0.5 * (t - s)
     acc = 0.0
     for z, w in zip(nodes, weights):
