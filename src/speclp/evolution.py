@@ -9,9 +9,12 @@ composition law T(t, r) T(r, s) = T(t, s) holds exactly at the level of the
 frequency multipliers, which is what :func:`verify_composition` measures.
 
 Time integrals of a time-dependent symbol are Gauss-Legendre sums over
-nodes r_i of :func:`speclp.symbols._at`'s psi(r_i, xi); only ``_at`` knows
-separability, and evaluates a separable symbol's spatial part once per
-integral with the bits of evaluating psi at each node.
+nodes r_i of :func:`speclp.symbols._at`'s psi(r_i, xi) = factor(r_i) phi;
+only ``_at`` knows separability.  A general symbol's factor is psi itself on
+the lattice.  A separable symbol's factor is its scalar time factor, so its
+integral is a sum over Python scalars times its spatial part, evaluated
+once: one lattice product per integral, with adaptive doubling decided on
+the scalars.
 
 Kernel normalization: the convolution kernel K with T f = K * f (Riemann-sum
 convolution) is (2 pi)^(-d/2) times the inverse transform of the multiplier;
@@ -141,13 +144,14 @@ def _dyadic_panels(edges, order: int):
     return (mid[:, None] + half[:, None] * z).ravel(), (half[:, None] * w).ravel()
 
 
-def _gauss_integral(psi_at, s: float, t: float, order: int) -> np.ndarray:
-    """Gauss-Legendre estimate of int_s^t psi_at(r) dr, summed in node order."""
+def _gauss_integral(fn, s: float, t: float, order: int):
+    """Gauss-Legendre estimate of int_s^t fn(r) dr, summed in node order: a
+    Python float for a scalar fn, an array for a lattice one."""
     nodes, weights = _legendre(order)
     mid, half = 0.5 * (s + t), 0.5 * (t - s)
     acc = 0.0
-    for z, w in zip(nodes, weights):
-        acc = acc + w * psi_at(mid + half * z)
+    for z, w in zip(nodes.tolist(), weights.tolist()):
+        acc = acc + w * fn(mid + half * z)
     return half * acc
 
 
@@ -156,23 +160,36 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
     """int_s^t psi(r, xi) dr on the stacked frequency array.
 
     Exactly (t - s) psi(s, xi) for a time-constant symbol, whatever the rule;
-    otherwise the rule's Gauss-Legendre estimate over :func:`_at`'s psi(., xi).
+    otherwise the rule's Gauss-Legendre estimate of the integral of
+    :func:`_at`'s factor(r), times its phi for a separable symbol.
     """
     if psi.time_constant:
         return (t - s) * psi(s, xi)
-    psi_at = _at(psi, xi)
-    est = _gauss_integral(psi_at, s, t, rule.order)
-    if not rule.adaptive:
-        return est
-    order = rule.order
+    factor, phi = _at(psi, xi)
+    est = _gauss_integral(factor, s, t, rule.order)
+    if rule.adaptive:
+        est = _doubled(factor, phi, s, t, rule.order, est, xi)
+    return est if phi is None else est * phi
+
+
+def _doubled(factor, phi, s: float, t: float, order: int, est, xi: np.ndarray):
+    """The integral of factor once doubling the order from ``est`` changes it
+    by less than ``_TOLERANCE`` relative at every xi.
+
+    A separable estimate A phi changes by |dA| |phi|, and |dA| x / (|A| x +
+    floor) grows with x, so the test runs on the scalars at x = P = max|phi|
+    (P = 1 for a lattice factor), and a failure names the first xi of largest
+    |phi|.
+    """
+    peak = 1.0 if phi is None else float(np.abs(phi).max(initial=0.0))
     for _ in range(10):
         order *= 2
-        nxt = _gauss_integral(psi_at, s, t, order)
-        rel = np.abs(nxt - est) / (np.abs(nxt) + _REL_FLOOR)
+        nxt = _gauss_integral(factor, s, t, order)
+        rel = np.abs(nxt - est) * peak / (np.abs(nxt) * peak + _REL_FLOOR)
         if rel.max() < _TOLERANCE:
             return nxt
         est = nxt
-    worst = tuple(np.argwhere(rel == rel.max())[0])
+    worst = np.unravel_index(np.argmax(rel if phi is None else np.abs(phi)), xi.shape[1:])
     xi_bad = tuple(xi[(slice(None),) + worst])
     raise QuadratureError(f"time quadrature did not converge; worst xi={xi_bad}")
 
@@ -237,8 +254,12 @@ def _kernel_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
 
 
 def _kernel(grid: GridSpec, mult: np.ndarray, half: bool) -> np.ndarray:
-    """Natural-order kernel samples of mult on ``_lattice(grid, half)``."""
-    return _synthesize(grid, mult * KERNEL_SCALE(grid.dim), half)
+    """Natural-order kernel samples of mult on ``_lattice(grid, half)``.
+
+    mult is scaled in place: every caller hands over a product it does not
+    keep."""
+    mult *= KERNEL_SCALE(grid.dim)
+    return _synthesize(grid, mult, half)
 
 
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:

@@ -50,31 +50,37 @@ psi1(l,.) T_psi2(t,s) F over the window nodes.  One private generator,
 of nodes as one (k,) + lattice stack and transforms it with one call of the
 package's inverse FFT, ``spectral._ifft``, over the spatial axes.
 
-* Real path: when the input samples are real (kernels have no input) and the
-  multipliers psi1(l,.) and psi2 (or the first time increment of its
-  integral) are exactly Hermitian on the lattice, m(-xi) = conj(m(xi))
-  (:func:`speclp.spectral._hermitian`, the test kernels take too), every
-  node field is real.  The stack then lives on the half spectrum of
+* Real path: when the input samples are real (kernels have no input) and
+  psi1(l,.) and phi (next bullet; for any other time-dependent psi2 the
+  integral up to the first node) are exactly Hermitian on the lattice,
+  m(-xi) = conj(m(xi)) (:func:`speclp.spectral._hermitian`, the test
+  kernels take too), every node field is real.  The stack then lives on the half spectrum of
   ``rfftn`` (last axis 0..n/2), the exponential runs on reals for
   real-valued symbols (their values are float64, see
   :func:`speclp.symbols.eval_symbol`), the input enters through one ``rfftn``
   of its samples (``spectral._spectrum``), and each chunk goes through one
-  ``irfftn``.  Time-dependent symbols are integrated on the half lattice
-  only, from one :func:`speclp.symbols._at` per call: a separable psi2's
-  spatial part is evaluated once there, not once per node interval.  The
-  complex fallback integrates with the whole-lattice ``_at`` that the
-  Hermitian test already built.
-* Underflow band: on the real path with a time-constant psi2, the late nodes
-  of a window damp the high modes to exactly 0.0 (``np.exp`` underflows
-  below -745.1332).  Each chunk builds the exponent, ``exp`` and the product
-  with the input spectrum only on the leading last-axis columns where its
-  earliest node has dt Re psi2 >= ``_EXP_FLOOR`` (-746), and hands that band
-  to the same ``irfftn``, which zero-pads the last axis and, for d >= 2, runs
+  ``irfftn``.
+* Node exponents: node i's exponent is A_i phi, one outer product per chunk.
+  A time-constant psi2 has A_i = t_i - s and phi = psi2(0, .).  A separable
+  psi2 = a(t) spatial (:func:`speclp.symbols._at`) has phi = spatial,
+  evaluated once per call on the whole lattice and cut to the half spectrum
+  on the real path, and A_i the running sum, in node order, of the 16-node
+  Gauss-Legendre integrals of the scalar a over the node intervals.  Any
+  other time-dependent psi2 sums those interval integrals on the lattice, on
+  the half spectrum on the real path.
+* Underflow band: on the real path, when every A_i has one sign, the late
+  nodes of a window damp the high modes to exactly 0.0 (``np.exp``
+  underflows below -745.1332).  There Re(A_i phi) = |A_i| sign Re phi, and
+  each chunk builds the exponent, ``exp`` and the product with the input
+  spectrum only on the leading last-axis columns where the smallest |A_i|
+  from its first node on leaves |A_i| sign Re phi >= ``_EXP_FLOOR`` (-746).  It hands that band to
+  the same ``irfftn``, which zero-pads the last axis and, for d >= 2, runs
   the other axes' transforms on the band only.  The band's width is one
-  ``searchsorted`` per chunk in the suffix maximum of Re psi2's column maxima,
-  built once per call.  The dropped columns held exact zeros, so no output
-  moves.  The complex fallback, a time-dependent psi2 and a psi2 with
-  Re psi2 >= 0 on the last column keep the whole lattice.
+  ``searchsorted`` per chunk in the suffix maximum of sign Re phi's column
+  maxima, built once per call like the suffix minimum of |A|.  The dropped columns held exact zeros, so no
+  output moves.  The complex fallback, A_i of both signs (or zero), a
+  non-separable time-dependent psi2, and sign Re phi >= 0 on the last column
+  keep the whole lattice.
 * Complex fallback: complex input, or a multiplier that is not Hermitian
   (for instance a drift term i xi, which is not real at the Nyquist index),
   runs the same chunk loop on the full lattice with ``ifftn``.
@@ -193,6 +199,9 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError(f"q must be >= 1, got {q}")
     if not (gamma1 > 0 and gamma2 > 0 and kappa2 > 0):
         raise ValueError("gamma1, gamma2, kappa2 must be positive")
+    if not all(math.isfinite(v) for v in (q, gamma1, gamma2, kappa2)):
+        raise ValueError(f"q, gamma1, gamma2, kappa2 must be finite, "
+                         f"got {q}, {gamma1}, {gamma2}, {kappa2}")
     if not a > 0:
         raise ValueError("a must be positive (possibly inf)")
     if not 0 <= s < math.inf:
@@ -204,31 +213,37 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         n_nodes = next(order for top, order in _ORDERS if omega <= top)
     elif isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
-    if math.isinf(a):
-        if xi_min is None or not xi_min > 0:
-            raise WindowError(
-                "infinite window needs a spectral gap: remove the mean of the "
-                "input and pass the smallest nonzero lattice frequency as xi_min")
-        T = _TRUNCATION_LOG / (kappa2 * xi_min**gamma2)
-    else:
-        T = float(a)
-
-    t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
-    n_panels = max(1, math.ceil(math.log2(2.0 * T / t_fast) / 2.0))
-    # panels in u = ln t, u = ln T_k + h (z - 1): each node from its own top edge T_k
-    z, wz = _legendre(n_nodes)
-    h = math.log(2.0)
-    tops = T * 2.0 ** (-2.0 * np.arange(n_panels - 1, -1, -1))
-    t = tops[:, None] * np.exp(h * (z - 1.0))
-    w = h * wz * t * t ** (omega - 1.0)
-    # bottom panel [0, t_b]: Gauss-Jacobi, its weight t^(omega - 1) built in
-    t_b = T * 2.0 ** (-2.0 * n_panels)
-    x, wj = _jacobi(n_nodes, omega - 1.0)
+    if math.isinf(a) and (xi_min is None or not xi_min > 0):
+        raise WindowError(
+            "infinite window needs a spectral gap: remove the mean of the "
+            "input and pass the smallest nonzero lattice frequency as xi_min")
+    # an extreme omega, or decay times beyond float range, leave no finite
+    # window: float overflow or division by zero, log2 of 0, a Jacobi matrix
+    # that eigvalsh rejects, or weights that are not finite
+    fault = f"no finite time window (omega = q gamma1/gamma2 = {omega:g})"
+    try:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            T = _TRUNCATION_LOG / (kappa2 * xi_min**gamma2) if math.isinf(a) else float(a)
+            t_fast = 1.0 / (2.0 * kappa2 * xi_max**gamma2)
+            n_panels = max(1, math.ceil(math.log2(2.0 * T / t_fast) / 2.0))
+            # panels in u = ln t, u = ln T_k + h (z - 1): each node from its own top edge T_k
+            z, wz = _legendre(n_nodes)
+            h = math.log(2.0)
+            tops = T * 2.0 ** (-2.0 * np.arange(n_panels - 1, -1, -1))
+            t = tops[:, None] * np.exp(h * (z - 1.0))
+            w = h * wz * t * t ** (omega - 1.0)
+            # bottom panel [0, t_b]: Gauss-Jacobi, its weight t^(omega - 1) built in
+            t_b = T * 2.0 ** (-2.0 * n_panels)
+            x, wj = _jacobi(n_nodes, omega - 1.0)
+            weights = np.concatenate([(0.5 * t_b) ** omega * wj, w.ravel()])
+    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
+        raise WindowError(f"{fault}: {exc}") from None
+    if not np.isfinite(weights).all():
+        raise WindowError(f"{fault}: its weights are not finite")
     return TimeWindow(
         s=float(s), a=float(a), q=float(q), gamma1=float(gamma1), gamma2=float(gamma2),
         kappa2=float(kappa2), weight_exponent=omega - 1.0,
-        nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), t.ravel()]),
-        weights=np.concatenate([(0.5 * t_b) ** omega * wj, w.ravel()]),
+        nodes=s + np.concatenate([0.5 * t_b * (1.0 + x), t.ravel()]), weights=weights,
         truncation_t=T, bottom_t=t_b, n_panels=n_panels, order=int(n_nodes),
     )
 
@@ -284,11 +299,13 @@ def _chunk_nodes(grid, real: bool) -> int:
     return max(1, _CHUNK_BYTES // per_node)
 
 
-def _decay_tail(first: np.ndarray) -> np.ndarray:
-    """tail[j] = the largest Re psi2 on last-axis columns j, j + 1, ... of the
-    half spectrum: column j and all after it underflow for every node with
-    dt * tail[j] < _EXP_FLOOR."""
-    columns = first.real.reshape(-1, first.shape[-1]).max(axis=0)
+def _decay_tail(phi: np.ndarray, sign: float) -> np.ndarray:
+    """tail[j] = the largest sign Re phi on last-axis columns j, j + 1, ... of
+    the half spectrum: column j and all after it underflow for every node with
+    |A| tail[j] < _EXP_FLOOR, where the exponent A phi has real part
+    |A| sign Re phi."""
+    columns = phi.real.reshape(-1, phi.shape[-1])
+    columns = columns.max(axis=0) if sign > 0 else -columns.min(axis=0)
     return np.maximum.accumulate(columns[::-1])[::-1]
 
 
@@ -317,41 +334,54 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     """
     xi = grid.xi_stack()
     pre = psi1(l, xi)
-    # psi2 itself when time-constant, else its integral up to the first node;
-    # on the whole lattice, for the Hermitian test
+    # the exponent at node i is A[i] phi: A = t_i - s and phi = psi2(0, .) for a
+    # time-constant psi2, A = int_s^t_i a and phi = spatial for a separable
+    # psi2 = a(t) spatial; any other psi2 has phi = None, and its exponent is
+    # summed per node interval on the lattice.  first (phi, or the integral up
+    # to the first node) is on the whole lattice, for the Hermitian test
     if psi2.time_constant:
-        first = psi2(0.0, xi)
+        A, phi = window.nodes - window.s, psi2(0.0, xi)
     else:
-        psi_at = _at(psi2, xi)
-        first = _gauss_integral(psi_at, window.s, window.nodes[0], _NODE_ORDER)
+        factor, phi = _at(psi2, xi)
+        rs = np.concatenate([[window.s], window.nodes])
+        if phi is not None:
+            A = np.cumsum([_gauss_integral(factor, a, b, _NODE_ORDER)
+                           for a, b in zip(rs[:-1].tolist(), rs[1:].tolist())])
+    first = _gauss_integral(factor, window.s, window.nodes[0], _NODE_ORDER) if phi is None else phi
     real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
     if real:
         half = _lattice(grid, True)  # the rfftn half spectrum
         xi, pre, first = xi[half], pre[half].copy(), first[half].copy()
-        if not psi2.time_constant:
-            psi_at = _at(psi2, xi)
+        if phi is None:
+            factor = _at(psi2, xi)[0]
+        else:
+            phi = first  # its half spectrum; the whole lattice is freed
     if f is not None:
         pre = pre * _input_spectrum(f, real, window.is_infinite)
 
     k = _chunk_nodes(grid, real)
     band = slice(None)  # the leading last-axis columns a chunk keeps
-    if psi2.time_constant:
-        dt = window.nodes - window.s
-        if real:
-            rising = -_decay_tail(first)
-    else:
-        rs = np.concatenate([[window.s], window.nodes])
-        Q = 0.0  # int_s^(previous node) psi2
+    Q = 0.0  # int_s^(previous node) psi2 when phi is None
+    # the underflow band, on the real path when every A[i] has one sign: there
+    # Re(A[i] phi) = |A[i]| sign Re phi, and a chunk from node lo on decays no
+    # less than at least[lo], the smallest |A[i]| with i >= lo (t_lo - s when
+    # psi2 is time-constant)
+    sign = 0.0
+    if real and phi is not None:
+        sign = 1.0 if (A > 0).all() else -1.0 if (A < 0).all() else 0.0
+    if sign:
+        rising = -_decay_tail(first, sign)
+        least = np.minimum.accumulate(np.abs(A)[::-1])[::-1]
     for lo in range(0, window.nodes.size, k):
         sl = slice(lo, lo + k)
-        if psi2.time_constant:
-            if real:  # dt[lo] is the chunk's shortest time: it decays least
-                band = slice(0, max(1, int(np.searchsorted(rising, -_EXP_FLOOR / dt[lo]))))
-            E = np.multiply.outer(dt[sl], first[..., band])
+        if phi is not None:
+            if sign:
+                band = slice(0, max(1, int(np.searchsorted(rising, -_EXP_FLOOR / least[lo]))))
+            E = np.multiply.outer(A[sl], first[..., band])
         else:
             E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
             for j, i in enumerate(range(lo, lo + len(E))):
-                E[j] = _gauss_integral(psi_at, rs[i], rs[i + 1], _NODE_ORDER)
+                E[j] = _gauss_integral(factor, rs[i], rs[i + 1], _NODE_ORDER)
             E[0] += Q
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()

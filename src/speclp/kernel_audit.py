@@ -288,9 +288,15 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
                          f"[{D.j_min}, {D.j_max}]")
     mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
     g1, g2 = psi1.gamma, psi2.gamma
-    # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it
-    measured = {j: float(np.abs(_kernel(grid, mult * _bump(D, j)(half), half)).sum()
-                         * grid.cell_measure) for j in js}
+    # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it;
+    # one product buffer serves every block, and a real kernel takes abs in place
+    product = np.empty_like(mult)
+
+    def l1_norm(j):
+        K = _kernel(grid, np.multiply(mult, _bump(D, j)(half), out=product), half)
+        return float(np.abs(K, out=K if half else None).sum() * grid.cell_measure)
+
+    measured = {j: l1_norm(j) for j in js}
     usable = [j for j in js if measured[j] > _UNDERFLOW]
     if len(usable) < 2:
         raise AuditError("fewer than two blocks above underflow; shrink j range")

@@ -15,8 +15,10 @@ A symbol may also declare a separable form psi(t, xi) = time_factor(t) *
 spatial(xi), with a real scalar time factor (``power-t``: -(1 + t) times
 |xi|^gamma).  ``eval_fn`` must then be that product, computed as
 ``time_factor(t) * spatial(xi)``.  Only :func:`_at` knows separability;
-every time integral evaluates psi through it, so a separable symbol's
-spatial part is evaluated once per lattice, not once per time node.
+every time integral takes psi through it as a factor of t times a lattice,
+so a separable symbol's time integral is a Gauss sum over Python scalars
+times its spatial part, evaluated once: one lattice product per integral,
+not a lattice pass per time node.
 
 The audits below are falsifiers over finite sample sets, not proofs: they
 search for the worst violation of each certificate on the supplied (t, xi)
@@ -120,32 +122,31 @@ def _non_finite(spec: SymbolSpec, t: float, xi: np.ndarray, index: tuple) -> Sym
 
 
 def _at(spec: SymbolSpec, xi):
-    """psi(., xi) as a function of t alone, with the bits and checks of
-    eval_symbol(spec, t, xi) at every call.
+    """psi(., xi) as (factor, phi) with psi(t, xi) = factor(t) * phi.
 
-    A general symbol is evaluated by eval_symbol at each call.  A separable
-    symbol has its spatial part phi evaluated once, and each call returns
-    time_factor(t) * phi, checked without a pass over phi: t >= 0
-    (ValueError), and a finite product (SymbolEvalError naming t and the
-    first bad xi), which fails exactly when time_factor(t) times the largest
-    part of phi is not finite.
+    A general symbol gives phi = None and factor(t) = eval_symbol(spec, t, xi),
+    with its bits and checks.  A separable symbol gives its spatial part phi,
+    evaluated once, and factor(t) = time_factor(t), a Python float checked
+    without a pass over phi: t >= 0 (ValueError), and a finite product
+    (SymbolEvalError naming t and the first bad xi), which fails exactly when
+    time_factor(t) times the largest part of phi is not finite.
     """
     if spec.spatial is None:
-        return lambda t: eval_symbol(spec, t, xi)
+        return (lambda t: eval_symbol(spec, t, xi)), None
     xi = np.asarray(xi, dtype=float)
     phi = np.asarray(spec.spatial(xi))
     phi = phi.astype(np.result_type(phi, np.float64), copy=False)
     parts = np.abs(phi) if np.isrealobj(phi) else np.maximum(np.abs(phi.real), np.abs(phi.imag))
     peak = float(np.max(parts, initial=0.0))  # nan or inf when phi is not finite
 
-    def at(t: float) -> np.ndarray:
+    def factor(t: float) -> float:
         _check_time(t)
         c = float(spec.time_factor(float(t)))
         if not math.isfinite(c * peak):
             raise _non_finite(spec, t, xi, tuple(np.argwhere(~np.isfinite(c * phi))[0]))
-        return c * phi
+        return c
 
-    return at
+    return factor, phi
 
 
 @dataclass(frozen=True)

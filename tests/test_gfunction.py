@@ -112,6 +112,29 @@ def test_window_rejects_bad_xi_max(grid, xi_max):
         build_time_window(0.0, 1.0, 2.0, 2.0, 2.0, xi_min=grid.min_freq, xi_max=xi_max)
 
 
+@pytest.mark.parametrize("bad", ["q", "gamma1", "gamma2", "kappa2"])
+@pytest.mark.parametrize("value", [INF, float("nan")])
+def test_window_rejects_non_finite_parameters(bad, value):
+    args = dict(q=2.0, gamma1=2.0, gamma2=2.0, kappa2=1.0)
+    args[bad] = value
+    kappa2 = args.pop("kappa2")
+    match = "must be finite" if value == INF else "must be"
+    with pytest.raises(ValueError, match=match):
+        build_time_window(0.0, 1.0, *args.values(), kappa2=kappa2, xi_max=1.0)
+
+
+@pytest.mark.parametrize("gamma1, kappa2, xi_max", [
+    (2000.0, 1.0, 1.0),  # omega = 2000: 2^(omega) overflows in the Jacobi weights
+    (1e-300, 1.0, 1.0),  # omega = 1e-300: the Jacobi matrix is not finite
+    (2.0, 1e300, 1e10),  # t_fast underflows to 0
+    (2.0, 1e-320, 1.0),  # t_fast overflows to inf
+])
+def test_window_without_finite_rule_raises_window_error(gamma1, kappa2, xi_max):
+    with pytest.raises(WindowError, match=r"no finite time window \(omega = "):
+        build_time_window(0.0, 1.0, 2.0, gamma1, 2.0, kappa2=kappa2, xi_max=xi_max)
+    assert build_time_window(0.0, 1.0, 2.0, 1020.0, 2.0, xi_max=1.0).order == 15
+
+
 def test_window_needs_xi_max():
     with pytest.raises(TypeError, match="xi_max"):
         build_time_window(0.0, 1.0, 2.0, 2.0, 2.0)

@@ -164,6 +164,9 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("seed", "-1", "seed must be nonnegative, got -1"),
     ("corpus_count", "0", "corpus_count must be at least 1, got 0"),
     ("corpus_kind", "ANNULUS", "unknown corpus kind 'ANNULUS'"),
+    ("q", "inf", "q, gamma1, gamma2, kappa2 must be finite"),
+    ("symbol1", "power:inf", "q, gamma1, gamma2, kappa2 must be finite"),
+    ("symbol1", "power:2000", "no finite time window (omega = q gamma1/gamma2 = 2000)"),
 ])
 def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})

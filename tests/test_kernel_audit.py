@@ -9,6 +9,10 @@ from speclp import (INF, AuditError, Field, GridSpec, SpectralField, WindowError
                     dyadic_l1_envelope, forward_transform, fractional_laplacian_pv, g_function,
                     generate_corpus, get_symbol, gradient_kernel, hormander_report,
                     inverse_transform, kernel_field, mean_remove, pv_normalization)
+from speclp.evolution import KERNEL_SCALE, _kernel_multiplier
+from speclp.lp_decomp import _bump
+from speclp.spectral import _synthesize
+from speclp.symbols import SymbolSpec
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -247,6 +251,27 @@ def test_dyadic_envelope_time_scaling():
                                                      range(-3, 2), g, D).rows}
     for j in range(-3, 2):
         assert m4[j] == pytest.approx(0.25 * m1[j + 1], rel=0.05)
+
+
+# Hermitian except at the Nyquist index: its kernels take the complex route
+DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j * xi[0],
+                   kappa=1.0, mu=10.0, gamma=2.0, n_cert=2, time_constant=True)
+
+
+@pytest.mark.parametrize("d, psi2", [(1, HEAT), (1, DRIFT), (2, HEAT)], ids=["1d", "drift", "2d"])
+def test_dyadic_envelope_rows_match_the_allocating_expression(d, psi2):
+    # each block's product, kernel factor and abs share buffers; the rows
+    # keep the bits of one fresh array per step
+    # the drift's Nyquist mode, exp(-|xi|^2) = 4.7e-275 at t = 1, must not underflow
+    g = GridSpec(2, 128, 16.0) if d == 2 else GridSpec(1, 256, 16.0)
+    D = build_decomposition(g)
+    js = range(max(D.j_min, -2), D.j_max + 1)
+    mult, half = _kernel_multiplier(psi2, 0.0, 1.0, g, (HEAT, 0.0))
+    assert half == (psi2 is HEAT)
+    want = [float(np.abs(_synthesize(g, mult * _bump(D, j)(half) * KERNEL_SCALE(d), half)).sum()
+                  * g.cell_measure) for j in js]
+    rep = dyadic_l1_envelope(HEAT, 0.0, psi2, 0.0, 1.0, js, g, D)
+    assert [r.l1_norm for r in rep.rows] == want
 
 
 def test_dyadic_envelope_range_checked():

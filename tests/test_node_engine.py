@@ -471,16 +471,43 @@ def test_band_bits_match_full_lattice_loop(monkeypatch, d, psi):
     assert H == hormander_report(psi, 0.0, psi, 0.0, w, 2.0, ys, grid).integrals
 
 
-@pytest.mark.parametrize("case", ["complex", "drift", "power-t", "flat-tail"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_separable_band_bits_match_whole_lattice(monkeypatch, d):
+    # power-t's node exponents A_i |xi|^2 have A_i < 0: the band applies, and
+    # with the floor at -inf every chunk keeps the whole half lattice
+    grid, f, w = band_case(d, POWER_T)
+    ys = BAND_SHIFTS[d]
+    calls = spy_inverse(monkeypatch)
+    G = g_function(f, HEAT, 0.0, POWER_T, w, 2.0)
+    H = hormander_report(HEAT, 0.0, POWER_T, 0.0, w, 2.0, ys, grid).integrals
+    widths = [m for name, m in calls if name == "irfftn"]
+    assert len(widths) == len(calls) > 1 and min(widths) < grid.n // 2 + 1
+    calls.clear()
+    monkeypatch.setattr(gfunction, "_EXP_FLOOR", -math.inf)
+    assert G.values.tobytes() == g_function(f, HEAT, 0.0, POWER_T, w, 2.0).values.tobytes()
+    assert H == hormander_report(HEAT, 0.0, POWER_T, 0.0, w, 2.0, ys, grid).integrals
+    assert set(calls) == {("irfftn", grid.n // 2 + 1)}
+
+
+# separable with node integrals of both signs: A(t) = 0.001 t - t^2 / 2 > 0 below t = 0.002
+SIGN_CHANGE = SymbolSpec(name="sign-change", kappa=1.0, mu=30.0, gamma=2.0, n_cert=2,
+                         eval_fn=lambda t, xi: (0.001 - t) * (xi**2).sum(axis=0),
+                         time_factor=lambda t: 0.001 - t, spatial=lambda xi: (xi**2).sum(axis=0))
+
+
+@pytest.mark.parametrize("case", ["complex", "drift", "sign-change", "flat-tail"])
 def test_band_leaves_other_paths_whole(monkeypatch, case):
     grid, f, w = band_case(2, HEAT)
-    psi2 = {"drift": DRIFT, "power-t": POWER_T, "flat-tail": FLAT_TAIL}.get(case, HEAT)
+    psi2 = {"drift": DRIFT, "sign-change": SIGN_CHANGE, "flat-tail": FLAT_TAIL}.get(case, HEAT)
     if case == "complex":
         f = Field(grid, f.values * (1.0 + 0.5j))
+    if case == "sign-change":
+        w = finite_window(grid, 2.0, n_nodes=2)
+        assert (w.nodes < 0.002).any() and (w.nodes > 0.002).any()
     calls = spy_inverse(monkeypatch)
     G = g_function(f, HEAT, 0.0, psi2, w, 2.0)
     full = ("irfftn", grid.n // 2 + 1)
-    assert set(calls) == ({full} if case in ("power-t", "flat-tail") else {("ifftn", grid.n)})
+    assert set(calls) == ({full} if case in ("sign-change", "flat-tail") else {("ifftn", grid.n)})
     if case == "flat-tail":  # the band test's oracle runs this real path too
         monkeypatch.undo()
         monkeypatch.setattr(gfunction, "_node_fields", full_lattice_node_fields)
