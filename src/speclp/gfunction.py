@@ -29,8 +29,11 @@ The panel order (``_ORDERS``) is the lowest whose per-mode time sums match
 their closed forms to 1e-14 for omega up to 6 (1.2e-14 at omega = 8), at
 every lattice decay rate for n = 256..32768, L = 32 and a = 0.001..inf:
 
-    omega   <= 1   <= 2   <= 4   <= 6   > 6
-    order     11     12     13     14    15
+    omega   <= 1   <= 2   <= 4   <= 6   <= 8
+    order     11     12     13     14     15
+
+Above omega = 8 no order is certified (at order 15 the weights' sum misses
+1/omega by 2e-5 at omega = 50), so a window there raises WindowError.
 
 For a = inf the integral is truncated at the time where the slowest nonzero
 lattice mode has decayed below 1e-16, which requires a spectral gap: the
@@ -136,8 +139,9 @@ _CHUNK_BYTES = 1 << 20
 _EXP_FLOOR = -746.0
 # Gauss-Legendre order of a time-dependent psi2's integral between window nodes
 _NODE_ORDER = 16
-# (largest omega, panel order) of the window's panels (module docstring)
-_ORDERS = ((1.0, 11), (2.0, 12), (4.0, 13), (6.0, 14), (math.inf, 15))
+# (largest omega, panel order) of the window's panels (module docstring); no
+# order is certified above the last omega
+_ORDERS = ((1.0, 11), (2.0, 12), (4.0, 13), (6.0, 14), (8.0, 15))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +181,12 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
     panels in log t of 2 octaves each over the Gauss-Jacobi bottom panel,
     each panel of the order omega = q gamma1/gamma2 sets (module docstring):
 
-        omega   <= 1   <= 2   <= 4   <= 6   > 6
-        order     11     12     13     14    15
+        omega   <= 1   <= 2   <= 4   <= 6   <= 8
+        order     11     12     13     14     15
 
-    ``n_nodes``, a positive integer, overrides the order.
+    ``n_nodes``, a positive integer, overrides the order.  WindowError for
+    omega > 8, where no order is certified, and for a window that has no
+    finite rule (that is reported first).
 
     Parameters beyond the window geometry:
 
@@ -210,7 +216,7 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise ValueError(f"xi_max must be positive and finite, got {xi_max}")
     omega = q * gamma1 / gamma2
     if n_nodes is None:
-        n_nodes = next(order for top, order in _ORDERS if omega <= top)
+        n_nodes = next((order for top, order in _ORDERS if omega <= top), _ORDERS[-1][1])
     elif isinstance(n_nodes, bool) or not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     if math.isinf(a) and (xi_min is None or not xi_min > 0):
@@ -240,6 +246,9 @@ def build_time_window(s: float, a: float, q: float, gamma1: float, gamma2: float
         raise WindowError(f"{fault}: {exc}") from None
     if not np.isfinite(weights).all():
         raise WindowError(f"{fault}: its weights are not finite")
+    if omega > _ORDERS[-1][0]:
+        raise WindowError(f"time window not certified for omega = q gamma1/gamma2 = {omega:.15g}: "
+                          f"the panel orders are certified up to omega = {_ORDERS[-1][0]:g}")
     return TimeWindow(
         s=float(s), a=float(a), q=float(q), gamma1=float(gamma1), gamma2=float(gamma2),
         kappa2=float(kappa2), weight_exponent=omega - 1.0,

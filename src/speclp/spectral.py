@@ -29,7 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -212,19 +212,52 @@ def forward_transform(f: Field) -> SpectralField:
     return SpectralField(f.grid, _spectrum(f))
 
 
-def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
+def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
+          rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Unscaled inverse FFT over the trailing ``grid.dim`` axes, in fft order,
-    so a stack of spectra is one call; with ``half``, real samples of a half
-    spectrum whose last axis is zero-padded to n/2 + 1."""
-    axes = tuple(range(-grid.dim, 0))
-    return (np.fft.irfftn(coeffs, s=grid.shape, axes=axes) if half
-            else np.fft.ifftn(coeffs, axes=axes))
+    so a stack of spectra is one call: the package's one inverse FFT.  With
+    ``half``, real samples of a half spectrum whose last axis holds the
+    leading columns of 0..n/2, the rest taken as 0.
+
+    It runs axis by axis in numpy's own order, so its bytes are those of
+    ``irfftn`` and ``ifftn``: with ``half``, ``ifft`` over every spatial axis
+    but the last, first to last, then ``irfft`` on the last; else ``ifft``
+    from the last axis to the first.  The first stage writes a new buffer
+    (``coeffs`` is never written), and later stages transform in place.
+    ``rows``, increasing fft-order indices, says that the coefficients live
+    only on those indices of each whole axis (every spatial axis but the half
+    one) and are 0 elsewhere: a stage then scatters its input into a zeroed
+    buffer, full length along the axis it transforms, and transforms only the
+    lines earlier stages filled; on the half path the last of these buffers
+    has the full width n/2 + 1, so ``irfft`` gets its spectrum unpadded.
+    """
+    axes = range(coeffs.ndim - grid.dim, coeffs.ndim)
+    a = coeffs
+    for ax in axes[:-1] if half else axes[::-1]:
+        compact = a.shape[ax] < grid.n  # coefficients on `rows` of the axis only
+        src = dest = a  # in place, once a is a buffer of its own
+        if compact:
+            shape = list(a.shape)
+            shape[ax] = grid.n
+            if half and ax == axes[-2]:
+                shape[-1] = grid.n // 2 + 1
+            a = np.zeros(shape, dtype=complex)
+            dest = a[..., :src.shape[-1]] if ax < axes[-1] else a
+            dest[(slice(None),) * ax + (rows,)] = src
+            src = dest
+        elif a is coeffs:
+            a = dest = np.empty(a.shape, dtype=complex)
+        np.fft.ifft(src, axis=ax, out=dest)
+        del src, dest  # the stage's input, unless it is coeffs or a itself
+    return np.fft.irfft(a, grid.n, axis=-1) if half else a
 
 
-def _synthesize(grid: GridSpec, coeffs: np.ndarray, half: bool = False) -> np.ndarray:
+def _synthesize(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
+                rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Natural-order samples of fft-order coefficients times the synthesis
-    factor (2 pi)^(d/2) / spacing^d: the package's one synthesis step."""
-    samples = _ifft(grid, coeffs, half)
+    factor (2 pi)^(d/2) / spacing^d: the package's one synthesis step.
+    ``rows`` is passed to :func:`_ifft`."""
+    samples = _ifft(grid, coeffs, half, rows)
     samples *= _two_pi_pow(grid.dim) / grid.cell_measure
     return np.fft.fftshift(samples)
 
@@ -277,11 +310,16 @@ def _multiply(f: Field, mult) -> Field:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """Riemann-sum L^p norm, (sum |f|^p spacing^d)^(1/p), for finite p >= 1."""
+    """Riemann-sum L^p norm, (sum |f|^p spacing^d)^(1/p), for finite p >= 1.
+
+    |f|^p is raised in place, so the call holds one temporary the size of
+    the field; ``**=`` runs the same power as ``**``, with the same bits.
+    """
     if not 1 <= p < float("inf"):
         raise ValueError(f"p must be finite and >= 1, got {p}")
     a = np.abs(f.values)
-    return float((a**p).sum() * f.grid.cell_measure) ** (1.0 / p)
+    a **= p
+    return float(a.sum() * f.grid.cell_measure) ** (1.0 / p)
 
 
 def mean_remove(f: Field) -> Field:
@@ -328,6 +366,12 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     where the coarse lattice determines the function.  A real f gives the real
     part of the exact result; as for :func:`spectral_shift`, the part dropped
     sits on the coarse lattice's self-paired Nyquist planes.
+
+    The padded spectrum is built only on the fine indices the placements fill
+    along each axis, and :func:`_ifft` transforms only the lines they fill:
+    for d >= 2 and factor >= 2 that skips most of the transform work and
+    every zero-padded lattice, with the bytes of the full-lattice ``irfftn``
+    or ``ifftn``.
     """
     if _index(factor, "factor") < 1:
         raise ValueError("factor must be a positive integer")
@@ -341,12 +385,26 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     # of the exact result.  On the last axis the -n/2 placement falls off the
     # half lattice unless factor is 1, and a corner with Nyquist components of
     # both signs gets neither placement, so it stays 0, as it must.
+    #
+    # X holds the padded spectrum only on the union `keep` of the placements'
+    # fine indices along each whole axis (on the half lattice, the last axis
+    # keeps its leading columns 0..n/2).  At factor 1 the placements cover
+    # the whole lattice, and at d = 1 there is nothing to skip, so both keep
+    # the whole lattice.
     real = np.isrealobj(f.values)
     tops = (g.n // 2, g.n // 2 + 1) if real else (g.n // 2,)
     F = (0.5 if real else 1.0) * _spectrum(f, real)
-    X = np.zeros(fine.shape[:-1] + (fine.n // 2 + 1 if real else fine.n,), dtype=complex)
+    width = fine.n // 2 + 1 if real else fine.n  # the last axis's length
+    if factor == 1 or g.dim == 1:
+        keep, shape = None, fine.shape[:-1] + (width,)
+    else:
+        keep = np.r_[0:tops[-1], fine.n - g.n + tops[0]:fine.n]
+        shape = (keep.size,) * (g.dim - 1) + (np.count_nonzero(keep < width),)
+    X = np.zeros(shape, dtype=complex)
     for top in tops:
         rows = np.r_[0:top, fine.n - g.n + top:fine.n]
-        cols = rows[rows < X.shape[-1]]
-        X[np.ix_(*[rows] * (g.dim - 1), cols)] += F[..., :cols.size]
-    return Field(fine, _synthesize(fine, X, real))
+        at = rows if keep is None else np.searchsorted(keep, rows)
+        cols = at[rows < width]
+        X[np.ix_(*[at] * (g.dim - 1), cols)] += F[..., :cols.size]
+    del F  # not held through the synthesis, which sets the peak memory
+    return Field(fine, _synthesize(fine, X, real, keep))

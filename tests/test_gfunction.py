@@ -132,7 +132,20 @@ def test_window_rejects_non_finite_parameters(bad, value):
 def test_window_without_finite_rule_raises_window_error(gamma1, kappa2, xi_max):
     with pytest.raises(WindowError, match=r"no finite time window \(omega = "):
         build_time_window(0.0, 1.0, 2.0, gamma1, 2.0, kappa2=kappa2, xi_max=xi_max)
-    assert build_time_window(0.0, 1.0, 2.0, 1020.0, 2.0, xi_max=1.0).order == 15
+    # omega = 1020 has a finite rule, but no certified one
+    with pytest.raises(WindowError, match=r"not certified for omega = q gamma1/gamma2 = 1020: "):
+        build_time_window(0.0, 1.0, 2.0, 1020.0, 2.0, xi_max=1.0)
+
+
+@pytest.mark.parametrize("n_nodes", [None, 8])
+def test_window_beyond_certified_omega_raises_window_error(n_nodes):
+    # _ORDERS certifies omega <= 8; at order 15 the weights' sum misses 1/omega
+    # by 2e-5 at omega = 50 (a = 1, xi_max = 1)
+    assert build_time_window(0.0, 1.0, 2.0, 8.0, 2.0, n_nodes, xi_max=1.0).order == (n_nodes or 15)
+    for gamma1, shown in ((8.000001, "8.000001"), (50.0, "50")):
+        with pytest.raises(WindowError, match=(rf"omega = q gamma1/gamma2 = {shown}: the panel "
+                                               r"orders are certified up to omega = 8$")):
+            build_time_window(0.0, 1.0, 2.0, gamma1, 2.0, n_nodes, xi_max=1.0)
 
 
 def test_window_needs_xi_max():

@@ -167,6 +167,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ("q", "inf", "q, gamma1, gamma2, kappa2 must be finite"),
     ("symbol1", "power:inf", "q, gamma1, gamma2, kappa2 must be finite"),
     ("symbol1", "power:2000", "no finite time window (omega = q gamma1/gamma2 = 2000)"),
+    ("symbol1", "power:50", "time window not certified for omega = q gamma1/gamma2 = 50"),
 ])
 def test_cli_bad_config_exits_2(tmp_path, capsys, key, value, message):
     p = write_cfg(tmp_path / "c.cfg", scenario="GFUN_RATIO", **{key: value})

@@ -165,15 +165,16 @@ def full_lattice_node_fields(psi1, l, psi2, window, grid, f=None):
 
 
 def spy_inverse(monkeypatch):
-    """Record (entry point, last-axis length of the spectrum) per inverse call."""
+    """Record (numpy routine whose bytes the call gives, last-axis length of
+    the spectrum) per inverse FFT of the node engine: ``irfftn`` for a half
+    spectrum, ``ifftn`` for a whole one."""
     calls = []
-    for name in ("irfftn", "ifftn"):
-        inner = getattr(np.fft, name)
+    inner = gfunction._ifft
 
-        def spy(a, *args, _inner=inner, _name=name, **kw):
-            calls.append((_name, a.shape[-1]))
-            return _inner(a, *args, **kw)
-        monkeypatch.setattr(np.fft, name, spy)
+    def spy(grid, coeffs, half=False, *args, **kw):
+        calls.append(("irfftn" if half else "ifftn", coeffs.shape[-1]))
+        return inner(grid, coeffs, half, *args, **kw)
+    monkeypatch.setattr(gfunction, "_ifft", spy)
     return calls
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,3 +185,20 @@ def test_refine_accepts_numpy_integer_factor(grid):
     assert fine.values.tobytes() == refine_field(f, 2).values.tobytes()
     with pytest.raises(ValueError, match="positive"):
         refine_field(f, np.int64(0))
+
+
+def test_refine_and_norm_peak_memory():
+    # a 32^3 -> 64^3 refinement transforms only the lines its spectrum fills,
+    # and lp_norm raises |f| to p in place: no zero-padded lattice or second
+    # temporary lives next to the fine field (3.23x on the full lattice)
+    grid = GridSpec(3, 32, 4.0)
+    x = grid.x_stack()
+    f = Field(grid, np.exp(-(x**2).sum(axis=0)) * (1.0 + 0.3 * np.cos(2.0 * x[0])))
+    lp_norm(refine_field(f, 2), 2.0)  # caches built outside the trace
+    tracemalloc.start()
+    try:
+        lp_norm(refine_field(f, 2), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 64**3 * 8

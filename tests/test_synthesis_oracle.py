@@ -17,6 +17,11 @@ within 1e-14 * max|f| of the complex oracle Re(ifftn(fftn(f) m)), content
 on the self-paired Nyquist planes included; the bound scales with max|m|
 where the multiplier exceeds 1, and is relative for a norm.
 
+Refinement, real and complex, is byte for byte the full-lattice placement
+followed by numpy's ``irfftn`` or ``ifftn``, which it replaced with
+transforms of the filled lines only; ``spectral._ifft`` is byte for byte
+``irfftn`` and ``ifftn`` on stacks of spectra.
+
 Kernels of an exactly Hermitian multiplier (kernels, gradient components,
 envelope blocks) are synthesized on the half lattice too: there the result
 must be float64, within 1e-14 of Re(complex oracle) relative to its largest
@@ -33,7 +38,7 @@ from speclp import (Field, GridSpec, SpectralField, SymbolSpec, apply_evolution,
                     dyadic_l1_envelope, forward_transform, fractional_laplacian_pv, get_symbol,
                     gradient_kernel, inverse_transform, kernel_field, low_part, lp_norm,
                     multiplier_values, refine_field, sobolev_norm, spectral_shift)
-from speclp import kernel_audit
+from speclp import kernel_audit, spectral
 from speclp.evolution import KERNEL_SCALE
 
 HEAT = get_symbol("heat")
@@ -151,6 +156,55 @@ def test_shift_and_refinement(grid):
                              (fine.n - grid.n) // 2)
             ref = inverse_transform(SpectralField(fine, np.fft.ifftshift(centred)))
             _same_real_part(f, refine_field(f, factor), _ref_real_part(f, ref))
+
+
+def _full_lattice_refinement(f, factor):
+    """refine_field as it was: the placements on the whole fine lattice (the
+    half one for real f), then numpy's irfftn or ifftn of every line."""
+    g = f.grid
+    fine = GridSpec(g.dim, g.n * factor, g.half_extent)
+    real = np.isrealobj(f.values)
+    tops = (g.n // 2, g.n // 2 + 1) if real else (g.n // 2,)
+    F = (0.5 if real else 1.0) * spectral._spectrum(f, real)
+    X = np.zeros(fine.shape[:-1] + (fine.n // 2 + 1 if real else fine.n,), dtype=complex)
+    for top in tops:
+        rows = np.r_[0:top, fine.n - g.n + top:fine.n]
+        cols = rows[rows < X.shape[-1]]
+        X[np.ix_(*[rows] * (g.dim - 1), cols)] += F[..., :cols.size]
+    axes = tuple(range(g.dim))
+    samples = np.fft.irfftn(X, s=fine.shape, axes=axes) if real else np.fft.ifftn(X, axes=axes)
+    samples *= (2.0 * np.pi) ** (g.dim / 2.0) / fine.cell_measure
+    return Field(fine, np.fft.fftshift(samples))
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 6), (1, 8), (1, 64), (1, 4096),
+                                  (2, 2), (2, 6), (2, 8), (2, 32),
+                                  (3, 2), (3, 6), (3, 8), (3, 16)])
+def test_refinement_bytes_match_full_lattice_inverse(d, n):
+    grid = GridSpec(d, n, 4.0)
+    rng = np.random.default_rng(n + d)
+    re = rng.standard_normal(grid.shape)
+    for f in (Field(grid, re), Field(grid, re + 1j * rng.standard_normal(grid.shape))):
+        for factor in (1, 2, 3):
+            _same(refine_field(f, factor), _full_lattice_refinement(f, factor))
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half", "whole"])
+def test_ifft_bytes_match_numpy_on_node_stacks(grid, half):
+    # a stack of three spectra, as the node engine hands over; on the half
+    # path also a band narrower than n/2 + 1, and a real spectrum (a kernel)
+    rng = np.random.default_rng(grid.dim)
+    axes = tuple(range(1, grid.dim + 1))
+    widths = (grid.n // 2 + 1, grid.n // 4) if half else (grid.n,)
+    for width in widths:
+        shape = (3,) + grid.shape[:-1] + (width,)
+        for spec in (rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                     rng.standard_normal(shape)):
+            kept = spec.copy()
+            want = (np.fft.irfftn(spec, s=grid.shape, axes=axes) if half
+                    else np.fft.ifftn(spec, axes=axes))
+            _same(spectral._ifft(grid, spec, half), want)
+            assert spec.tobytes() == kept.tobytes()  # the input is not written
 
 
 @pytest.mark.parametrize("psi", [HEAT, POISSON, SKEW], ids=lambda p: p.name)

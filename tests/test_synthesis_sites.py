@@ -111,6 +111,14 @@ def test_inverse_ffts_have_one_owner():
     assert sites == {("spectral.py", "_ifft")}
 
 
+def test_numpy_fft_transform_references_at_most_four():
+    # the design metric, counted as ROADMAP counts it:
+    # grep -o 'np\.fft\.\(i\|r\|ir\)\?fftn\?\b' src/speclp/*.py | wc -l
+    pattern = re.compile(r"np\.fft\.(i|r|ir)?fftn?\b")
+    refs = [m.group() for p in MODULES for m in pattern.finditer(p.read_text())]
+    assert 0 < len(refs) <= 4, refs
+
+
 def test_forward_ffts_have_one_owner():
     sites = {(p.name, name) for p in MODULES for name in _sites(p, _names(r"(r)?fft(n|2)?"))}
     assert sites == {("spectral.py", "_fft")}
