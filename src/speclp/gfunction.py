@@ -26,8 +26,8 @@ bottom panel and Gauss-Legendre panels above it, all of the order omega sets:
   about one of its decay times.
 
 The panel order (``_ORDERS``) is the lowest whose per-mode time sums match
-their closed forms to 1e-14 for omega up to 6 (1.2e-14 at omega = 8), at
-every lattice decay rate for n = 256..32768, L = 32 and a = 0.001..inf:
+their closed forms to 1e-14 for omega up to 8, at every lattice decay
+rate for n = 256..32768, L = 32 and a = 0.001..inf:
 
     omega   <= 1   <= 2   <= 4   <= 6   <= 8
     order     11     12     13     14     15
@@ -53,40 +53,43 @@ psi1(l,.) T_psi2(t,s) F over the window nodes.  One private generator,
 of nodes as one (k,) + lattice stack and transforms it with one call of the
 package's inverse FFT, ``spectral._ifft``, over the spatial axes.
 
-* Real path: when the input samples are real (kernels have no input) and
-  psi1(l,.) and phi (next bullet; for any other time-dependent psi2 the
-  integral up to the first node) are exactly Hermitian on the lattice,
-  m(-xi) = conj(m(xi)) (:func:`speclp.spectral._hermitian`, the test
-  kernels take too), every node field is real.  The stack then lives on the half spectrum of
+* Real path: when psi2 is time-constant or separable (next bullet), the
+  input samples are real (kernels have no input), and psi1(l,.) and phi are
+  exactly Hermitian on the lattice, m(-xi) = conj(m(xi))
+  (:func:`speclp.spectral._hermitian`, the test kernels take too), every
+  node field is real.  The stack then lives on the half spectrum of
   ``rfftn`` (last axis 0..n/2), the exponential runs on reals for
   real-valued symbols (their values are float64, see
   :func:`speclp.symbols.eval_symbol`), the input enters through one ``rfftn``
   of its samples (``spectral._spectrum``), and each chunk goes through one
-  ``irfftn``.
+  half-spectrum ``_ifft``: ``ifft`` over the leading spatial axes, then
+  ``irfft`` on the last.
 * Node exponents: node i's exponent is A_i phi, one outer product per chunk.
   A time-constant psi2 has A_i = t_i - s and phi = psi2(0, .).  A separable
   psi2 = a(t) spatial (:func:`speclp.symbols._at`) has phi = spatial,
   evaluated once per call on the whole lattice and cut to the half spectrum
   on the real path, and A_i the running sum, in node order, of the 16-node
   Gauss-Legendre integrals of the scalar a over the node intervals.  Any
-  other time-dependent psi2 sums those interval integrals on the lattice, on
-  the half spectrum on the real path.
+  other time-dependent psi2 sums those interval integrals on the whole
+  lattice and takes the complex fallback: whether its exponent stays
+  Hermitian may change from node to node.
 * Underflow band: on the real path, when every A_i has one sign, the late
   nodes of a window damp the high modes to exactly 0.0 (``np.exp``
   underflows below -745.1332).  There Re(A_i phi) = |A_i| sign Re phi, and
   each chunk builds the exponent, ``exp`` and the product with the input
   spectrum only on the leading last-axis columns where the smallest |A_i|
-  from its first node on leaves |A_i| sign Re phi >= ``_EXP_FLOOR`` (-746).  It hands that band to
-  the same ``irfftn``, which zero-pads the last axis and, for d >= 2, runs
-  the other axes' transforms on the band only.  The band's width is one
-  ``searchsorted`` per chunk in the suffix maximum of sign Re phi's column
-  maxima, built once per call like the suffix minimum of |A|.  The dropped columns held exact zeros, so no
-  output moves.  The complex fallback, A_i of both signs (or zero), a
-  non-separable time-dependent psi2, and sign Re phi >= 0 on the last column
-  keep the whole lattice.
-* Complex fallback: complex input, or a multiplier that is not Hermitian
-  (for instance a drift term i xi, which is not real at the Nyquist index),
-  runs the same chunk loop on the full lattice with ``ifftn``.
+  from its first node on leaves |A_i| sign Re phi >= ``_EXP_FLOOR`` (-746).
+  It hands that band to the same ``_ifft``, whose ``ifft`` stages (d >= 2)
+  run on the band only and whose ``irfft`` zero-pads the last axis.  The
+  band's width is one ``searchsorted`` per chunk in the suffix maximum of
+  sign Re phi's column maxima, built once per call like the suffix minimum
+  of |A|.  The dropped columns held exact zeros, so no output moves.  The
+  complex fallback, A_i of both signs (or zero), and sign Re phi >= 0 on the
+  last column keep the whole lattice.
+* Complex fallback: complex input, a multiplier that is not Hermitian (for
+  instance a drift term i xi, which is not real at the Nyquist index), or a
+  psi2 that is neither time-constant nor separable runs the same chunk loop
+  on the full lattice, through the whole-spectrum ``_ifft``.
 * Chunk budget: a chunk holds as many nodes as keep its temporaries near
   ``_CHUNK_BYTES`` (1 MiB, inside a 2 MiB per-core L2 cache), and at least
   one node.  Node results are reduced chunk by chunk, so no call ever holds
@@ -302,8 +305,8 @@ def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: flo
 
 def _chunk_nodes(grid, real: bool) -> int:
     """Nodes per chunk.  A real-path node holds about three real lattices of
-    temporaries (exponent and multiplier on the half spectrum, the real
-    output, the irfftn scratch); a complex node about six."""
+    temporaries (exponent and multiplier on the half spectrum, the
+    intermediate ``ifft`` stages, the real output); a complex node about six."""
     per_node = (24 if real else 48) * math.prod(grid.shape)
     return max(1, _CHUNK_BYTES // per_node)
 
@@ -345,9 +348,8 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     pre = psi1(l, xi)
     # the exponent at node i is A[i] phi: A = t_i - s and phi = psi2(0, .) for a
     # time-constant psi2, A = int_s^t_i a and phi = spatial for a separable
-    # psi2 = a(t) spatial; any other psi2 has phi = None, and its exponent is
-    # summed per node interval on the lattice.  first (phi, or the integral up
-    # to the first node) is on the whole lattice, for the Hermitian test
+    # psi2 = a(t) spatial; any other psi2 has phi = None, takes the complex
+    # fallback, and its exponent is summed per node interval on the lattice
     if psi2.time_constant:
         A, phi = window.nodes - window.s, psi2(0.0, xi)
     else:
@@ -356,15 +358,11 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
         if phi is not None:
             A = np.cumsum([_gauss_integral(factor, a, b, _NODE_ORDER)
                            for a, b in zip(rs[:-1].tolist(), rs[1:].tolist())])
-    first = _gauss_integral(factor, window.s, window.nodes[0], _NODE_ORDER) if phi is None else phi
-    real = (f is None or np.isrealobj(f.values)) and _hermitian(pre) and _hermitian(first)
+    real = (phi is not None and (f is None or np.isrealobj(f.values))
+            and _hermitian(pre) and _hermitian(phi))
     if real:
-        half = _lattice(grid, True)  # the rfftn half spectrum
-        xi, pre, first = xi[half], pre[half].copy(), first[half].copy()
-        if phi is None:
-            factor = _at(psi2, xi)[0]
-        else:
-            phi = first  # its half spectrum; the whole lattice is freed
+        half = _lattice(grid, True)  # the rfftn half spectrum; the whole lattice is freed
+        pre, phi = pre[half].copy(), phi[half].copy()
     if f is not None:
         pre = pre * _input_spectrum(f, real, window.is_infinite)
 
@@ -376,21 +374,20 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     # less than at least[lo], the smallest |A[i]| with i >= lo (t_lo - s when
     # psi2 is time-constant)
     sign = 0.0
-    if real and phi is not None:
+    if real:
         sign = 1.0 if (A > 0).all() else -1.0 if (A < 0).all() else 0.0
     if sign:
-        rising = -_decay_tail(first, sign)
+        rising = -_decay_tail(phi, sign)
         least = np.minimum.accumulate(np.abs(A)[::-1])[::-1]
     for lo in range(0, window.nodes.size, k):
         sl = slice(lo, lo + k)
         if phi is not None:
             if sign:
                 band = slice(0, max(1, int(np.searchsorted(rising, -_EXP_FLOOR / least[lo]))))
-            E = np.multiply.outer(A[sl], first[..., band])
+            E = np.multiply.outer(A[sl], phi[..., band])
         else:
-            E = np.empty((window.nodes[sl].size,) + first.shape, dtype=first.dtype)
-            for j, i in enumerate(range(lo, lo + len(E))):
-                E[j] = _gauss_integral(factor, rs[i], rs[i + 1], _NODE_ORDER)
+            E = np.array([_gauss_integral(factor, a, b, _NODE_ORDER)
+                          for a, b in zip(rs[sl].tolist(), rs[1:][sl].tolist())])
             E[0] += Q
             np.cumsum(E, axis=0, out=E)
             Q = E[-1].copy()

@@ -198,8 +198,7 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     first chunk and reused for every node and shift; a blend keeps the
     order w0 K(x - y0), + wt K(x - yt), - K(x).  The q-th powers go through
     :func:`speclp.gfunction._accumulate`, which squares a real difference in
-    place at q = 2, and twice at q = 4.  The results equal the np.roll loop
-    with the same reduction bit for bit.
+    place at q = 2, and twice at q = 4.
     """
     _check_window(psi1, psi2, window, q)
     if s != window.s:

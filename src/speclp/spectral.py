@@ -289,8 +289,9 @@ def _multiplied(f: Field, mults) -> Iterator[Field]:
     rule: its result is Re Finv(m * F(f)) = Finv(H(m) * F(f)), with
     H(m)(xi) = (m(xi) + conj m(-xi)) / 2 the Hermitian part of m, so it takes
     ``mult(True)``, H(m) on the half lattice, and runs one ``rfftn`` and one
-    ``irfftn`` per multiplier.  A real radial profile is its own Hermitian
-    part; a shift phase is not, on the self-paired Nyquist planes.
+    half-spectrum :func:`_synthesize` per multiplier.  A real radial profile
+    is its own Hermitian part; a shift phase is not, on the self-paired
+    Nyquist planes.
     Kernels are real exactly when their multiplier passes :func:`_hermitian`;
     evolutions, of unknown symmetry, take the residue rule of
     :func:`speclp.evolution._drop_residue`.

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from speclp import acceptance
+from speclp import acceptance, generate_corpus, get_symbol, ratio_report
 from speclp.cli import main
 from speclp.evolution import _legendre
 from speclp.errors import ConfigError
@@ -315,3 +315,19 @@ def test_twin_scenario_summary_equals_criterion_details(tmp_path, cid, criterion
     res = criterion()
     assert res.passed
     assert summary == res.details
+
+
+@pytest.mark.parametrize("keys", [{}, {"p": 3.0}, {"p": 4.0, "q": 4.0}, {"symbol2": "power-t:2"}],
+                         ids=["a1", "p3", "p4-q4", "power-t"])
+def test_gfun_ratio_drift_branch(tmp_path, keys):
+    # off the exact q = 2 case the pass rule is the refinement drift of the max
+    cfg = ScenarioConfig(scenario="GFUN_RATIO", n=512, L=16.0, a=1.0, corpus_count=2, seed=5,
+                         output_dir=str(tmp_path), **keys)
+    assert run_scenario(cfg) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    entries = generate_corpus(cfg.seed, cfg.grid(), cfg.corpus_kind, cfg.corpus_count,
+                              mean_removed=True)
+    rep = ratio_report([e.field for e in entries], cfg.p, cfg.q, get_symbol(cfg.symbol1), cfg.l,
+                       get_symbol(cfg.symbol2), cfg.window())
+    assert summary["passed"] is True and summary["a"] == 1.0
+    assert summary["refinement_drift"] == rep.refinement_drift < 0.05

@@ -39,6 +39,9 @@ DRIFT = SymbolSpec(name="drift", eval_fn=lambda t, xi: -(xi**2).sum(axis=0) + 1j
 DRIFT_T = SymbolSpec(name="drift-t",
                      eval_fn=lambda t, xi: -(1.0 + t) * (xi**2).sum(axis=0) + 1j * xi[0],
                      kappa=1.0, mu=30.0, gamma=2.0, n_cert=2)
+# power-t:2 given as a plain eval_fn: Hermitian at every node, but not separable
+PLAIN_T = SymbolSpec(name="plain-t", eval_fn=lambda t, xi: -(1.0 + t) * (xi**2).sum(axis=0),
+                     kappa=1.0, mu=30.0, gamma=2.0, n_cert=2)
 
 GRIDS = {1: GridSpec(1, 256, 16.0), 2: GridSpec(2, 32, 8.0), 3: GridSpec(3, 16, 8.0)}
 
@@ -242,6 +245,33 @@ def test_non_hermitian_multiplier_takes_the_complex_path(d):
         assert rel_err(G.values, oracle_g(f, HEAT, 0.0, drift, w, 2.0)) <= 1e-13
 
 
+def late_switch(t1):
+    """-|xi|^2 + 5i max(0, t - t1) |xi|^2: Hermitian up to t1, not after."""
+    return SymbolSpec(name="late-switch", kappa=1.0, mu=30.0, gamma=2.0, n_cert=2,
+                      eval_fn=lambda t, xi: (-1.0 + 5j * max(0.0, t - t1)) * (xi**2).sum(axis=0))
+
+
+def test_symbol_that_turns_non_hermitian_late_takes_the_complex_path():
+    # the switch sits on node 42, past the first node: a realness test on the
+    # exponent's first interval alone would pass and take the half lattice
+    grid = GridSpec(1, 256, 16.0)
+    w = gfunction._grid_window(grid, HEAT, HEAT, a=1.0)
+    psi2 = late_switch(float(w.nodes[42]))
+    f = generate_corpus(3, grid, "GAUSSIAN_MIX", 1)[0].field
+    assert np.isrealobj(f.values)
+    G = g_function(f, HEAT, 0.0, psi2, w, 2.0)
+    assert rel_err(G.values, oracle_g(f, HEAT, 0.0, psi2, w, 2.0)) <= 1e-13
+    assert {K.dtype for _, K in gfunction._node_fields(HEAT, 0.0, psi2, w, grid, f)} == \
+        {np.dtype(np.complex128)}
+    grid = GridSpec(1, 2048, 16.0)
+    w = gfunction._grid_window(grid, HEAT, HEAT, a=1.0)
+    psi2 = late_switch(float(w.nodes[42]))
+    ys = [np.array([0.25]), np.array([0.5])]
+    rep = hormander_report(HEAT, 0.0, psi2, 0.0, w, 2.0, ys, grid)
+    for got, want in zip(rep.integrals, oracle_hormander(HEAT, 0.0, psi2, w, 2.0, ys, grid)):
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
 @pytest.mark.parametrize("complex_input", [False, True], ids=["real", "complex"])
 def test_path_choice_follows_the_input(complex_input):
     f = field(1, complex_input)
@@ -346,14 +376,16 @@ def test_hormander_single_node_chunks(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [2.0, 4.0])
-@pytest.mark.parametrize("psi2", [HEAT, POWER_T, DRIFT, DRIFT_T],
-                         ids=["heat", "power-t", "drift", "drift-t"])
+@pytest.mark.parametrize("psi2", [HEAT, POWER_T, DRIFT, DRIFT_T, PLAIN_T],
+                         ids=["heat", "power-t", "drift", "drift-t", "plain-t"])
 def test_g_function_bits_match_pow_reduction(d, q, psi2):
     f = field(d)
     w = finite_window(f.grid, q)
     _, stack = next(gfunction._node_fields(HEAT, 0.0, psi2, w, f.grid, f=f))
-    assert stack.dtype == (np.complex128 if psi2 in (DRIFT, DRIFT_T) else np.float64)
+    assert stack.dtype == (np.complex128 if psi2 in (DRIFT, DRIFT_T, PLAIN_T) else np.float64)
     G = g_function(f, HEAT, 0.0, psi2, w, q)
+    if psi2 is PLAIN_T:  # the complex route, to round-off of the separable real one
+        assert rel_err(G.values, g_function(f, HEAT, 0.0, POWER_T, w, q).values) <= 1e-14
     ref = pow_g(f, HEAT, 0.0, psi2, w, q)
     if q == 2.0:
         assert G.values.tobytes() == ref.tobytes()
