@@ -7,14 +7,16 @@ is a single source of truth for what "passing" means.  A criterion is
 written as a measure step ``() -> (passed, details)``; the :func:`_criterion`
 decorator times it, builds the result and registers it in :data:`CRITERIA`.
 
-A criterion with a scenario twin is that scenario's config (:data:`TWINS`)
-run through the scenario's measure step, with the summary mapped onto the
-criterion's detail keys: criteria 5, 7, 8 and 11 are LP_DECOMP, HORMANDER,
-DYADIC_ENVELOPE and FRACLAP_XCHECK, and criterion 6 is KERNEL_DECAY's time
-fit for three pairs.  Criteria 1, 2 and 10 share GFUN_RATIO's per-field
-ratio routine and exact q = 2 target (``gfunction._ratios``,
-``gfunction._exact_ratio``); they are not GFUN_RATIO configs, because that
-scenario adds a refinement pass and takes one p per square function.
+A criterion with a scenario twin calls that scenario's measure step from
+``harness._MEASURES`` on its config in :data:`TWINS`; a scenario step has the
+same ``(passed, summary)`` shape, and the criterion keeps the summary or maps
+it onto its detail keys: criteria 5, 7, 8 and 11 are LP_DECOMP, HORMANDER
+(``sup`` and ``trend_slope``), DYADIC_ENVELOPE and FRACLAP_XCHECK, and
+criterion 6 is KERNEL_DECAY's time fit for three pairs.  Criteria 1, 2 and
+10 share GFUN_RATIO's per-field ratio routine and exact q = 2 target
+(``gfunction._ratios``, ``gfunction._exact_ratio``); they are not GFUN_RATIO
+configs, because that scenario adds a refinement pass and takes one p per
+square function.
 """
 
 from __future__ import annotations
@@ -146,18 +148,11 @@ def criterion_4_closed_form_kernels():
     return passed, {"heat_sup_err": heat_err, "poisson_sup_err": pois_err}
 
 
-def _twin(cid: int):
-    """(passed, summary) of the criterion's twin scenario."""
-    cfg = TWINS[cid]
-    summary, _, passed = _MEASURES[cfg.scenario](cfg)
-    return passed, summary
-
-
 @_criterion(5, "partition of unity / almost orthogonality / reconstruction")
 def criterion_5_partition_orthogonality():
     """Partition of unity to 1e-14, block orthogonality to 1e-12,
     reconstruction to 1e-10: the LP_DECOMP scenario."""
-    return _twin(5)
+    return _MEASURES[TWINS[5].scenario](TWINS[5])
 
 
 @_criterion(6, "time-decay exponent of the gradient kernel")
@@ -182,14 +177,15 @@ def criterion_6_time_decay():
 def criterion_7_hormander():
     """Smoothness integral H(y) finite with flat log-log trend over 8 octaves:
     the HORMANDER scenario."""
-    return _twin(7)
+    passed, summary = _MEASURES[TWINS[7].scenario](TWINS[7])
+    return passed, {"sup": summary["sup"], "trend_slope": summary["trend_slope"]}
 
 
 @_criterion(8, "dyadic block L1 envelope")
 def criterion_8_dyadic_envelope():
     """Dyadic block L1 envelope fits with positive rate; low-j slope is the
     outer symbol order within 5%: the DYADIC_ENVELOPE scenario."""
-    passed, summary = _twin(8)
+    passed, summary = _MEASURES[TWINS[8].scenario](TWINS[8])
     slope, gamma = summary["low_j_slope"], get_symbol(TWINS[8].symbol1).gamma
     slope_err = abs(slope - gamma) / gamma if slope is not None else math.inf
     return passed, {"rate": summary["rate"], "constant": summary["constant"],
@@ -259,7 +255,7 @@ def criterion_10_ratio_stability():
 def criterion_11_fraclap_dual_route():
     """Principal-value and multiplier fractional Laplacians agree to 1e-3:
     the FRACLAP_XCHECK scenario."""
-    passed, summary = _twin(11)
+    passed, summary = _MEASURES[TWINS[11].scenario](TWINS[11])
     return passed, {f"eta_{eta}_rel_l2": rel for eta, rel in summary["discrepancies"].items()}
 
 

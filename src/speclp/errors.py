@@ -18,7 +18,7 @@ class QuadratureError(SpecLPError):
 
 
 class AuditError(SpecLPError):
-    """A numerical audit could not be carried out (step underflow, window too short, ...)."""
+    """A numerical audit could not be carried out (blocks underflow, fit window too short, ...)."""
 
 
 class WindowError(SpecLPError):

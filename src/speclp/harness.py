@@ -1,4 +1,4 @@
-"""Scenario runner: flat key-value configs in, JSON/CSV reports out.
+"""Scenario runner: flat key-value configs in, JSON reports out.
 
 Config files are plain ``key = value`` lines (``#`` comments, blank lines
 ignored).  Core keys, all optional unless a scenario needs them:
@@ -24,10 +24,13 @@ DYADIC_ENVELOPE fits the grid's blocks max(j_min+2, -6)..min(j_max-2, 5).
 A grid whose dyadic range misses one of LP_DECOMP's block pairs, or one the
 principal-value route rejects (FRACLAP_XCHECK, d = 1 only), is a ConfigError.
 
-Each scenario is a measure step ``(cfg) -> (summary, tables, passed)`` that
-writes nothing.  :func:`run_scenario` alone writes: ``summary.json`` (the
-summary tagged with schema_version, scenario and passed, no times), the CSV
-tables, and ``run_meta.json`` (timestamp, measure wall time, echoed config;
+Each scenario is a measure step ``(cfg) -> (passed, summary)`` that writes
+nothing, the shape of an acceptance criterion's step.  The summary holds
+every measured value; a per-row value is keyed by ``repr`` of its row key
+(HORMANDER's H by y, DYADIC_ENVELOPE's blocks by j).  :func:`run_scenario`
+alone writes, and only two files: ``summary.json`` (the summary tagged with
+schema_version, scenario and passed, no times) and ``run_meta.json``
+(timestamp, measure wall time, echoed config;
 for GFUN_RATIO and HORMANDER also the window geometry: node count, panel
 order (set by omega, see :mod:`speclp.gfunction`), Gauss-Legendre panel
 count, bottom-panel end time t_b and truncation time T;
@@ -35,7 +38,7 @@ for FRACLAP_XCHECK the principal-value quadrature: near-range panels summed
 by moments and node by node, nodes per panel, series terms, and the image
 sums' direct terms and Euler-Maclaurin order).
 Exit status 0 means the scenario's pass criterion held.  The acceptance
-criteria with a scenario twin run the same measure steps
+criteria with a scenario twin call the same measure steps
 (``acceptance.TWINS``), so each check exists once.
 """
 
@@ -144,13 +147,6 @@ def _write_json(obj: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 def _report_meta(cfg: ScenarioConfig, measure_s: float) -> dict:
     public = {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
               for k, v in dataclasses.asdict(cfg).items()}
@@ -180,7 +176,7 @@ def _measure_audit_symbol(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     xis = _sample_xis(grid, rng)
     ts = [0.0, 0.5, 1.0, 2.0]
-    rows, summary, ok = [], {}, True
+    summary, ok = {}, True
     for name in dict.fromkeys([cfg.symbol1, cfg.symbol2]):
         sym = get_symbol(name)
         r1 = audit_s1(sym, ts, xis)
@@ -191,12 +187,9 @@ def _measure_audit_symbol(cfg: ScenarioConfig):
         for cond, rep in checks.items():
             expected = True if cond != "HOMOGENEITY" else sym.homogeneous
             ok = ok and (rep.passed == expected)
-            rows.append((name, cond, rep.worst_violation, rep.sample_count, rep.passed))
         summary[name] = {c: {"worst_violation": r.worst_violation, "passed": r.passed}
                          for c, r in checks.items()}
-    return ({"symbols": summary},
-            {"audits.csv": (("symbol", "condition", "worst_violation", "samples", "passed"),
-                            rows)}, ok)
+    return ok, {"symbols": summary}
 
 
 def _time_fit(cfg: ScenarioConfig):
@@ -223,18 +216,14 @@ def _measure_kernel_decay(cfg: ScenarioConfig):
     """
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
-    t_list, tdec, _, time_ok = _time_fit(cfg)
+    _, tdec, _, time_ok = _time_fit(cfg)
     consts = [decay_fit_space(psi1, cfg.l, psi2, cfg.s, cfg.s + dt, grid,
                               fit_window=(4.0, grid.half_extent / 2.0)).fitted_constant
               for dt in (cfg.t / 2.0, cfg.t, 2.0 * cfg.t)]
     spread = (max(consts) - min(consts)) / min(consts)
-    tables = {"time_decay.csv": (("t", "fitted", "target"),
-                                 [(t, tdec.fitted_exponent, tdec.target_exponent)
-                                  for t in t_list]),
-              "space_constants.csv": (("t_multiple", "constant"),
-                                      list(zip((0.5, 1.0, 2.0), consts)))}
-    return ({"time_fit": dataclasses.asdict(tdec), "space_constants": consts,
-             "space_constant_spread": spread}, tables, time_ok and spread <= 0.10)
+    return time_ok and spread <= 0.10, {"time_fit": dataclasses.asdict(tdec),
+                                        "space_constants": consts,
+                                        "space_constant_spread": spread}
 
 
 def _measure_hormander(cfg: ScenarioConfig):
@@ -253,8 +242,8 @@ def _measure_hormander(cfg: ScenarioConfig):
     ys = [np.array([2.0**k] + [0.0] * (grid.dim - 1)) for k in range(k_lo, k_hi + 1)]
     rep = hormander_report(psi1, cfg.l, psi2, cfg.s, window, cfg.q, ys, grid)
     ok = math.isfinite(rep.sup) and abs(rep.trend_slope) <= 0.1
-    return ({"sup": rep.sup, "trend_slope": rep.trend_slope},
-            {"hormander.csv": (("y", "H"), list(zip(rep.y_values, rep.integrals)))}, ok)
+    return ok, {"sup": rep.sup, "trend_slope": rep.trend_slope,
+                "H": {repr(y): h for y, h in zip(rep.y_values, rep.integrals)}}
 
 
 def _measure_dyadic_envelope(cfg: ScenarioConfig):
@@ -265,10 +254,10 @@ def _measure_dyadic_envelope(cfg: ScenarioConfig):
     rep = dyadic_l1_envelope(psi1, cfg.l, psi2, cfg.s, cfg.s + cfg.t, js, grid, D)
     slope_ok = rep.low_j_slope is not None and \
         abs(rep.low_j_slope - psi1.gamma) / psi1.gamma <= 0.05
-    return ({"constant": rep.constant, "rate": rep.rate, "low_j_slope": rep.low_j_slope},
-            {"envelope.csv": (("j", "l1_norm", "envelope", "slack"),
-                              [(r.j, r.l1_norm, r.envelope, r.slack) for r in rep.rows])},
-            rep.rate > 0.0 and slope_ok)
+    blocks = {repr(r.j): {"l1_norm": r.l1_norm, "envelope": r.envelope, "slack": r.slack}
+              for r in rep.rows}
+    return rep.rate > 0.0 and slope_ok, {"constant": rep.constant, "rate": rep.rate,
+                                         "low_j_slope": rep.low_j_slope, "blocks": blocks}
 
 
 def _measure_gfun_ratio(cfg: ScenarioConfig):
@@ -285,8 +274,7 @@ def _measure_gfun_ratio(cfg: ScenarioConfig):
         ok = all(abs(r - target) <= 1e-3 for r in rep.per_field)
     else:
         ok = rep.refinement_drift is not None and rep.refinement_drift < 0.05
-    return (rep.to_json_dict(),
-            {"ratios.csv": (("field_id", "ratio"), list(enumerate(rep.per_field)))}, ok)
+    return ok, rep.to_json_dict()
 
 
 def _measure_lp_decomp(cfg: ScenarioConfig):
@@ -315,8 +303,8 @@ def _measure_lp_decomp(cfg: ScenarioConfig):
         worst_rec = max(worst_rec, float(np.linalg.norm(err) / np.linalg.norm(f.values)),
                         float(np.abs(err).max() / np.abs(f.values).max()))
     ok = part_defect <= 1e-14 and worst_orth <= 1e-12 and worst_rec <= 1e-10
-    return ({"partition_defect": part_defect, "worst_orthogonality": worst_orth,
-             "worst_reconstruction": worst_rec}, {}, ok)
+    return ok, {"partition_defect": part_defect, "worst_orthogonality": worst_orth,
+                "worst_reconstruction": worst_rec}
 
 
 def _measure_fraclap_xcheck(cfg: ScenarioConfig):
@@ -326,29 +314,28 @@ def _measure_fraclap_xcheck(cfg: ScenarioConfig):
         raise ConfigError(f"FRACLAP_XCHECK runs in d = 1 only, got d = {cfg.d}")
     grid = cfg.grid()
     f = Field(grid, np.exp(-(grid.x_axis() ** 2) / 2.0))
-    rows = []
+    discrepancies = {}
     for eta in (0.5, 1.0, 1.5):
         try:
             B = fractional_laplacian_pv(f, eta).values
         except ValueError as exc:  # a grid off the split at y = 1
             raise ConfigError(str(exc)) from exc
         A = _multiply(f, _radial(grid, lambda rho: -rho**eta)).values
-        rows.append((eta, math.sqrt(float((np.abs(A - B) ** 2).sum()))
-                     / math.sqrt(float((np.abs(A) ** 2).sum()))))
-    return ({"discrepancies": {repr(e): r for e, r in rows}},
-            {"fraclap.csv": (("eta", "rel_l2_discrepancy"), rows)},
-            all(r < 1e-3 for _, r in rows))
+        discrepancies[repr(eta)] = (math.sqrt(float((np.abs(A - B) ** 2).sum()))
+                                    / math.sqrt(float((np.abs(A) ** 2).sum())))
+    return (all(r < 1e-3 for r in discrepancies.values()),
+            {"discrepancies": discrepancies})
 
 
 def _measure_reproduce(cfg: ScenarioConfig):
     from .acceptance import run_all
     results = run_all(echo=print)
-    return ({"criteria": [{k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_s"}
-                          for r in results]}, {}, all(r.passed for r in results))
+    return all(r.passed for r in results), {
+        "criteria": [{k: v for k, v in dataclasses.asdict(r).items() if k != "runtime_s"}
+                     for r in results]}
 
 
-# each measure step returns (summary, tables, passed): the scenario's summary
-# entries, its CSV tables as {file name: (header, rows)}, and whether it passed
+# each measure step returns (passed, summary), as a criterion's step does
 _MEASURES = {
     "AUDIT_SYMBOL": _measure_audit_symbol,
     "KERNEL_DECAY": _measure_kernel_decay,
@@ -364,15 +351,14 @@ SCENARIOS = tuple(_MEASURES)
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:
-    """Run one scenario; writes artifacts to cfg.output_dir, returns exit status."""
+    """Run one scenario; writes summary.json and run_meta.json to
+    cfg.output_dir, returns exit status."""
     cfg.validate()
     t0 = time.perf_counter()
-    summary, tables, passed = _MEASURES[cfg.scenario](cfg)
+    passed, summary = _MEASURES[cfg.scenario](cfg)
     meta = _report_meta(cfg, time.perf_counter() - t0)
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(out, name), header, rows)
     _write_json({**summary, "schema_version": SCHEMA_VERSION, "scenario": cfg.scenario,
                  "passed": bool(passed)}, os.path.join(out, "summary.json"))
     _write_json(meta, os.path.join(out, "run_meta.json"))

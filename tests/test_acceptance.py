@@ -84,7 +84,7 @@ def test_criterion_08_reads_its_twins_order(monkeypatch):
     cfg = dataclasses.replace(acceptance.TWINS[8], symbol1="power:1.5")
     monkeypatch.setitem(acceptance.TWINS, 8, cfg)
     res = acceptance.criterion_8_dyadic_envelope()
-    summary, _, passed = _MEASURES[cfg.scenario](cfg)
+    passed, summary = _MEASURES[cfg.scenario](cfg)
     assert res.details["low_j_slope"] == summary["low_j_slope"]
     assert res.details["low_j_slope_rel_err"] == abs(summary["low_j_slope"] - 1.5) / 1.5
     assert res.passed == passed

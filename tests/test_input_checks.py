@@ -90,6 +90,24 @@ CASES = {
                              "empty frequency sample set"),
     "homogeneity-zero-xi": (lambda: check_homogeneity(HEAT, [2.0], [[0.0]]), ValueError,
                             "samples must avoid xi = 0"),
+    "s1-inf-xi": (lambda: audit_s1(HEAT, [0.0], [[np.inf], [1.0]]), ValueError,
+                  "samples must be finite"),
+    "s1-nan-xi": (lambda: audit_s1(HEAT, [0.0], [[1.0], [np.nan]]), ValueError,
+                  "samples must be finite"),
+    "s1-overflow-xi": (lambda: audit_s1(HEAT, [0.0], [[1e200], [1.0]]), ValueError,
+                       "samples must have |xi|^2 within the float range"),
+    "s2-inf-xi": (lambda: audit_s2(HEAT, 1, [0.0], [[np.inf], [1.0]]), ValueError,
+                  "samples must be finite"),
+    "s2-nan-xi": (lambda: audit_s2(HEAT, 1, [0.0], [[1.0], [np.nan]]), ValueError,
+                  "samples must be finite"),
+    "s2-overflow-xi": (lambda: audit_s2(HEAT, 1, [0.0], [[1e200], [1.0]]), ValueError,
+                       "samples must have |xi|^2 within the float range"),
+    "homogeneity-inf-xi": (lambda: check_homogeneity(HEAT, [2.0], [[np.inf], [1.0]]), ValueError,
+                           "samples must be finite"),
+    "homogeneity-nan-xi": (lambda: check_homogeneity(HEAT, [2.0], [[1.0], [np.nan]]), ValueError,
+                           "samples must be finite"),
+    "homogeneity-overflow-xi": (lambda: check_homogeneity(HEAT, [2.0], [[1e200], [1.0]]),
+                                ValueError, "samples must have |xi|^2 within the float range"),
     "homogeneity-lambda": (lambda: check_homogeneity(HEAT, [2.0, 0.0], [[1.0]]), ValueError,
                            "lambdas must be positive"),
     "config-workers": (lambda: ScenarioConfig(workers=0).validate(), ConfigError,
