@@ -164,8 +164,8 @@ def criterion_6_time_decay():
     for tag, p1, p2 in (("heat_heat", "heat", "heat"),
                         ("poisson_poisson", "poisson", "poisson"),
                         ("poisson_heat", "poisson", "heat")):
-        _, rep, rel, ok = _time_fit(ScenarioConfig(scenario="KERNEL_DECAY", symbol1=p1,
-                                                   symbol2=p2, n=4096, L=64.0))
+        rep, rel, ok = _time_fit(ScenarioConfig(scenario="KERNEL_DECAY", symbol1=p1,
+                                                symbol2=p2, n=4096, L=64.0))
         details[f"{tag}_fitted"] = rep.fitted_exponent
         details[f"{tag}_target"] = rep.target_exponent
         details[f"{tag}_rel_err"] = rel

@@ -34,13 +34,17 @@ class CorpusEntry:
     mean_removed: bool
 
 
-def _check_boundary(grid: GridSpec, raw: np.ndarray) -> None:
+def _check_boundary(grid: GridSpec, raw: np.ndarray, entry: int, seed: int, kind: str) -> None:
+    """ConfigError naming the draw when a sample beyond 0.9 L exceeds
+    _BOUNDARY_TOL times the peak: the draw, not the grid, is at fault when
+    other seeds draw on the same grid."""
     r = grid.x_norm() if grid.dim > 1 else np.abs(grid.x_axis())
     mask = r > 0.9 * grid.half_extent
     peak = np.abs(raw).max()
-    if mask.any() and np.abs(raw[mask]).max() > _BOUNDARY_TOL * peak:
-        raise ConfigError("corpus entry violates the boundary-decay envelope; "
-                          "grid too small for the requested content")
+    if mask.any() and (edge := np.abs(raw[mask]).max()) > _BOUNDARY_TOL * peak:
+        raise ConfigError(f"corpus entry {entry} (seed {seed}, {kind}) violates the "
+                          f"boundary-decay envelope: boundary/peak = {edge / peak:.3g} > "
+                          f"{_BOUNDARY_TOL:g}")
 
 
 def _flat_top(grid: GridSpec) -> np.ndarray:
@@ -101,7 +105,7 @@ def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
             raw, b = _gaussian_mix(rng, grid)
         else:
             raw, b = _bandlimited_random(rng, grid)
-        _check_boundary(grid, raw)
+        _check_boundary(grid, raw, i, seed, kind)
         f = Field(grid, raw)
         if mean_removed:
             f = mean_remove(f)

@@ -194,13 +194,13 @@ def _measure_audit_symbol(cfg: ScenarioConfig):
 
 def _time_fit(cfg: ScenarioConfig):
     """KERNEL_DECAY's time step: the gradient-kernel sup at times s + t 2^(-1..2)
-    fitted against its scaling exponent.  Returns (t_list, fit, relative
-    error, passed); the fit passes within 2 %."""
+    fitted against its scaling exponent.  Returns (fit, relative error,
+    passed); the fit passes within 2 %."""
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
     t_list = [cfg.s + cfg.t * 2.0**k for k in (-1, 0, 1, 2)]
     tdec = decay_fit_time(psi1, cfg.l, psi2, cfg.s, cfg.grid(), t_list)
     rel = abs(tdec.fitted_exponent - tdec.target_exponent) / abs(tdec.target_exponent)
-    return t_list, tdec, rel, rel <= 0.02
+    return tdec, rel, rel <= 0.02
 
 
 def _measure_kernel_decay(cfg: ScenarioConfig):
@@ -216,7 +216,7 @@ def _measure_kernel_decay(cfg: ScenarioConfig):
     """
     grid = cfg.grid()
     psi1, psi2 = get_symbol(cfg.symbol1), get_symbol(cfg.symbol2)
-    _, tdec, _, time_ok = _time_fit(cfg)
+    tdec, _, time_ok = _time_fit(cfg)
     consts = [decay_fit_space(psi1, cfg.l, psi2, cfg.s, cfg.s + dt, grid,
                               fit_window=(4.0, grid.half_extent / 2.0)).fitted_constant
               for dt in (cfg.t / 2.0, cfg.t, 2.0 * cfg.t)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,7 +25,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, _bump
-from .spectral import Field, GridSpec, _fft, _lattice, _multiply, _two_pi_pow
+from .spectral import Field, GridSpec, _centre, _fft, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -243,7 +244,8 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     r = grid.x_norm()
     integrals = []
     for y_mag, a in zip(mags, acc):
-        V = np.fft.fftshift(a) ** (1.0 / q)
+        a **= 1.0 / q
+        V = _centre(a)
         integrals.append(float((V * (r >= 2.0 * y_mag)).sum() * grid.cell_measure))
     slope = _loglog_fit(np.asarray(mags), np.maximum(np.asarray(integrals), _UNDERFLOW)) \
         if len(ys) >= 2 else float("nan")
@@ -272,10 +274,15 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     """L1 norms of the dyadic kernel blocks with fitted envelope C 2^(j g1) e^(-c (t-s) 2^(j g2)).
 
     The decay rate c is pinned by regressing log(measured / 2^(j g1)) against
-    (t-s) 2^(j g2); C is then the smallest constant covering every block, so
-    all rows sit under the envelope by construction.  The low-j growth slope
-    (log2 measured per unit j, over blocks with (t-s) 2^((j+1) g2) at most
-    1/32, where the decay factor is still near 1) estimates g1.
+    (t-s) 2^(j g2); C is then the largest L1 norm over envelope factor
+    among the blocks above underflow (L1 norm > 1e-280), raised past the
+    round-off of the envelope's products (an ulp or two, so within an ulp of
+    the smallest covering constant): each such row sits under its envelope
+    as the rows report it, with slack >= 1.  A block above underflow whose
+    factor 2^(j g1) e^(-c (t-s) 2^(j g2)) falls below the normal float range
+    raises AuditError.  The low-j growth slope (log2 measured per unit j,
+    over blocks with (t-s) 2^((j+1) g2) at most 1/32, where the decay factor
+    is still near 1) estimates g1.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
@@ -303,11 +310,24 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     z = np.array([math.log(measured[j]) - j * g1 * math.log(2.0) for j in usable])
     slope = np.polyfit(w, z, 1)[0]
     c = max(-float(slope), 0.0)
-    logC = float((z + c * w).max())
-    C = math.exp(logC)
+
+    def envelope(C, j):
+        return C * 2.0 ** (j * g1) * math.exp(-c * (t - s) * 2.0 ** (j * g2))
+
+    # C starts at the largest measured[j] / envelope(1, j) and rises an ulp at
+    # a time until envelope's two rounded products cover every usable row; a
+    # factor below the normal range would leave that quotient, and so the
+    # number of steps, unbounded
+    factor = {j: envelope(1.0, j) for j in usable}
+    for j in usable:
+        if factor[j] < sys.float_info.min:
+            raise AuditError(f"envelope factor of block j={j} underflows at rate c = {c:g}")
+    C = max(measured[j] / factor[j] for j in usable)
+    while any(envelope(C, j) < measured[j] for j in usable):
+        C = math.nextafter(C, math.inf)
     rows = []
     for j in js:
-        env = C * 2.0 ** (j * g1) * math.exp(-c * (t - s) * 2.0 ** (j * g2))
+        env = envelope(C, j)
         slack = env / measured[j] if measured[j] > 0 else float("inf")
         rows.append(EnvelopeRow(j, measured[j], env, slack))
     low = [j for j in usable if (t - s) * 2.0 ** ((j + 1) * g2) <= 1.0 / 32.0]

@@ -4,11 +4,12 @@
 ``gfunction._jacobi`` (Golub-Welsch nodes for the weight (1 + x)^beta,
 polished by the same Newton step) feed every time integral and every window.
 The reference takes each node to 40 digits by Newton's method on the
-three-term recurrence in mpmath, with P_n' = (n + beta + 1)/2 P_(n-1)^(1, beta+1),
-and its weight 2^(beta+1) / ((1 - x^2) P_n'(x)^2).  Each bound is the error
-measured on numpy 2.4.6, and is at most scipy.special's own error against the
-same reference over the same orders (Legendre 8-32: 6.4e-13, 128: 5.5e-11;
-Jacobi 2-16: 3.8e-13 in the weights).
+three-term recurrence in mpmath, with P_n' carried through the same pass by
+the recurrence differentiated term by term (not the derivative identity the
+library uses), and its weight 2^(beta+1) / ((1 - x^2) P_n'(x)^2).  Each bound
+is the error measured on numpy 2.4.6, and is at most scipy.special's own
+error against the same reference over the same orders (Legendre 8-32:
+6.4e-13, 128: 5.5e-11; Jacobi 2-16: 3.8e-13 in the weights).
 """
 
 import os
@@ -26,19 +27,28 @@ from speclp.gfunction import _jacobi
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _jacobi_with_derivative(n, beta, x):
-    """P_n^(0, beta)(x) and its derivative in mpmath, by the recurrence."""
-    def p(n, a, b):
-        p0, p1 = mpmath.mpf(1), (a + 1) + (a + b + 2) * (x - 1) / 2
-        if n == 0:
-            return p0
-        for j in range(2, n + 1):
-            c = 2 * j + a + b
-            p0, p1 = p1, (((c - 1) * (c * (c - 2) * x + a * a - b * b) * p1
-                           - 2 * (j + a - 1) * (j + b - 1) * c * p0)
-                          / (2 * j * (j + a + b) * (c - 2)))
-        return p1
-    return p(n, 0, beta), (n + beta + 1) / 2 * p(n - 1, 1, beta + 1)
+def _recurrence(n, beta):
+    """(a_j, b_j, c_j), j = 2..n, of the three-term recurrence
+    P_j = (a_j x - b_j) P_(j-1) - c_j P_(j-2) of P_j^(0, beta), in mpmath."""
+    coefs = []
+    for j in range(2, n + 1):
+        c = 2 * j + beta
+        den = 2 * j * (j + beta) * (c - 2)
+        coefs.append(((c - 1) * c * (c - 2) / den, (c - 1) * beta * beta / den,
+                      2 * (j - 1) * (j + beta - 1) * c / den))
+    return coefs
+
+
+def _jacobi_with_derivative(coefs, beta, x):
+    """P_n^(0, beta)(x) and its derivative, n >= 1, in one pass of the
+    recurrence with the coefficients ``coefs`` and of its term-by-term
+    derivative P_j' = (a_j x - b_j) P_(j-1)' + a_j P_(j-1) - c_j P_(j-2)'."""
+    p0, p1 = mpmath.mpf(1), 1 + (beta + 2) * (x - 1) / 2
+    d0, d1 = mpmath.mpf(0), (beta + 2) / 2
+    for a, b, c in coefs:
+        g = a * x - b
+        p0, p1, d0, d1 = p1, g * p1 - c * p0, d1, g * d1 + a * p1 - c * d0
+    return p1, d1
 
 
 def reference_rule(n, beta, start):
@@ -46,13 +56,14 @@ def reference_rule(n, beta, start):
     ``start``."""
     with mpmath.workdps(40):
         beta = mpmath.mpf(beta)
+        coefs = _recurrence(n, beta)
         nodes, weights = [], []
         for x in start:
             x = mpmath.mpf(float(x))
             for _ in range(2):  # from 1e-16, two quadratic steps pass 1e-40
-                p, dp = _jacobi_with_derivative(n, beta, x)
+                p, dp = _jacobi_with_derivative(coefs, beta, x)
                 x -= p / dp
-            dp = _jacobi_with_derivative(n, beta, x)[1]
+            dp = _jacobi_with_derivative(coefs, beta, x)[1]
             nodes.append(x)
             weights.append(2 ** (beta + 1) / ((1 - x * x) * dp * dp))
         # distinct roots, so no start converged onto its neighbour's root

@@ -3,13 +3,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from speclp import acceptance, generate_corpus, get_symbol, ratio_report
+from speclp import (acceptance, decay_fit_time, generate_corpus, get_symbol, harness,
+                    ratio_report)
 from speclp.cli import main
 from speclp.evolution import _legendre
-from speclp.errors import ConfigError
-from speclp.harness import ScenarioConfig, _time_fit, parse_config, run_scenario
+from speclp.errors import AuditError, ConfigError
+from speclp.harness import _MEASURES, ScenarioConfig, _time_fit, parse_config, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,15 +217,22 @@ def test_cli_bad_grid_exits_2(tmp_path, capsys, scenario, keys, message):
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5])
-def test_kernel_decay_time_fit_starts_at_s(s):
+def test_kernel_decay_time_fit_starts_at_s(monkeypatch, s):
     # a time-constant pair's kernels depend on t - s only, and s + t 2^k - s
     # is exact here, so the fit keeps the s = 0 bits (criterion 6's value)
+    t_lists = []
+
+    def spy(psi1, l, psi2, s, grid, t_list):
+        t_lists.append(list(t_list))
+        return decay_fit_time(psi1, l, psi2, s, grid, t_list)
+    monkeypatch.setattr(harness, "decay_fit_time", spy)
+
     def fit(s):
         return _time_fit(ScenarioConfig(scenario="KERNEL_DECAY", symbol1="poisson",
                                         symbol2="poisson", n=4096, L=64.0, s=s))
-    t_list, rep, _, ok = fit(s)
-    assert t_list == [s + 0.5, s + 1.0, s + 2.0, s + 4.0] and ok
-    assert rep == fit(0.0)[1]
+    rep, _, ok = fit(s)
+    assert t_lists == [[s + 0.5, s + 1.0, s + 2.0, s + 4.0]] and ok
+    assert rep == fit(0.0)[0]
     assert rep.fitted_exponent == -2.998824184000926
 
 
@@ -298,6 +307,19 @@ def test_dyadic_envelope_scenario(tmp_path):
     blocks = summary["blocks"]
     assert sorted(map(int, blocks)) == list(range(-6, 6))
     assert all(b["slack"] == b["envelope"] / b["l1_norm"] for b in blocks.values())
+
+
+def test_criterion_8_blocks_sit_under_their_envelope(monkeypatch):
+    # block j = 5 sits within round-off of its envelope on this config; every
+    # block above underflow must still be covered, and a decay rate steep
+    # enough to underflow a block's envelope factor fails by name
+    _, summary = _MEASURES["DYADIC_ENVELOPE"](acceptance.TWINS[8])
+    rows = [b for b in summary["blocks"].values() if b["l1_norm"] > 1e-280]
+    assert len(rows) == 12 and all(b["slack"] >= 1.0 for b in rows)
+    monkeypatch.setattr(np, "polyfit", lambda x, y, deg: np.array([-1e6, 0.0]))
+    with pytest.raises(AuditError,
+                       match="^envelope factor of block j=-5 underflows at rate c = 1e\\+06$"):
+        _MEASURES["DYADIC_ENVELOPE"](acceptance.TWINS[8])
 
 
 @pytest.mark.parametrize("cid, criterion", [

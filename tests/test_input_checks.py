@@ -117,10 +117,10 @@ CASES = {
                        WindowError, "no finite time window (omega = q gamma1/gamma2 = 2): "
                                     "its weights are not finite"),
     # the grid hosts GAUSSIAN_MIX bumps (seed 0 draws), but seed 1 puts one too
-    # near the boundary
+    # near the boundary: the message names the draw, not the grid
     "corpus-boundary": (lambda: generate_corpus(1, GridSpec(2, 160, 16.0), "GAUSSIAN_MIX", 1),
-                        ConfigError, "corpus entry violates the boundary-decay envelope; "
-                                     "grid too small for the requested content"),
+                        ConfigError, "corpus entry 0 (seed 1, GAUSSIAN_MIX) violates the "
+                                     "boundary-decay envelope: boundary/peak = 1.36e-14 > 1e-14"),
 }
 
 
@@ -132,3 +132,15 @@ def test_input_check_raises_its_error(call, error, message):
 
 def test_corpus_boundary_case_grid_hosts_other_seeds():
     assert len(generate_corpus(0, GridSpec(2, 160, 16.0), "GAUSSIAN_MIX", 1)) == 1
+
+
+def test_corpus_boundary_rejects_the_same_draws():
+    # the check, not only its message: 6 of seeds 0-29 draw a bump too near the boundary
+    rejected = []
+    for seed in range(30):
+        try:
+            generate_corpus(seed, GridSpec(2, 160, 16.0), "GAUSSIAN_MIX", 1)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"corpus entry 0 (seed {seed}, GAUSSIAN_MIX) ")
+            rejected.append(seed)
+    assert rejected == [1, 7, 16, 18, 20, 22]

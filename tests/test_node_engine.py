@@ -320,7 +320,9 @@ def test_g_function_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20
+    # 2.64 MiB: the engine's stacks are held for the call and the result is
+    # centred in place (3.52 MiB with fresh stacks per chunk and fftshift)
+    assert peak <= 2.75 * 2**20
 
 
 # --- hormander_report --------------------------------------------------------
@@ -453,7 +455,8 @@ def test_kernel_stacks_bits_match_real_spectrum_inverse(d):
     m = HEAT(0.0, grid.xi_stack())[half]
     want = np.fft.irfftn(m * np.exp(np.multiply.outer(w.nodes - w.s, m)), s=grid.shape,
                          axes=tuple(range(1, d + 1)))
-    got = np.concatenate([K for _, K in gfunction._node_fields(HEAT, 0.0, HEAT, w, grid)])
+    # each stack is valid until the next chunk, so each is copied
+    got = np.concatenate([K.copy() for _, K in gfunction._node_fields(HEAT, 0.0, HEAT, w, grid)])
     assert m.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 

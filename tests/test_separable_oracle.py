@@ -232,7 +232,8 @@ def test_node_exponents_are_scalar_integrals_times_phi():
     A = np.cumsum([_scalar_gauss(psi.time_factor, a, b, gfunction._NODE_ORDER)
                    for a, b in zip(rs[:-1], rs[1:])])
     phi = psi.spatial(grid.xi_stack())
-    kernels = np.concatenate([K for _, K in gfunction._node_fields(heat, 0.0, psi, w, grid)])
+    kernels = np.concatenate([K.copy()  # each stack is valid until the next chunk
+                              for _, K in gfunction._node_fields(heat, 0.0, psi, w, grid)])
     pre = heat(0.0, grid.xi_stack())
     want = np.fft.ifft(pre * np.exp(np.multiply.outer(A, phi)), axis=-1)
     assert kernels.dtype == np.float64

@@ -116,6 +116,27 @@ def test_lp_norm_plateau_and_gaussian(grid):
     assert abs(lp_norm(gauss, 2) - np.pi**0.25) <= 1e-6
 
 
+def test_lp_norm_p2_real_bits_match_abs_pow():
+    # a real field at p = 2 is squared in one pass; abs then **= 2.0 gave the
+    # same bits, over magnitudes 1e-170..1e170 (the top and bottom squares
+    # overflow and underflow), zeros of both signs and subnormals
+    rng = np.random.default_rng(2)
+    v = rng.choice([-1.0, 1.0], 200_000) * 10.0 ** rng.uniform(-170.0, 170.0, 200_000)
+    v[::97], v[1::89], v[2::83], v[3::79] = 0.0, -0.0, 5e-324, -2.2e-308
+    with np.errstate(over="ignore", under="ignore"):
+        a = np.abs(v)
+        a **= 2.0
+        assert np.square(v).tobytes() == a.tobytes()
+        for d, n in ((1, 4096), (2, 64), (3, 16)):
+            grid = GridSpec(d, n, 8.0)
+            for scale in (1e-160, 1e-100, 1.0, 1e100, 1e160):
+                f = Field(grid, v[:n**d].reshape(grid.shape) / 1e170 * scale)
+                a = np.abs(f.values)
+                a **= 2.0
+                want = float(a.sum() * grid.cell_measure) ** 0.5
+                assert repr(lp_norm(f, 2)) == repr(want)
+
+
 def test_lp_norm_rejects_p_below_one(grid):
     with pytest.raises(ValueError):
         lp_norm(Field(grid, np.ones(grid.n)), 0.5)

@@ -207,6 +207,52 @@ def test_ifft_bytes_match_numpy_on_node_stacks(grid, half):
             assert spec.tobytes() == kept.tobytes()  # the input is not written
 
 
+def _compact(grid, rng, half, rows):
+    """Coefficients on ``rows`` of each whole axis (the half axis keeps its
+    leading columns), as refine_field hands them to _ifft."""
+    width = np.count_nonzero(rows < grid.n // 2 + 1) if half else rows.size
+    shape = (rows.size,) * (grid.dim - 1) + (width,)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["half", "whole"])
+def test_ifft_out_bytes_match_ifft_without_out(grid, half):
+    # with out, the spectrum is scratch and the last stage writes into out:
+    # stacks and single spectra, bands narrower than n/2 + 1, and rows
+    rng = np.random.default_rng(10 + grid.dim)
+    widths = (grid.n // 2 + 1, grid.n // 4, 1) if half else (grid.n,)
+    cases = [(rng.standard_normal(lead + grid.shape[:-1] + (w,))
+              + 1j * rng.standard_normal(lead + grid.shape[:-1] + (w,)), None)
+             for lead in ((3,), ()) for w in widths]
+    rows = np.r_[0:grid.n // 4, grid.n - grid.n // 4:grid.n]
+    cases.append((_compact(grid, rng, half, rows), rows))
+    for spec, at in cases:
+        want = spectral._ifft(grid, spec, half, at)
+        out = np.full(want.shape, np.nan, dtype=want.dtype)
+        got = spectral._ifft(grid, spec.copy(), half, at, out=out)
+        assert got is out
+        _same(got, want)
+
+
+@pytest.mark.parametrize("d, n", [(1, 2), (1, 4), (1, 256), (2, 2), (2, 6), (2, 32),
+                                  (3, 2), (3, 4), (3, 16)])
+def test_centre_bytes_match_fftshift(d, n):
+    # the in-place swap of opposite orthants, scaled as it moves, against
+    # numpy's shifted copy of the scaled array, zeros of both signs and
+    # subnormals included
+    rng = np.random.default_rng(n + d)
+    re = rng.standard_normal((n,) * d)
+    re.flat[::3] = 0.0
+    re.flat[1::5] = -0.0
+    re.flat[2::7] = 5e-324
+    for a in (re, re - 1j * re[::-1]):
+        for factor in (None, 1.0 / 3.0, 2.5e-300):
+            want = np.fft.fftshift(a if factor is None else a * factor)
+            b = a.copy()
+            assert spectral._centre(b, factor) is b
+            _same(b, want)
+
+
 @pytest.mark.parametrize("psi", [HEAT, POISSON, SKEW], ids=lambda p: p.name)
 def test_evolutions(grid, psi):
     for f in _fields(grid):
