@@ -11,6 +11,7 @@ verification tolerances.  BANDLIMITED_RANDOM synthesizes its random draw by
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Tuple
 
 import numpy as np
@@ -74,14 +75,21 @@ def _gaussian_mix(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]
     return vals, (grid.min_freq, band_hi)
 
 
-def _bandlimited_random(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]:
+def _bandlimited_random(grid: GridSpec):
+    """The BANDLIMITED_RANDOM draw on grid, as a function of the generator:
+    the band envelope and the flat top are built once per corpus."""
     lo, hi = grid.nyquist / 16.0, grid.nyquist / 4.0
     xi = grid.xi_norm()
     env = np.exp(-1.0 / np.maximum(1e-12, 1.0 - (2.0 * (xi - lo) / (hi - lo) - 1.0) ** 2))
     env[(xi <= lo) | (xi >= hi)] = 0.0
-    coeffs = env * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
-    raw = _synthesize(grid, coeffs).real  # a random draw: its scale is divided out
-    return raw / max(np.abs(raw).max(), 1e-300) * _flat_top(grid), (lo, hi)
+    top = _flat_top(grid)
+
+    def draw(rng) -> Tuple[np.ndarray, Tuple[float, float]]:
+        coeffs = env * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+        raw = _synthesize(grid, coeffs).real  # a random draw: its scale is divided out
+        return raw / max(np.abs(raw).max(), 1e-300) * top, (lo, hi)
+
+    return draw
 
 
 def _kind(kind: str) -> str:
@@ -99,12 +107,11 @@ def generate_corpus(seed: int, grid: GridSpec, kind: str, count: int,
         raise ValueError("count must be at least 1")
     kind = _kind(kind)
     rng = np.random.default_rng(seed)
+    draw = (_bandlimited_random(grid) if kind == BANDLIMITED_RANDOM
+            else partial(_gaussian_mix, grid=grid))
     entries = []
     for i in range(count):
-        if kind == GAUSSIAN_MIX:
-            raw, b = _gaussian_mix(rng, grid)
-        else:
-            raw, b = _bandlimited_random(rng, grid)
+        raw, b = draw(rng)
         _check_boundary(grid, raw, i, seed, kind)
         f = Field(grid, raw)
         if mean_removed:

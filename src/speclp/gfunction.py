@@ -91,7 +91,7 @@ package's inverse FFT, ``spectral._ifft``, over the spatial axes.
   psi2 that is neither time-constant nor separable runs the same chunk loop
   on the full lattice, through the whole-spectrum ``_ifft``.
 * Chunk budget: a chunk holds as many nodes as keep its temporaries near
-  ``_CHUNK_BYTES`` (1 MiB, inside a 2 MiB per-core L2 cache), and at least
+  ``spectral._CHUNK_BYTES`` (1 MiB, inside a 2 MiB per-core L2 cache), and at least
   one node.  Node results are reduced chunk by chunk, so no call ever holds
   every node's field.  The reductions are plain numpy sums in node order (no
   BLAS), so results do not depend on the BLAS thread count.
@@ -132,8 +132,8 @@ import numpy as np
 
 from .errors import WindowError
 from .evolution import _gauss_integral, _gauss_rule, _legendre
-from .spectral import (Field, _centre, _hermitian, _ifft, _lattice, _spectrum, _two_pi_pow,
-                       lp_norm, refine_field)
+from .spectral import (_CHUNK_BYTES, Field, _centre, _hermitian, _ifft, _lattice, _spectrum,
+                       _two_pi_pow, lp_norm, refine_field)
 from .symbols import SymbolSpec, _at
 
 __all__ = [
@@ -148,8 +148,6 @@ __all__ = [
 
 INF = float("inf")
 _TRUNCATION_LOG = math.log(1e16)
-# bytes of temporaries one chunk of time nodes may hold (see _chunk_nodes)
-_CHUNK_BYTES = 1 << 20
 # np.exp is exactly 0.0 below -745.1332 in float64, on numpy's scalar and SIMD
 # paths alike; exponents below this floor contribute exact zeros
 _EXP_FLOOR = -746.0

@@ -19,6 +19,12 @@ module alone calls the ``numpy.fft`` transforms: one forward step
 (:func:`_fft`) and one inverse step (:func:`_ifft`); :func:`_centre` moves
 samples from fft order to natural order in place.
 
+Lattice-sized work holds block-sized temporaries of at most
+``_CHUNK_BYTES`` where a lattice-sized one would be its only use: the d = 3
+half-spectrum inverse on ``rows`` (a refinement) runs its later stages by
+blocks of lines (:func:`_ifft`), and :func:`lp_norm` sums |f|^p by pieces
+(:func:`_power_sum`).  Both keep the bytes of the one-array computation.
+
 A multiplier keeps the real part of its result for a real field (the
 real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
 it on the ``rfftn`` half spectrum (:func:`_lattice`) as a float64 field; a
@@ -46,6 +52,12 @@ __all__ = [
     "spectral_shift",
     "refine_field",
 ]
+
+
+# bytes of block-sized temporaries: a chunk of time nodes
+# (``gfunction._chunk_nodes``), a block of d = 3 half-path lines
+# (:func:`_ifft`) and a piece of an L^p sum (:func:`lp_norm`)
+_CHUNK_BYTES = 1 << 20
 
 
 def _two_pi_pow(d: int) -> float:
@@ -235,11 +247,21 @@ def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
     buffer, full length along the axis it transforms, and transforms only the
     lines earlier stages filled; on the half path the last of these buffers
     has the full width n/2 + 1, so ``irfft`` gets its spectrum unpadded.
+
+    On the half path at d = 3 with ``rows``, the stages after the first are
+    the half path of a stack of d = 2 spectra, one per index of the first
+    spatial axis.  They run over blocks of such indices, within each
+    spectrum of a stack, whose full-width buffer holds at most
+    ``_CHUNK_BYTES`` (at least one index), each block writing its samples
+    straight into the result, so no lattice-sized complex buffer is held.
+    Every line is transformed on its own, so the bytes do not move.  Without
+    ``rows`` those stages run in place and need no buffer, so they run whole.
     """
     axes = range(coeffs.ndim - grid.dim, coeffs.ndim)
     stages = axes[:-1] if half else axes[::-1]
+    blocked = half and grid.dim == 3 and rows is not None
     a = coeffs
-    for ax in stages:
+    for ax in stages[:1] if blocked else stages:
         compact = a.shape[ax] < grid.n  # coefficients on `rows` of the axis only
         src = dest = a  # in place, once a is a buffer of its own or scratch
         if compact:
@@ -257,6 +279,15 @@ def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
             a = dest = out
         np.fft.ifft(src, axis=ax, out=dest)
         del src, dest  # the stage's input, unless it is coeffs or a itself
+    if blocked:
+        res = np.empty(a.shape[:-2] + grid.shape[1:]) if out is None else out
+        plane = GridSpec(2, grid.n, grid.half_extent)
+        step = max(1, _CHUNK_BYTES // (16 * grid.n * (grid.n // 2 + 1)))
+        for spectrum in np.ndindex(a.shape[:-3]):
+            for lo in range(0, grid.n, step):
+                lines = spectrum + (slice(lo, lo + step),)
+                _ifft(plane, a[lines], True, rows, out=res[lines])
+        return res
     return np.fft.irfft(a, grid.n, axis=-1, out=out) if half else a
 
 
@@ -343,20 +374,40 @@ def _multiply(f: Field, mult) -> Field:
 def lp_norm(f: Field, p: float) -> float:
     """Riemann-sum L^p norm, (sum |f|^p spacing^d)^(1/p), for finite p >= 1.
 
-    |f|^p is raised in place, so the call holds one temporary the size of
-    the field; ``**=`` runs the same power as ``**``, with the same bits.  A
-    real field at p = 2 is squared in one pass, with the bits of ``abs`` then
-    ``**= 2.0``, and the call takes 13-27 % less time on 4,096 to 2,097,152
-    samples.
+    The sum has the bits of numpy's ``(abs(f) ** p).sum()`` and holds at
+    most ``_CHUNK_BYTES`` of powers at a time (:func:`_power_sum`).  A real
+    field at p = 2 is squared in one pass, with the bits of ``abs`` then
+    ``**``.
     """
     if not 1 <= p < float("inf"):
         raise ValueError(f"p must be finite and >= 1, got {p}")
-    if p == 2 and np.isrealobj(f.values):
-        a = np.square(f.values)
-    else:
-        a = np.abs(f.values)
-        a **= p
-    return float(a.sum() * f.grid.cell_measure) ** (1.0 / p)
+
+    def power(v):
+        a = np.abs(v)
+        a **= p  # in place: the same power as ``**``, with the same bits
+        return a
+
+    square = p == 2 and np.isrealobj(f.values)
+    total = _power_sum(f.values.reshape(-1), np.square if square else power)
+    return float(total * f.grid.cell_measure) ** (1.0 / p)
+
+
+def _power_sum(v: np.ndarray, power) -> np.floating:
+    """power(v).sum() for a flat v, over pieces of at most ``_CHUNK_BYTES``
+    of float64, so only one piece's powers are held at a time.
+
+    numpy sums a contiguous float64 array pairwise: it splits n elements
+    into n2 = n // 2 rounded down to a multiple of 8 and n - n2, and adds
+    the halves' sums.  Splitting v the same way until a piece fits, and
+    summing each piece with numpy's own ``sum``, adds the same partial sums
+    in the same order, so the result has the bits of the one-array sum
+    (Higham, SIAM J. Sci. Comput. 14(4), 1993).  A v that fits is one piece.
+    """
+    if v.size <= _CHUNK_BYTES // 8:
+        return power(v).sum()
+    n2 = v.size // 2
+    n2 -= n2 % 8
+    return _power_sum(v[:n2], power) + _power_sum(v[n2:], power)
 
 
 def mean_remove(f: Field) -> Field:

@@ -5,6 +5,7 @@ import pytest
 
 from speclp import (Field, GridSpec, SpectralField, forward_transform, inverse_transform,
                     lp_norm, mean_remove, refine_field, spectral_shift)
+from speclp import spectral
 from speclp.spectral import _multiply
 
 
@@ -137,6 +138,34 @@ def test_lp_norm_p2_real_bits_match_abs_pow():
                 assert repr(lp_norm(f, 2)) == repr(want)
 
 
+def _powers(x, p):
+    """|x|^p as numpy spells it for the whole array: np.square for a real x
+    at p = 2, else abs then **."""
+    return np.square(x) if p == 2 and np.isrealobj(x) else np.abs(x) ** p
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3])
+def test_lp_norm_pieces_bits_match_one_array_sum(p):
+    # sums over pieces of at most _CHUNK_BYTES split as numpy's pairwise sum
+    # splits, against numpy's sum of the whole array of powers: odd and
+    # even sizes on both sides of one piece, and fields that take many pieces
+    # (n // 2 is 2, 6, 7 and 5 mod 8 on the last four sizes)
+    piece = spectral._CHUNK_BYTES // 8
+    rng = np.random.default_rng(7)
+    for size in (127, 128, 1000, piece - 1, piece, piece + 1, 3 * 2**17 + 5, 3 * 2**17 + 13,
+                 3 * 2**17 + 15, 5 * 2**16 + 27):
+        re = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+        for x in (re, re + 1j * rng.standard_normal(size)):
+            want = _powers(x, p).sum()
+            assert repr(spectral._power_sum(x, lambda v: _powers(v, p))) == repr(want)
+    for grid in (GridSpec(1, 1000, 8.0), GridSpec(1, piece + 2, 8.0),
+                 GridSpec(1, 3 * 2**17 + 6, 8.0), GridSpec(2, 256, 8.0), GridSpec(3, 128, 8.0)):
+        re = rng.standard_normal(grid.shape)
+        for f in (Field(grid, re), Field(grid, re + 1j * rng.standard_normal(grid.shape))):
+            want = float(_powers(f.values, p).sum() * grid.cell_measure) ** (1.0 / p)
+            assert repr(lp_norm(f, p)) == repr(want)
+
+
 def test_lp_norm_rejects_p_below_one(grid):
     with pytest.raises(ValueError):
         lp_norm(Field(grid, np.ones(grid.n)), 0.5)
@@ -208,18 +237,44 @@ def test_refine_accepts_numpy_integer_factor(grid):
         refine_field(f, np.int64(0))
 
 
-def test_refine_and_norm_peak_memory():
-    # a 32^3 -> 64^3 refinement transforms only the lines its spectrum fills,
-    # and lp_norm raises |f| to p in place: no zero-padded lattice or second
-    # temporary lives next to the fine field (3.23x on the full lattice)
-    grid = GridSpec(3, 32, 4.0)
-    x = grid.x_stack()
-    f = Field(grid, np.exp(-(x**2).sum(axis=0)) * (1.0 + 0.3 * np.cos(2.0 * x[0])))
-    lp_norm(refine_field(f, 2), 2.0)  # caches built outside the trace
+def _traced_peak(fn):
+    fn()  # caches built outside the trace
     tracemalloc.start()
     try:
-        lp_norm(refine_field(f, 2), 2.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 64**3 * 8
+
+
+def _bump(grid):
+    x = grid.x_stack()
+    return Field(grid, np.exp(-(x**2).sum(axis=0)) * (1.0 + 0.3 * np.cos(2.0 * x[0])))
+
+
+def test_refine_and_norm_peak_memory():
+    # a 32^3 -> 64^3 refinement transforms only the lines its spectrum fills,
+    # its last two stages by blocks of at most _CHUNK_BYTES, and lp_norm sums
+    # by pieces: no zero-padded lattice or second field-sized temporary lives
+    # next to the fine field (3.23x on the full lattice, 2.17x with one
+    # buffer for the last stages, 1.92x measured)
+    f = _bump(GridSpec(3, 32, 4.0))
+    assert _traced_peak(lambda: lp_norm(refine_field(f, 2), 2.0)) <= 1.95 * 64**3 * 8
+
+
+def test_refine_64_cubed_peak_memory():
+    # the fine field is 16 MiB; the coarse spectrum on the filled lines, the
+    # first stage's buffer and one block come to 23.2 MiB (34.4 MiB with one
+    # buffer of shape (128, 128, 65) for the last stages)
+    f = _bump(GridSpec(3, 64, 4.0))
+    assert _traced_peak(lambda: refine_field(f, 2)) < 24 * 2**20
+
+
+@pytest.mark.parametrize("complex_values", [False, True], ids=["real", "complex"])
+def test_lp_norm_peak_memory(complex_values):
+    # |f|^p is held one piece at a time, not as a 16 MiB array of 128^3 powers
+    grid = GridSpec(3, 128, 4.0)
+    values = np.random.default_rng(3).standard_normal(grid.shape)
+    f = Field(grid, values + 1j * values if complex_values else values)
+    for p in (1.5, 2.0):
+        assert _traced_peak(lambda: lp_norm(f, p)) < 2 * spectral._CHUNK_BYTES

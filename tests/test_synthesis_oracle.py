@@ -30,6 +30,8 @@ magnitude, and byte for byte the in-test ``irfftn`` oracle
 byte for byte.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -232,6 +234,40 @@ def test_ifft_out_bytes_match_ifft_without_out(grid, half):
         got = spectral._ifft(grid, spec.copy(), half, at, out=out)
         assert got is out
         _same(got, want)
+
+
+@pytest.mark.parametrize("per_block", [1, 3, 7, None], ids=lambda k: f"block{k}")
+def test_ifft_blocks_bytes_match_irfftn(monkeypatch, per_block):
+    # d = 3 half spectra on `rows`: the stages after the first run over
+    # blocks of first-axis indices, the budget patched so that blocks end
+    # inside the axis (None: one block per spectrum); stacks and single
+    # spectra, with and without out, bands of width n/2 + 1, n/4 and 1
+    grid = GridSpec(3, 16, 4.0)
+    n = grid.n
+    line = 16 * n * (n // 2 + 1)  # bytes of one first-axis index's full-width buffer
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1 << 30 if per_block is None
+                        else per_block * line + line // 2)
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    rows = np.r_[0:n // 4 + 1, n - n // 4:n]
+    rng = np.random.default_rng(32)
+    for lead in ((), (3,)):
+        for width in (n // 2 + 1, n // 4, 1):
+            shape = lead + (rows.size,) * 2 + (width,)
+            spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            full = np.zeros(lead + (n, n, n // 2 + 1), dtype=complex)
+            full[(Ellipsis,) + np.ix_(rows, rows, np.arange(width))] = spec
+            want = np.fft.irfftn(full, s=grid.shape, axes=range(len(lead), len(lead) + 3))
+            blocks = math.prod(lead) * (1 if per_block is None else -(-n // per_block))
+            kept = spec.copy()
+            del calls[:]
+            _same(spectral._ifft(grid, spec, True, rows), want)
+            assert len(calls) == blocks
+            assert spec.tobytes() == kept.tobytes()  # the input is not written
+            out = np.full(want.shape, np.nan)
+            assert spectral._ifft(grid, spec, True, rows, out=out) is out
+            _same(out, want)
 
 
 @pytest.mark.parametrize("d, n", [(1, 2), (1, 4), (1, 256), (2, 2), (2, 6), (2, 32),
