@@ -17,7 +17,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import Field, GridSpec, _synthesize, mean_remove
+from .spectral import Field, GridSpec, _sum_squares, _synthesize, mean_remove
 
 __all__ = ["CorpusEntry", "generate_corpus", "GAUSSIAN_MIX", "BANDLIMITED_RANDOM"]
 
@@ -60,7 +60,7 @@ def _gaussian_mix(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]
     if sigma_max < sigma_min:
         raise ConfigError("grid cannot host a bump that is both band-limited "
                           "and boundary-decaying; increase n or L")
-    x = grid.x_stack()
+    x = grid.x_axis()
     n_bumps = int(rng.integers(2, 5))
     vals = np.zeros(grid.shape)
     smallest = np.inf
@@ -69,7 +69,7 @@ def _gaussian_mix(rng, grid: GridSpec) -> Tuple[np.ndarray, Tuple[float, float]]
         sig = rng.uniform(sigma_min, sigma_max)
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
         smallest = min(smallest, sig)
-        r2 = ((x - c.reshape((-1,) + (1,) * grid.dim)) ** 2).sum(axis=0)
+        r2 = _sum_squares([x - ck for ck in c])  # |x - c|^2 from the axes
         vals = vals + amp * np.exp(-r2 / (2.0 * sig**2))
     band_hi = min(np.sqrt(2.0 * np.log(1e14)) / smallest, grid.nyquist / 2.0)
     return vals, (grid.min_freq, band_hi)

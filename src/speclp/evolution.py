@@ -9,8 +9,10 @@ composition law T(t, r) T(r, s) = T(t, s) holds exactly at the level of the
 frequency multipliers, which is what :func:`verify_composition` measures.
 
 Time integrals of a time-dependent symbol are Gauss-Legendre sums over
-nodes r_i of :func:`speclp.symbols._at`'s psi(r_i, xi) = factor(r_i) phi;
-only ``_at`` knows separability.  A general symbol's factor is psi itself on
+nodes r_i of psi(r_i, xi) = factor(r_i) phi, from
+:func:`speclp.symbols._at` on a stack or :func:`speclp.symbols._on_lattice`
+on a grid's lattice (:func:`multiplier_values`); only they know
+separability.  A general symbol's factor is psi itself on
 the lattice.  A separable symbol's factor is its scalar time factor, so its
 integral is a sum over Python scalars times its spatial part, evaluated
 once: one lattice product per integral, with adaptive doubling decided on
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import MultiplierError, QuadratureError
 from .spectral import Field, GridSpec, _hermitian, _lattice, _spectrum, _synthesize
-from .symbols import SymbolSpec, _at
+from .symbols import SymbolSpec, _at, _on_lattice
 
 __all__ = [
     "TimeIntegralRule",
@@ -163,23 +165,29 @@ def integrate_symbol(psi: SymbolSpec, s: float, t: float, xi: np.ndarray,
     otherwise the rule's Gauss-Legendre estimate of the integral of
     :func:`_at`'s factor(r), times its phi for a separable symbol.
     """
+    return _integral(psi, s, t, _at(psi, xi), rule)
+
+
+def _integral(psi: SymbolSpec, s: float, t: float, sampled, rule: TimeIntegralRule):
+    """:func:`integrate_symbol` on the samples of ``sampled``, a
+    :class:`speclp.symbols._Sampled` of psi (a stack's or a lattice's)."""
     if psi.time_constant:
-        return (t - s) * psi(s, xi)
-    factor, phi = _at(psi, xi)
+        return (t - s) * sampled(s)
+    factor, phi, point = sampled
     est = _gauss_integral(factor, s, t, rule.order)
     if rule.adaptive:
-        est = _doubled(factor, phi, s, t, rule.order, est, xi)
+        est = _doubled(factor, phi, s, t, rule.order, est, point)
     return est if phi is None else est * phi
 
 
-def _doubled(factor, phi, s: float, t: float, order: int, est, xi: np.ndarray):
+def _doubled(factor, phi, s: float, t: float, order: int, est, point):
     """The integral of factor once doubling the order from ``est`` changes it
     by less than ``_TOLERANCE`` relative at every xi.
 
     A separable estimate A phi changes by |dA| |phi|, and |dA| x / (|A| x +
     floor) grows with x, so the test runs on the scalars at x = P = max|phi|
     (P = 1 for a lattice factor), and a failure names the first xi of largest
-    |phi|.
+    |phi| (``point`` maps an index of the values to its xi).
     """
     peak = 1.0 if phi is None else float(np.abs(phi).max(initial=0.0))
     for _ in range(10):
@@ -189,8 +197,8 @@ def _doubled(factor, phi, s: float, t: float, order: int, est, xi: np.ndarray):
         if rel.max() < _TOLERANCE:
             return nxt
         est = nxt
-    worst = np.unravel_index(np.argmax(rel if phi is None else np.abs(phi)), xi.shape[1:])
-    xi_bad = tuple(xi[(slice(None),) + worst])
+    worst = rel if phi is None else np.abs(phi)
+    xi_bad = point(np.unravel_index(np.argmax(worst), worst.shape))
     raise QuadratureError(f"time quadrature did not converge; worst xi={xi_bad}")
 
 
@@ -212,15 +220,17 @@ def multiplier_values(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
     """
     if not (t > s >= 0):
         raise ValueError(f"need t > s >= 0, got s={s}, t={t}")
-    xi = grid.xi_stack()
-    vals = np.exp(integrate_symbol(psi2, s, t, xi, rule))
+    sampled = _on_lattice(psi2, grid)
+    vals = _integral(psi2, s, t, sampled, rule)  # a new array: exp runs in place
+    np.exp(vals, out=vals)
     if pre is not None:
         psi1, l = pre
-        vals = vals * psi1(l, xi)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
-        raise MultiplierError(f"multiplier non-finite at xi={tuple(xi[(slice(None),) + idx])}")
+        m = _on_lattice(psi1, grid)(l)
+        vals = np.multiply(vals, m, out=vals if vals.dtype == np.result_type(vals, m) else None)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise MultiplierError(f"multiplier non-finite at xi="
+                              f"{sampled.point(tuple(np.argwhere(~finite)[0]))}")
     return vals
 
 
@@ -253,13 +263,15 @@ def _kernel_multiplier(psi2: SymbolSpec, s: float, t: float, grid: GridSpec,
     return mult[_lattice(grid, half)], half
 
 
-def _kernel(grid: GridSpec, mult: np.ndarray, half: bool) -> np.ndarray:
-    """Natural-order kernel samples of mult on ``_lattice(grid, half)``.
+def _kernel(grid: GridSpec, mult: np.ndarray, half: bool,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Natural-order kernel samples of mult on ``_lattice(grid, half)``, in
+    ``out`` if given (see :func:`speclp.spectral._synthesize`).
 
-    mult is scaled in place: every caller hands over a product it does not
-    keep."""
+    mult is scaled in place, and is scratch to the synthesis: every caller
+    hands over a product it does not keep."""
     mult *= KERNEL_SCALE(grid.dim)
-    return _synthesize(grid, mult, half)
+    return _synthesize(grid, mult, half, out=out)
 
 
 def apply_evolution(f: Field, mult: EvolutionMultiplier) -> Field:

@@ -64,9 +64,14 @@ package's inverse FFT, ``spectral._ifft``, over the spatial axes.
   of its samples (``spectral._spectrum``), and each chunk goes through one
   half-spectrum ``_ifft``: ``ifft`` over the leading spatial axes, then
   ``irfft`` on the last.
+* Symbols on the lattice: psi1(l, .) and psi2 come from
+  :func:`speclp.symbols._on_lattice`, once per call on the whole lattice: a
+  built-in on the grid's cached |xi|, any other symbol on a coordinate stack
+  built for the call (the fallback's per-node integrals keep theirs until
+  the call ends).
 * Node exponents: node i's exponent is A_i phi, one outer product per chunk.
   A time-constant psi2 has A_i = t_i - s and phi = psi2(0, .).  A separable
-  psi2 = a(t) spatial (:func:`speclp.symbols._at`) has phi = spatial,
+  psi2 = a(t) spatial (:func:`speclp.symbols._on_lattice`) has phi = spatial,
   evaluated once per call on the whole lattice and cut to the half spectrum
   on the real path, and A_i the running sum, in node order, of the 16-node
   Gauss-Legendre integrals of the scalar a over the node intervals.  Any
@@ -134,7 +139,7 @@ from .errors import WindowError
 from .evolution import _gauss_integral, _gauss_rule, _legendre
 from .spectral import (_CHUNK_BYTES, Field, _centre, _hermitian, _ifft, _lattice, _spectrum,
                        _two_pi_pow, lp_norm, refine_field)
-from .symbols import SymbolSpec, _at
+from .symbols import SymbolSpec, _on_lattice
 
 __all__ = [
     "INF",
@@ -355,16 +360,16 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     (the kernel).  The stack is real on the real path and complex on the
     fallback, and is overwritten by the next chunk; see the module docstring.
     """
-    xi = grid.xi_stack()
-    pre = psi1(l, xi)
+    pre = _on_lattice(psi1, grid)(l)
+    sampled = _on_lattice(psi2, grid)
     # the exponent at node i is A[i] phi: A = t_i - s and phi = psi2(0, .) for a
     # time-constant psi2, A = int_s^t_i a and phi = spatial for a separable
     # psi2 = a(t) spatial; any other psi2 has phi = None, takes the complex
     # fallback, and its exponent is summed per node interval on the lattice
     if psi2.time_constant:
-        A, phi = window.nodes - window.s, psi2(0.0, xi)
+        A, phi = window.nodes - window.s, sampled(0.0)
     else:
-        factor, phi = _at(psi2, xi)
+        factor, phi, _ = sampled
         rs = np.concatenate([[window.s], window.nodes])
         if phi is not None:
             A = np.cumsum([_gauss_integral(factor, a, b, _NODE_ORDER)

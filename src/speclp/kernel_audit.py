@@ -24,7 +24,7 @@ import numpy as np
 from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
-from .lp_decomp import DyadicDecomposition, _bump
+from .lp_decomp import DyadicDecomposition, _dyadic
 from .spectral import Field, GridSpec, _centre, _fft, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
@@ -92,7 +92,7 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     other m gives complex components on the whole lattice.
     """
     mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
-    xi = grid.xi_stack()[_lattice(grid, half)]
+    xi = grid.xi_stack(half)
     nyquist = grid.freq_axis()[grid.n // 2]
     derivs = (np.where(half and xk == nyquist, 0.0, 1j * xk) for xk in xi)
     comps = [Field(grid, _kernel(grid, deriv * mult, half)) for deriv in derivs]
@@ -283,6 +283,10 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     raises AuditError.  The low-j growth slope (log2 measured per unit j,
     over blocks with (t-s) 2^((j+1) g2) at most 1/32, where the decay factor
     is still near 1) estimates g1.
+
+    The blocks' lattice arrays (two cutoffs, each evaluated once per scale,
+    the product and the kernel samples) are buffers held for the call, so
+    its peak memory does not grow with the number of blocks.
     """
     js = sorted(int(j) for j in j_range)
     if not js:
@@ -293,16 +297,21 @@ def dyadic_l1_envelope(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
         raise ValueError(f"j range {js[0]}..{js[-1]} outside active range "
                          f"[{D.j_min}, {D.j_max}]")
     mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
+    mult = mult.copy()  # the lattice it was cut from is not held for the call
     g1, g2 = psi1.gamma, psi2.gamma
     # the Riemann-sum L1 norm of each block's kernel, as lp_norm(., 1) sums it;
-    # one product buffer serves every block, and a real kernel takes abs in place
-    product = np.empty_like(mult)
+    # the bumps (each cutoff evaluated once per scale), the product (complex:
+    # the synthesis transforms it in place) and the kernel samples live in
+    # buffers held for the call, and a real kernel takes abs in place
+    product = np.empty(mult.shape, dtype=complex)
+    samples = np.empty(grid.shape, dtype=float if half else complex)
 
-    def l1_norm(j):
-        K = _kernel(grid, np.multiply(mult, _bump(D, j)(half), out=product), half)
+    def l1_norm(bump):
+        K = _kernel(grid, np.multiply(mult, bump, out=product), half, samples)
         return float(np.abs(K, out=K if half else None).sum() * grid.cell_measure)
 
-    measured = {j: l1_norm(j) for j in js}
+    bumps = _dyadic(grid.xi_norm()[_lattice(grid, half)], js)
+    measured = {j: l1_norm(bump) for j, bump in zip(js, bumps)}
     usable = [j for j in js if measured[j] > _UNDERFLOW]
     if len(usable) < 2:
         raise AuditError("fewer than two blocks above underflow; shrink j range")

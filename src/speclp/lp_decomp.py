@@ -15,7 +15,9 @@ All multipliers here are real radial profiles, conjugate-symmetric on the
 lattice, so each is its own Hermitian part: a real field takes the profile on
 the ``rfftn`` half lattice and gives float64 blocks (see
 :func:`speclp.spectral._multiplied`).  :func:`besov_norm0` transforms its
-field once for all its blocks.
+field once for all its blocks, and evaluates each cutoff chi(2^-j |xi|) once
+for the two blocks that share it (:func:`_dyadic`, which
+:func:`speclp.kernel_audit.dyadic_l1_envelope` uses too).
 """
 
 from __future__ import annotations
@@ -46,11 +48,19 @@ def chi_profile(rho) -> np.ndarray:
     where both arguments of g are positive.
     """
     rho = np.asarray(rho, dtype=float)
-    mid = (rho > 1.0) & (rho < 2.0)
-    band = rho[mid]
+    return _chi(rho, np.empty(rho.shape))
+
+
+def _chi(rho: np.ndarray, out: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """chi_profile(scale * rho) written into out, and out returned.  scale is
+    a power of two, so scale * rho is exact and compares with 1 and 2 as rho
+    compares with 1 / scale and 2 / scale: only the band is scaled."""
+    lo, hi = 1.0 / scale, 2.0 / scale
+    mid = (rho > lo) & (rho < hi)
+    band = rho[mid] * scale
     a = np.exp(-1.0 / (2.0 - band))
     b = np.exp(-1.0 / (band - 1.0))
-    out = np.where(rho <= 1.0, 1.0, 0.0)
+    np.copyto(out, rho <= lo)
     out[mid] = a / (a + b)
     return out
 
@@ -126,13 +136,38 @@ def low_part(f: Field, D: DyadicDecomposition) -> Field:
     return _multiply(f, _radial(f.grid, chi_profile))
 
 
+def _dyadic(rho: np.ndarray, js, low: bool = False):
+    """chi(rho) if ``low``, then Phi(2^-j rho) for each j of the increasing
+    ``js``, as arrays of rho's shape, with the bits of :func:`chi_profile` and
+    :func:`bump_profile`.
+
+    Block j's bump chi(2^-j rho) - chi(2 (2^-j rho)) takes its second cutoff
+    at 2^(1-j) rho exactly (doubling is exact), which is block j - 1's first:
+    each cutoff is evaluated once per scale.  Two cutoff buffers are held for
+    the call, the bump overwriting the cutoff it no longer needs: a yielded
+    bump is the caller's, to read or overwrite, until it draws the next, and
+    chi(rho), block 1's second cutoff, is only to be read.
+    """
+    cut, spare = np.empty(rho.shape), np.empty(rho.shape)
+    at = None  # the scale j whose cutoff chi(2^-j rho) `cut` holds
+    if low:
+        yield _chi(rho, cut)
+        at = 0
+    for j in js:
+        if at != j - 1:
+            _chi(rho, cut, 2.0 ** (1 - j))
+        _chi(rho, spare, 2.0 ** (-j))
+        yield np.subtract(spare, cut, out=cut)
+        cut, spare, at = spare, cut, j
+
+
 def _low_and_blocks(f: Field, D: DyadicDecomposition, j_lo: int):
     """low_part(f, D), then block(f, j, D) for j = j_lo..j_max, from one
-    transform of f (an iterator of Fields)."""
+    transform of f and one evaluation of each cutoff (an iterator of Fields)."""
     if f.grid != D.grid:
         raise ValueError("field and decomposition grids do not match")
-    return _multiplied(f, [_radial(f.grid, chi_profile)]
-                       + [_bump(D, j) for j in range(j_lo, D.j_max + 1)])
+    js = range(j_lo, D.j_max + 1)
+    return _multiplied(f, lambda half: _dyadic(f.grid.xi_norm()[_lattice(f.grid, half)], js, True))
 
 
 def besov_norm0(f: Field, q: float, D: DyadicDecomposition) -> float:

@@ -34,6 +34,7 @@ complex field keeps the complex ``fftn``/``ifftn`` route.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -84,6 +85,12 @@ class GridSpec:
         Points per axis; must be even.
     half_extent : float
         Finite L > 0; the domain is the torus [-L, L)^d.
+
+    Only |x| and |xi| are cached (:meth:`x_norm`, :meth:`xi_norm`), one
+    lattice each, built by broadcasting the 1-D axes.  The (dim,) + shape
+    coordinate stacks (:meth:`x_stack`, :meth:`xi_stack`) are built for each
+    call and held by no one: the shift phase, the gradient kernel and
+    symbols that are not built-ins build one when they run.
     """
 
     dim: int
@@ -134,28 +141,60 @@ class GridSpec:
         """Frequencies along one axis in numpy fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
-    @lru_cache(maxsize=32)
     def x_stack(self) -> np.ndarray:
-        """Coordinates as an array of shape (dim,) + shape, natural order."""
-        return _frozen(np.stack(np.meshgrid(*([self.x_axis()] * self.dim), indexing="ij"), axis=0))
+        """Coordinates as an array of shape (dim,) + shape, natural order,
+        built for each call: only |x| is cached (:meth:`x_norm`)."""
+        return _coordinates([self.x_axis()] * self.dim)
 
     @lru_cache(maxsize=32)
     def x_norm(self) -> np.ndarray:
-        return _frozen(np.sqrt((self.x_stack() ** 2).sum(axis=0)))
+        """|x| on the lattice, natural order, cached (:func:`_sum_squares`)."""
+        r = _sum_squares([self.x_axis()] * self.dim)
+        return _frozen(np.sqrt(r, out=r))
 
-    @lru_cache(maxsize=32)
-    def xi_stack(self) -> np.ndarray:
-        """Frequencies as an array of shape (dim,) + shape, fft order."""
-        return _frozen(np.stack(np.meshgrid(*([self.freq_axis()] * self.dim), indexing="ij"),
-                                axis=0))
+    def xi_stack(self, half: bool = False) -> np.ndarray:
+        """Frequencies as an array of shape (dim,) + shape, fft order, or with
+        ``half`` the contiguous stack of the rfftn half lattice (last axis
+        0..n/2), built for each call: only |xi| is cached (:meth:`xi_norm`).
+        Only the callers that need components build it: the shift phase, the
+        gradient kernel, and symbols that are not built-ins
+        (:func:`speclp.symbols._on_lattice`)."""
+        axes = [self.freq_axis()] * self.dim
+        if half:
+            axes[-1] = axes[-1][: self.n // 2 + 1]
+        return _coordinates(axes)
 
     @lru_cache(maxsize=32)
     def xi_norm(self) -> np.ndarray:
-        return _frozen(np.sqrt((self.xi_stack() ** 2).sum(axis=0)))
+        """|xi| on the whole lattice, fft order, cached (:func:`_sum_squares`);
+        the built-in symbols and the radial profiles are evaluated on it."""
+        r = _sum_squares([self.freq_axis()] * self.dim)
+        return _frozen(np.sqrt(r, out=r))
+
+
+def _coordinates(axes) -> np.ndarray:
+    """The (d,) + shape stack of the lattice the 1-D axes span, component k
+    varying along axis k: numpy's ``meshgrid(*axes, indexing="ij")``, stacked,
+    written in one pass per component."""
+    out = np.empty((len(axes),) + tuple(a.size for a in axes))
+    for k, a in enumerate(axes):
+        out[k] = a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+    return out
+
+
+def _sum_squares(axes) -> np.ndarray:
+    """sum_k axes[k]^2 on the lattice they span, axis k varying along axis k,
+    built by broadcasting the 1-D axes: the bits of ``(stack ** 2).sum(axis=0)``
+    for their (d,) + shape coordinate stack, which adds the squares in axis
+    order, without the stack."""
+    total = axes[0] ** 2
+    for a in axes[1:]:
+        total = total[..., None] + a**2
+    return total
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a marked read-only: the cached stacks are shared by every caller."""
+    """a marked read-only: the cached norms are shared by every caller."""
     a.setflags(write=False)
     return a
 
@@ -295,32 +334,44 @@ def _centre(a: np.ndarray, factor: Optional[float] = None) -> np.ndarray:
     """a times ``factor`` (if given), shifted by half its length along every
     axis, in place, and returned: the bytes of numpy's ``fftshift(a * factor)``
     for axes of even length.  That shift swaps each orthant of a with the
-    opposite one, so the swap holds one orthant-sized temporary, not a second
-    copy of a, and scales each element as it moves it."""
+    opposite one, and scales each element as it moves it; the swap runs over
+    blocks of first-axis indices of each orthant, so it holds one temporary
+    of at most ``_CHUNK_BYTES`` (at least one index), not a second copy of
+    a or a whole orthant."""
     halves = [(slice(0, n // 2), slice(n // 2, None)) for n in a.shape]
-    tmp = np.empty(tuple(n // 2 for n in a.shape), dtype=a.dtype)
+    orthant = tuple(n // 2 for n in a.shape)
+    step = max(1, _CHUNK_BYTES // (math.prod(orthant[1:]) * a.itemsize))
+    tmp = np.empty((min(step, orthant[0]),) + orthant[1:], dtype=a.dtype)
     for bits in itertools.product((0, 1), repeat=a.ndim - 1):
-        # the orthant in the lower half of axis 0 and its opposite
-        P = a[(halves[0][0],) + tuple(h[b] for h, b in zip(halves[1:], bits))]
-        Q = a[(halves[0][1],) + tuple(h[1 - b] for h, b in zip(halves[1:], bits))]
-        if factor is None:
-            np.copyto(tmp, P)
-            np.copyto(P, Q)
-        else:
-            np.multiply(P, factor, out=tmp)
-            np.multiply(Q, factor, out=P)
-        np.copyto(Q, tmp)
+        # the orthant in the lower half of axis 0 and its opposite, by blocks
+        rest_p = tuple(h[b] for h, b in zip(halves[1:], bits))
+        rest_q = tuple(h[1 - b] for h, b in zip(halves[1:], bits))
+        for lo in range(0, orthant[0], step):
+            hi = min(lo + step, orthant[0])
+            P = a[(slice(lo, hi),) + rest_p]
+            Q = a[(slice(orthant[0] + lo, orthant[0] + hi),) + rest_q]
+            t = tmp[:hi - lo]
+            if factor is None:
+                np.copyto(t, P)
+                np.copyto(P, Q)
+            else:
+                np.multiply(P, factor, out=t)
+                np.multiply(Q, factor, out=P)
+            np.copyto(Q, t)
     return a
 
 
 def _synthesize(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
-                rows: Optional[np.ndarray] = None) -> np.ndarray:
+                rows: Optional[np.ndarray] = None,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
     """Natural-order samples of fft-order coefficients times the synthesis
     factor (2 pi)^(d/2) / spacing^d: the package's one synthesis step.
-    ``rows`` is passed to :func:`_ifft`.  The samples are scaled and moved
-    to natural order in one in-place pass (:func:`_centre`), so the call
-    holds no second result-sized array after the transform."""
-    return _centre(_ifft(grid, coeffs, half, rows), _two_pi_pow(grid.dim) / grid.cell_measure)
+    ``rows`` and ``out`` are passed to :func:`_ifft` (with ``out``, coeffs
+    is the caller's scratch and the samples land in ``out``).  The samples
+    are scaled and moved to natural order in one in-place pass
+    (:func:`_centre`), so the call holds no second result-sized array after
+    the transform."""
+    return _centre(_ifft(grid, coeffs, half, rows, out), _two_pi_pow(grid.dim) / grid.cell_measure)
 
 
 def inverse_transform(F: SpectralField) -> Field:
@@ -343,32 +394,33 @@ def _hermitian(m: np.ndarray) -> bool:
 
 
 def _multiplied(f: Field, mults) -> Iterator[Field]:
-    """Finv(m * F(f)) for each m in ``mults``, from one transform of f.
+    """Finv(m * F(f)) for each m of ``mults(half)``, from one transform of f.
 
-    Each multiplier is a callable ``mult(half)``; a complex f takes
-    ``mult(False)``, m on the whole lattice.  A real f follows the real-part
-    rule: its result is Re Finv(m * F(f)) = Finv(H(m) * F(f)), with
+    ``mults(half)`` iterates over the multipliers; a complex f takes
+    ``mults(False)``, each m on the whole lattice.  A real f follows the
+    real-part rule: its result is Re Finv(m * F(f)) = Finv(H(m) * F(f)), with
     H(m)(xi) = (m(xi) + conj m(-xi)) / 2 the Hermitian part of m, so it takes
-    ``mult(True)``, H(m) on the half lattice, and runs one ``rfftn`` and one
-    half-spectrum :func:`_synthesize` per multiplier.  A real radial profile
-    is its own Hermitian part; a shift phase is not, on the self-paired
-    Nyquist planes.
+    ``mults(True)``, each H(m) on the half lattice, and runs one ``rfftn``
+    and one half-spectrum :func:`_synthesize` per multiplier.  Each
+    multiplier is read before the next is drawn, so ``mults`` may reuse one
+    buffer.  A real radial profile is its own Hermitian part; a shift phase
+    is not, on the self-paired Nyquist planes.
     Kernels are real exactly when their multiplier passes :func:`_hermitian`;
     evolutions, of unknown symmetry, take the residue rule of
     :func:`speclp.evolution._drop_residue`.
     """
     half = np.isrealobj(f.values)
     F = _spectrum(f, half)
-    for mult in mults:
+    for m in mults(half):
         # F stays the left factor: numpy's complex product is not commutative
-        # bit for bit, and ``F * mult(half)`` would run as mult's temporary
-        # ``m *= F`` on large lattices
-        yield Field(f.grid, _synthesize(f.grid, np.multiply(F, mult(half)), half))
+        # bit for bit, and ``F * m`` would run as m's temporary ``m *= F`` on
+        # large lattices
+        yield Field(f.grid, _synthesize(f.grid, np.multiply(F, m), half))
 
 
 def _multiply(f: Field, mult) -> Field:
-    """The one multiplier of :func:`_multiplied`."""
-    return next(_multiplied(f, (mult,)))
+    """:func:`_multiplied` for the one multiplier ``mult(half)``."""
+    return next(_multiplied(f, lambda half: (mult(half),)))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -436,7 +488,7 @@ def _shift_phase(grid: GridSpec, y: np.ndarray, half: bool) -> np.ndarray:
     phase of the self-paired components S becomes cos(sum_{k in S} y_k xi_k)
     and the rest keeps exp(-i y_k xi_k).
     """
-    xi = grid.xi_stack()[_lattice(grid, half)]
+    xi = grid.xi_stack(half)
     if not half:
         return np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
     nyquist = xi == grid.freq_axis()[grid.n // 2]
@@ -476,9 +528,12 @@ def refine_field(f: Field, factor: int = 2) -> Field:
     #
     # X holds the padded spectrum only on the union `keep` of the placements'
     # fine indices along each whole axis (on the half lattice, the last axis
-    # keeps its leading columns 0..n/2).  At factor 1 the placements cover
-    # the whole lattice, and at d = 1 there is nothing to skip, so both keep
-    # the whole lattice.
+    # keeps its leading columns 0..n/2).  For a real f it is whole along the
+    # first axis, the axis of _ifft's first stage, which then transforms X in
+    # place (given `out`): no coarse spectrum is held beside that stage's
+    # buffer through the synthesis, which sets the peak memory.  At factor 1
+    # the placements cover the whole lattice, and at d = 1 there is nothing
+    # to skip, so both keep the whole lattice.
     real = np.isrealobj(f.values)
     tops = (g.n // 2, g.n // 2 + 1) if real else (g.n // 2,)
     F = (0.5 if real else 1.0) * _spectrum(f, real)
@@ -487,12 +542,17 @@ def refine_field(f: Field, factor: int = 2) -> Field:
         keep, shape = None, fine.shape[:-1] + (width,)
     else:
         keep = np.r_[0:tops[-1], fine.n - g.n + tops[0]:fine.n]
-        shape = (keep.size,) * (g.dim - 1) + (np.count_nonzero(keep < width),)
+        shape = [fine.n if real else keep.size] + [keep.size] * (g.dim - 2)
+        shape.append(np.count_nonzero(keep < width))
     X = np.zeros(shape, dtype=complex)
     for top in tops:
         rows = np.r_[0:top, fine.n - g.n + top:fine.n]
-        at = rows if keep is None else np.searchsorted(keep, rows)
-        cols = at[rows < width]
-        X[np.ix_(*[at] * (g.dim - 1), cols)] += F[..., :cols.size]
+        at = [rows if keep is None else np.searchsorted(keep, rows)] * g.dim
+        if real:
+            at[0] = rows
+        at[-1] = at[-1][rows < width]
+        X[np.ix_(*at)] += F[..., :at[-1].size]
     del F  # not held through the synthesis, which sets the peak memory
-    return Field(fine, _synthesize(fine, X, real, keep))
+    samples = _synthesize(fine, X, real, keep, np.empty(fine.shape) if real else None)
+    del X  # not held through Field's check of the samples
+    return Field(fine, samples)

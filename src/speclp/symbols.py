@@ -14,11 +14,20 @@ Symbols are evaluated on stacks: xi of shape (d, ...) gives values of shape
 A symbol may also declare a separable form psi(t, xi) = time_factor(t) *
 spatial(xi), with a real scalar time factor (``power-t``: -(1 + t) times
 |xi|^gamma).  ``eval_fn`` must then be that product, computed as
-``time_factor(t) * spatial(xi)``.  Only :func:`_at` knows separability;
-every time integral takes psi through it as a factor of t times a lattice,
-so a separable symbol's time integral is a Gauss sum over Python scalars
-times its spatial part, evaluated once: one lattice product per integral,
-not a lattice pass per time node.
+``time_factor(t) * spatial(xi)``.  Only :func:`_at` (on a stack) and
+:func:`_on_lattice` (on a grid's lattice), through one sampling step, know
+separability; every time integral takes psi through them as a factor of t
+times a lattice, so a separable symbol's time integral is a Gauss sum over
+Python scalars times its spatial part, evaluated once: one lattice product
+per integral, not a lattice pass per time node.
+
+Every built-in depends on xi only through |xi|: its ``eval_fn`` (or its
+``spatial`` part, for ``power-t``) is a :class:`_Radial` profile, callable
+on stacks like any other.  :func:`_on_lattice`, the one place a symbol meets
+a grid's lattice, evaluates that profile on the grid's cached |xi|, with the
+bits and checks of :func:`eval_symbol` on the coordinate stack, and builds a
+(d, ...) stack for that call only for any other symbol.  Nothing is added
+to :class:`SymbolSpec`: user symbols keep the stack contract.
 
 The audits below are falsifiers over finite sample sets, not proofs: they
 search for the worst violation of each certificate on the supplied (t, xi)
@@ -30,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -103,11 +112,16 @@ def eval_symbol(spec: SymbolSpec, t: float, xi) -> np.ndarray:
     """
     _check_time(t)
     xi = np.asarray(xi, dtype=float)
-    out = np.asarray(spec.eval_fn(float(t), xi))
+    return _checked(spec, t, spec.eval_fn(float(t), xi), _stack_point(xi))
+
+
+def _checked(spec: SymbolSpec, t: float, values, point) -> np.ndarray:
+    """values as float64, or complex128 when complex; SymbolEvalError naming
+    t and the first non-finite sample, ``point(index)``, if there is one."""
+    out = np.asarray(values)
     out = out.astype(np.result_type(out, np.float64), copy=False)
     if not np.all(np.isfinite(out)):
-        bad = tuple(np.argwhere(~np.isfinite(out))[0])
-        raise _non_finite(spec, t, xi, bad)
+        raise _non_finite(spec, t, point, tuple(np.argwhere(~np.isfinite(out))[0]))
     return out
 
 
@@ -116,13 +130,47 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be nonnegative, got {t}")
 
 
-def _non_finite(spec: SymbolSpec, t: float, xi: np.ndarray, index: tuple) -> SymbolEvalError:
-    return SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, "
-                           f"xi={tuple(xi[(slice(None),) + index])}")
+def _stack_point(xi: np.ndarray):
+    """The sample of a (d, ...) stack at an index of its values, as a tuple."""
+    return lambda index: tuple(xi[(slice(None),) + index])
 
 
-def _at(spec: SymbolSpec, xi):
-    """psi(., xi) as (factor, phi) with psi(t, xi) = factor(t) * phi.
+def _non_finite(spec: SymbolSpec, t: float, point, index: tuple) -> SymbolEvalError:
+    return SymbolEvalError(f"symbol {spec.name!r} non-finite at t={t}, xi={point(index)}")
+
+
+class _Radial:
+    """A built-in family's profile p of |xi|, callable on a stack as its
+    ``eval_fn(t, xi)`` (p does not depend on t) or its ``spatial(xi)``:
+    p(|xi|).  :func:`_on_lattice` evaluates p on the grid's cached |xi|
+    instead; a symbol whose parts are plain functions (any user symbol, or a
+    built-in whose parts were replaced) is evaluated on stacks."""
+
+    def __init__(self, profile: Callable[[np.ndarray], np.ndarray]):
+        self.profile = profile
+
+    def __call__(self, *t_xi) -> np.ndarray:
+        return self.profile(_radial_norm(t_xi[-1]))
+
+
+class _Sampled(NamedTuple):
+    """psi(., xi) on a set of frequency samples, from :func:`_at` or
+    :func:`_on_lattice`: psi(t, xi) = factor(t) when phi is None, else
+    factor(t) * phi (a separable symbol); ``point(index)`` is the sample at
+    an index of the values, as a tuple."""
+
+    factor: Callable[[float], object]
+    phi: Optional[np.ndarray]
+    point: Callable[[tuple], tuple]
+
+    def __call__(self, t: float) -> np.ndarray:
+        """psi(t, .) on the samples, with the bits and checks of eval_symbol
+        (for a separable symbol, of its eval_fn, the product of its parts)."""
+        return self.factor(t) if self.phi is None else self.factor(t) * self.phi
+
+
+def _at(spec: SymbolSpec, xi) -> _Sampled:
+    """psi(., xi) on a (d, ...) stack as factor(t) and phi (:class:`_Sampled`).
 
     A general symbol gives phi = None and factor(t) = eval_symbol(spec, t, xi),
     with its bits and checks.  A separable symbol gives its spatial part phi,
@@ -131,10 +179,41 @@ def _at(spec: SymbolSpec, xi):
     (SymbolEvalError naming t and the first bad xi), which fails exactly when
     time_factor(t) times the largest part of phi is not finite.
     """
-    if spec.spatial is None:
-        return (lambda t: eval_symbol(spec, t, xi)), None
     xi = np.asarray(xi, dtype=float)
-    phi = np.asarray(spec.spatial(xi))
+    return _sample(spec, lambda t: spec.eval_fn(t, xi), lambda: spec.spatial(xi),
+                   _stack_point(xi))
+
+
+def _on_lattice(spec: SymbolSpec, grid) -> _Sampled:
+    """:func:`_at` on ``grid``'s whole frequency lattice (fft order), with its
+    bits and checks: the one place a symbol meets a lattice.
+
+    A built-in symbol, whose ``eval_fn`` (or ``spatial`` part, when separable)
+    is a :class:`_Radial` profile, is evaluated by that profile on the grid's
+    cached |xi|, so no coordinate stack is built.  Any other symbol is
+    evaluated on a (d, ...) stack built for this call.
+    """
+    radial = spec.eval_fn if spec.spatial is None else spec.spatial
+    if not isinstance(radial, _Radial):
+        return _at(spec, grid.xi_stack())
+    rho = grid.xi_norm()
+
+    def values(*_):
+        return radial.profile(rho)
+
+    return _sample(spec, values, values, lambda index: tuple(grid.freq_axis()[list(index)]))
+
+
+def _sample(spec: SymbolSpec, psi, spatial, point) -> _Sampled:
+    """The :class:`_Sampled` of :func:`_at` from the raw values psi(t) (a
+    general symbol) or spatial() (a separable one) on some samples."""
+    if spec.spatial is None:
+        def general(t: float) -> np.ndarray:
+            _check_time(t)
+            return _checked(spec, t, psi(float(t)), point)
+
+        return _Sampled(general, None, point)
+    phi = np.asarray(spatial())
     phi = phi.astype(np.result_type(phi, np.float64), copy=False)
     parts = np.abs(phi) if np.isrealobj(phi) else np.maximum(np.abs(phi.real), np.abs(phi.imag))
     peak = float(np.max(parts, initial=0.0))  # nan or inf when phi is not finite
@@ -143,10 +222,10 @@ def _at(spec: SymbolSpec, xi):
         _check_time(t)
         c = float(spec.time_factor(float(t)))
         if not math.isfinite(c * peak):
-            raise _non_finite(spec, t, xi, tuple(np.argwhere(~np.isfinite(c * phi))[0]))
+            raise _non_finite(spec, t, point, tuple(np.argwhere(~np.isfinite(c * phi))[0]))
         return c
 
-    return factor, phi
+    return _Sampled(factor, phi, point)
 
 
 @dataclass(frozen=True)
@@ -306,12 +385,9 @@ def power_symbol(gamma: float, name: Optional[str] = None) -> SymbolSpec:
     if not gamma > 0:
         raise ValueError("gamma must be positive")
 
-    def fn(t, xi):
-        return -_radial_norm(xi) ** gamma
-
     return SymbolSpec(
         name=name or f"power:{gamma:g}",
-        eval_fn=fn,
+        eval_fn=_Radial(lambda rho: -rho**gamma),
         kappa=1.0,
         mu=_power_mu(gamma),
         gamma=gamma,
@@ -333,8 +409,7 @@ def power_t_symbol(gamma: float) -> SymbolSpec:
     def time_factor(t):
         return -(1.0 + t)
 
-    def spatial(xi):
-        return _radial_norm(xi) ** gamma
+    spatial = _Radial(lambda rho: rho**gamma)
 
     return SymbolSpec(
         name=f"power-t:{gamma:g}",
