@@ -17,7 +17,8 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -362,10 +363,11 @@ def _power_diff(u, lg, p):
     return u**-p * -np.expm1(-p * lg)
 
 
-def _tail_diff_sums(x, delta, s):
+def _tail_diff_sums(x, logs, s):
     """sum_{j>=0} (x+j)^(-s) - (x+delta+j)^(-s), elementwise, by
     :data:`_TAIL_TERMS` direct terms and Euler-Maclaurin through B12
-    (DLMF 2.10.1) for the rest.
+    (DLMF 2.10.1) for the rest, from the rows ``logs`` of :func:`_cell_logs`
+    for x and delta.
 
     The sums are Hurwitz zeta differences zeta(s, x) - zeta(s, x + delta)
     (DLMF 25.11.1; digamma at s = 1).  The individual sums diverge for
@@ -377,10 +379,9 @@ def _tail_diff_sums(x, delta, s):
     """
     direct = 0.0
     for j in range(_TAIL_TERMS):
-        u = x + j
-        direct = direct + _power_diff(u, np.log1p(delta / u), s)
+        direct = direct + _power_diff(x + j, logs[j], s)
     a = x + _TAIL_TERMS
-    lg = np.log1p(delta / a)
+    lg = logs[_TAIL_TERMS]
     # int_a^(a + delta) y^(-s) dy
     integral = lg if abs(s - 1.0) < 1e-12 else _power_diff(a, lg, s - 1.0) / (s - 1.0)
     # f(a)/2 - sum_k B_2k/(2k)! f^(2k-1)(a) for f(y) = y^(-s), whose
@@ -393,22 +394,41 @@ def _tail_diff_sums(x, delta, s):
     return direct + integral + ends
 
 
-def _folded_cell_masses(edges, period: float, eta: float):
-    """Masses of the 2L-periodized kernel |y|^(-1-eta) over the cells
-    [edges[i], edges[i + 1]].
+def _cell_logs(edges, period: float) -> np.ndarray:
+    """The exponent-free logarithms of :func:`_folded_cell_masses` on the
+    cells [edges[i], edges[i + 1]], one row each: log1p(width / lo) of the
+    direct piece, then for the image sums at x = 1 + lo / period and
+    x = 1 - hi / period in turn the rows log1p(delta / (x + j)),
+    delta = width / period, of :func:`_tail_diff_sums`' direct terms
+    j < :data:`_TAIL_TERMS` and of its Euler-Maclaurin point
+    j = :data:`_TAIL_TERMS`."""
+    lo, hi, width = edges[:-1], edges[1:], np.diff(edges)
+    delta = width / period
+    logs = np.empty((3 + 2 * _TAIL_TERMS, lo.size))  # filled in place: no list of rows beside it
+    rows = iter(logs)
+    np.log1p(width / lo, out=next(rows))
+    for x in (1.0 + lo / period, 1.0 - hi / period):
+        for j in range(_TAIL_TERMS + 1):
+            np.log1p(delta / (x + j), out=next(rows))
+    return logs
+
+
+def _folded_cell_masses(plan: _PVPlan, eta: float):
+    """Masses of the 2L-periodized kernel |y|^(-1-eta) over the far range's
+    cells [edges[i], edges[i + 1]] of ``plan``.
 
     Direct piece plus the images y + 2Lj (j >= 1) and 2Lj - y (j >= 1), so
     the lattice convolution reproduces the whole-line integral against the
     periodic extension of the field.  Each piece is a difference between a
     cell's two edges, formed from the cell's width without cancellation
     (:func:`_power_diff`), so no rounding of an edge's image point
-    1 +- edge / period enters it.
+    1 +- edge / period enters it.  The logarithms come from the plan
+    (:func:`_cell_logs`); the powers and ``expm1`` are computed here.
     """
-    lo, hi, width = edges[:-1], edges[1:], np.diff(edges)
-    base = _power_diff(lo, np.log1p(width / lo), eta) / eta
-    delta = width / period
-    plus = _tail_diff_sums(1.0 + lo / period, delta, eta)
-    minus = _tail_diff_sums(1.0 - hi / period, delta, eta)
+    lo, hi, period, logs = plan.edges[:-1], plan.edges[1:], plan.period, plan.logs
+    base = _power_diff(lo, logs[0], eta) / eta
+    plus = _tail_diff_sums(1.0 + lo / period, logs[1:_TAIL_TERMS + 2], eta)
+    minus = _tail_diff_sums(1.0 - hi / period, logs[_TAIL_TERMS + 2:], eta)
     return base + period**-eta * (plus + minus) / eta
 
 
@@ -426,16 +446,80 @@ def _near_nodes(grid: GridSpec):
     return ys, ws, _PV_NODES * int(np.searchsorted(top, _MOMENT_ARG, side="right"))
 
 
+def _sin2_tables(theta, size: int):
+    """The exponent-free factors of :func:`_sin2_sums` for the angles
+    ``theta`` on m = 0..size - 1: the sines and cosines SA, CA of theta B a,
+    and the right factor [CB^2, SB CB, SB^2] of the sines and cosines SB, CB
+    of theta b, for m = B a + b and B = ceil(sqrt(size)).  Each node calls sin
+    and cos on 2 (A + B) arguments instead of sin on ``size``."""
+    B = math.isqrt(size - 1) + 1
+    A = -(-size // B)
+    ua = theta[:, None] * (B * np.arange(A))
+    ub = theta[:, None] * np.arange(B)
+    sa, ca, sb, cb = np.sin(ua), np.cos(ua), np.sin(ub), np.cos(ub)
+    return sa, ca, np.concatenate([cb * cb, sb * cb, sb * sb])
+
+
+class _PVPlan(NamedTuple):
+    """The part of :func:`fractional_laplacian_pv` that depends on the grid
+    only, built once per grid by :func:`_pv_plan`: every array is read-only,
+    and nothing in it depends on eta or on the input."""
+
+    ys: np.ndarray  # near-range nodes (:func:`_near_nodes`)
+    ws: np.ndarray  # and their weights
+    deep: int  # leading nodes summed by moments
+    xi: np.ndarray  # the half lattice's frequencies m pi / L, m = 0..n/2
+    sa: np.ndarray  # :func:`_sin2_tables` of the other nodes
+    ca: np.ndarray
+    right: np.ndarray
+    edges: np.ndarray  # far-range cell edges (m - 1/2) h, m = m0..n/2, and L
+    period: float  # 2L
+    logs: np.ndarray  # :func:`_cell_logs` of the edges
+
+    def arrays(self) -> list:
+        return [a for a in self if isinstance(a, np.ndarray)]
+
+
+@lru_cache(maxsize=4)
+def _pv_plan(grid: GridSpec) -> _PVPlan:
+    """The principal-value route's geometry of ``grid``, cached for the
+    grid's later calls, the way FFTW splits a plan from its execution
+    (Frigo & Johnson, Proc. IEEE 93(2), 2005); at most four grids are held,
+    1.7 MiB for criterion 11's.  ValueError for a grid the route does not
+    take: d != 1, or no split at y = 1 with spacing <= 1 <= L/4.
+    """
+    if grid.dim != 1:
+        raise ValueError("principal-value route is implemented for d = 1")
+    h = grid.spacing
+    if not (h <= 1.0 <= grid.half_extent / 4.0):
+        raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
+                         f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
+    ys, ws, deep = _near_nodes(grid)
+    xi = grid.freq_axis()[_lattice(grid, True)].copy()  # not a view of the whole axis
+    # far range [(m0 - 1/2) h, L]: cells [(m - 1/2) h, (m + 1/2) h] around the
+    # lattice shifts m h, m = m0..n/2, cut at L
+    edges = np.append((np.arange(round(1.0 / h), grid.n // 2 + 1) - 0.5) * h, grid.half_extent)
+    period = 2.0 * grid.half_extent
+    plan = _PVPlan(ys, ws, deep, xi, *_sin2_tables(0.5 * grid.min_freq * ys[deep:], xi.size),
+                   edges, period, _cell_logs(edges, period))
+    for a in plan.arrays():
+        a.setflags(write=False)
+    return plan
+
+
 def _pv_geometry(grid: GridSpec) -> dict:
-    """The quadrature :func:`fractional_laplacian_pv` runs on ``grid``: its
-    near-range panels summed by moments and node by node, the nodes per
-    panel and series terms, and the image sums' direct terms and highest
-    Euler-Maclaurin Bernoulli index."""
-    moment = _near_nodes(grid)[2] // _PV_NODES
+    """The quadrature :func:`fractional_laplacian_pv` runs on ``grid``, read
+    from its cached plan: its near-range panels summed by moments and node
+    by node, the nodes per panel and series terms, the image sums' direct
+    terms and highest Euler-Maclaurin Bernoulli index, and the bytes the
+    plan holds."""
+    plan = _pv_plan(grid)
+    moment = plan.deep // _PV_NODES
     return {"moment_panels": moment, "direct_panels": _PV_PANELS - moment,
             "nodes_per_panel": _PV_NODES, "series_terms": _MOMENT_TERMS,
             "tail_direct_terms": _TAIL_TERMS,
-            "tail_euler_maclaurin": f"B{2 * len(_BERNOULLI)}"}
+            "tail_euler_maclaurin": f"B{2 * len(_BERNOULLI)}",
+            "geometry_bytes": sum(a.nbytes for a in plan.arrays())}
 
 
 def _moment_sums(y, c, xi):
@@ -451,29 +535,21 @@ def _moment_sums(y, c, xi):
     return out
 
 
-def _sin2_sums(theta, c, size: int):
-    """sum_k c_k sin^2(theta_k m) for m = 0..size - 1, by angle addition.
+def _sin2_sums(plan: _PVPlan, c):
+    """sum_k c_k sin^2(theta_k m) for the plan's direct nodes and m = 0..n/2,
+    by angle addition: sin(theta m) is SA[a] CB[b] + CA[a] SB[b] for
+    m = B a + b (:func:`_sin2_tables`).
 
-    With m = B a + b and B = ceil(sqrt(size)), sin(theta m) is
-    SA[a] CB[b] + CA[a] SB[b] for the sines and cosines SA, CA of
-    theta B a and SB, CB of theta b, so each node calls sin and cos on
-    2 (A + B) arguments instead of sin on ``size``.  The sum is one
-    contraction over k of the rows [c SA^2, 2 c SA CA, c CA^2] against
-    [CB^2, SB CB, SB^2]; below theta m = pi/2 every term is non-negative, so
-    small arguments lose nothing to cancellation, as the cos(2 theta m) form
-    would.  The contraction is numpy's own einsum, whose reduction runs in a
-    fixed order: a BLAS product would make the bits depend on its thread
-    count.
+    The sum is one contraction over k of the rows [c SA^2, 2 c SA CA, c CA^2]
+    against [CB^2, SB CB, SB^2]; below theta m = pi/2 every term is
+    non-negative, so small arguments lose nothing to cancellation, as the
+    cos(2 theta m) form would.  The contraction is numpy's own einsum, whose
+    reduction runs in a fixed order: a BLAS product would make the bits
+    depend on its thread count.
     """
-    B = math.isqrt(size - 1) + 1
-    A = -(-size // B)
-    ua = theta[:, None] * (B * np.arange(A))
-    ub = theta[:, None] * np.arange(B)
-    sa, ca, sb, cb = np.sin(ua), np.cos(ua), np.sin(ub), np.cos(ub)
-    c = c[:, None]
+    sa, ca, c = plan.sa, plan.ca, c[:, None]
     left = np.concatenate([c * sa * sa, 2.0 * c * sa * ca, c * ca * ca])
-    right = np.concatenate([cb * cb, sb * cb, sb * sb])
-    return np.einsum("ka,kb->ab", left, right, optimize=False).reshape(-1)[:size]
+    return np.einsum("ka,kb->ab", left, plan.right, optimize=False).reshape(-1)[:plan.xi.size]
 
 
 def fractional_laplacian_pv(f: Field, eta: float) -> Field:
@@ -513,30 +589,28 @@ def fractional_laplacian_pv(f: Field, eta: float) -> Field:
     by sup|f''| * zeta(1+eta) * (2L)^(-1-eta), far below the quadrature
     tolerances for sane grids.  The split at y = 1 needs spacing <= 1 <= L/4.
     A real f gives the real part of the result.
+
+    What depends on the grid only is built on a grid's first call and
+    cached (:func:`_pv_plan`): the near-range nodes, weights and half-lattice
+    frequencies, the sine and cosine tables with the contraction's right
+    factor, and the far range's cell edges with every ``log1p`` of the cell
+    masses.  Each call computes the rest for its eta: the weights' powers,
+    the moments, the contraction's left factor and the contraction, the
+    masses' powers and ``expm1``, their ``rfft``, and the multiply by f.
+    Nothing that depends on eta or f outlives the call, and the output has
+    the bits of a call on a cold cache.
     """
     norm = pv_normalization(1, eta)
-    if f.grid.dim != 1:
-        raise ValueError("principal-value route is implemented for d = 1")
-    grid = f.grid
-    h = grid.spacing
-    if not (h <= 1.0 <= grid.half_extent / 4.0):
-        raise ValueError(f"grid must have spacing <= 1 <= L/4 for the split at y = 1, "
-                         f"got spacing {h} and L/4 = {grid.half_extent / 4.0}")
+    plan = _pv_plan(f.grid)
+    cs = plan.ws * plan.ys ** (-1.0 - eta)
+    near = _moment_sums(plan.ys[:plan.deep], cs[:plan.deep], plan.xi)
+    near += _sin2_sums(plan, cs[plan.deep:])
 
-    ys, ws, deep = _near_nodes(grid)
-    cs = ws * ys ** (-1.0 - eta)
-    xi = grid.freq_axis()[_lattice(grid, True)]
-    near = _moment_sums(ys[:deep], cs[:deep], xi)
-    near += _sin2_sums(0.5 * grid.min_freq * ys[deep:], cs[deep:], xi.size)
-
-    # far range [(m0 - 1/2) h, L]: periodized kernel masses on lattice shifts
-    # m h, m = m0..n/2, over the cells [(m - 1/2) h, (m + 1/2) h] cut at L
-    m0 = round(1.0 / h)
-    half_n = grid.n // 2
-    edges = np.append((np.arange(m0, half_n + 1) - 0.5) * h, grid.half_extent)
+    # far range: periodized kernel masses on the lattice shifts m h, m = m0..n/2
+    half_n = f.grid.n // 2
     masses = np.zeros(half_n + 1)
-    masses[m0:] = _folded_cell_masses(edges, 2.0 * grid.half_extent, eta)
-    cell = masses[np.abs(np.arange(grid.n) - half_n)]
+    masses[round(1.0 / f.grid.spacing):] = _folded_cell_masses(plan, eta)
+    cell = masses[np.abs(np.arange(f.grid.n) - half_n)]
     far = _fft(cell, half=True).real - cell.sum()
     half_mult = norm * (far - 4.0 * near)
 

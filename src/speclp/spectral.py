@@ -22,8 +22,10 @@ samples from fft order to natural order in place.
 Lattice-sized work holds block-sized temporaries of at most
 ``_CHUNK_BYTES`` where a lattice-sized one would be its only use: the d = 3
 half-spectrum inverse on ``rows`` (a refinement) runs its later stages by
-blocks of lines (:func:`_ifft`), and :func:`lp_norm` sums |f|^p by pieces
-(:func:`_power_sum`).  Both keep the bytes of the one-array computation.
+blocks of lines (:func:`_ifft`), :func:`lp_norm` sums |f|^p by pieces
+(:func:`_power_sum`), and a new Field or SpectralField tests finiteness by
+pieces (:func:`_as_grid_array`).  All keep the results of the one-array
+computation.
 
 A multiplier keeps the real part of its result for a real field (the
 real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
@@ -200,10 +202,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_grid_array(grid: GridSpec, values, dtype=np.complex128) -> np.ndarray:
+    """values as a C-contiguous array of ``dtype`` on the grid's shape, all
+    finite.  Finiteness is tested in flat pieces of at most ``_CHUNK_BYTES``
+    (one piece for an array that fits), so the test's bool array is never
+    lattice-sized."""
     arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.shape != grid.shape:
         raise ValueError(f"array shape {arr.shape} does not match grid shape {grid.shape}")
-    if not np.all(np.isfinite(arr)):
+    flat, step = arr.reshape(-1), _CHUNK_BYTES // arr.itemsize
+    if not all(np.isfinite(flat[i:i + step]).all() for i in range(0, flat.size, step)):
         raise ValueError("array contains non-finite entries")
     return arr
 

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,9 +25,9 @@ import pytest
 from speclp import Field, GridSpec, forward_transform, fractional_laplacian_pv, pv_normalization
 from speclp import kernel_audit
 from speclp.evolution import _dyadic_panels, _legendre
-from speclp.kernel_audit import (_folded_cell_masses, _moment_sums, _near_nodes, _pv_geometry,
-                                 _sin2_sums, _tail_diff_sums)
-from speclp.spectral import _lattice, _multiply
+from speclp.kernel_audit import (_TAIL_TERMS, _folded_cell_masses, _moment_sums, _pv_geometry,
+                                 _pv_plan, _sin2_sums, _tail_diff_sums)
+from speclp.spectral import _multiply
 
 
 def tail_diff_sum(u, v, s, terms):
@@ -216,11 +217,40 @@ def test_shared_sines_and_masses_keep_every_bit(n, L, complex_input):
     if complex_input:
         values = values * (1.0 + 0.5j * x)
     f = Field(grid, values)
-    for eta in (0.3, 1.0, 1.7):
+    etas = (0.3, 1.0, 1.7)
+    refs = {eta: spelled_out_pv(f, eta).values for eta in etas}
+    # the grid's plan built by the first call, then used warm in reverse order
+    _pv_plan.cache_clear()
+    for eta in etas + etas[::-1]:
         got = fractional_laplacian_pv(f, eta).values
-        ref = spelled_out_pv(f, eta).values
-        assert got.dtype == ref.dtype == (np.complex128 if complex_input else np.float64)
-        assert got.tobytes() == ref.tobytes()
+        assert got.dtype == refs[eta].dtype == (np.complex128 if complex_input else np.float64)
+        assert got.tobytes() == refs[eta].tobytes()
+    for a in _pv_plan(grid).arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0.0
+
+
+def test_pv_plan_cache_stays_small():
+    # criterion 11's grid holds at most 2 MiB, counted by the arrays and by
+    # the allocations the plan keeps alive; the cache holds at most maxsize grids
+    grid = GridSpec(1, 16384, 256.0)
+    _pv_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = _pv_plan(grid)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    counted = _pv_geometry(grid)["geometry_bytes"]
+    assert counted == sum(a.nbytes for a in plan.arrays())
+    assert held <= 2 * 2**20 and counted <= 2 * 2**20
+    maxsize = _pv_plan.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 4
+    for k in range(maxsize + 2):
+        _pv_plan(GridSpec(1, 64, 8.0 + k))
+        assert _pv_plan.cache_info().currsize <= maxsize
+    assert _pv_plan.cache_info().currsize == maxsize
 
 
 def pv_multiplier(f, eta, monkeypatch):
@@ -240,8 +270,8 @@ NEAR_GRIDS = pytest.mark.parametrize(
 def near_coefficients(grid, eta):
     """The near range's nodes y_k, their weights c_k = w_k y_k^(-1-eta), the
     number summed by moments, and the half lattice's frequencies."""
-    ys, ws, deep = _near_nodes(grid)
-    return ys, ws * ys ** (-1.0 - eta), deep, grid.freq_axis()[_lattice(grid, True)]
+    plan = _pv_plan(grid)
+    return plan.ys, plan.ws * plan.ys ** (-1.0 - eta), plan.deep, plan.xi
 
 
 @NEAR_GRIDS
@@ -271,7 +301,7 @@ def test_direct_near_sum_matches_longdouble_sines(n, L, eta):
     # with xi_m = m pi / L, each term and the sum in long double
     grid = GridSpec(1, n, L)
     ys, cs, deep, _ = near_coefficients(grid, eta)
-    got = _sin2_sums(0.5 * grid.min_freq * ys[deep:], cs[deep:], n // 2 + 1)
+    got = _sin2_sums(_pv_plan(grid), cs[deep:])
     xi = np.arange(n // 2 + 1, dtype=np.longdouble) * np.longdouble(np.pi) / np.longdouble(L)
     ref = np.zeros(xi.size, dtype=np.longdouble)
     for y, c in zip(ys[deep:].astype(np.longdouble), cs[deep:].astype(np.longdouble)):
@@ -321,15 +351,20 @@ def far_edges(n, L):
 @pytest.mark.parametrize("eta", [0.3, 0.5, 1.0, 1.5, 1.7])
 def test_tail_diff_sums_match_hurwitz_zeta(n, L, eta):
     # the image sums of _folded_cell_masses at 40 cells spread over the far
-    # range, at the points x and widths delta it passes
+    # range, at the points x and widths delta it passes, with the grid plan's
+    # logarithms: after the direct piece's row, _TAIL_TERMS + 1 rows per sum
     edges = far_edges(n, L)
     period = 2.0 * L
     delta = np.diff(edges) / period
+    plan = _pv_plan(GridSpec(1, n, L))
+    assert plan.edges.tobytes() == edges.tobytes()
+    rows = _TAIL_TERMS + 1
     at = np.linspace(0, delta.size - 1, 40).round().astype(int)
     worst = 0.0
     with mpmath.workdps(30):
-        for x in (1.0 + edges[:-1] / period, 1.0 - edges[1:] / period):
-            got = _tail_diff_sums(x, delta, eta)
+        for x, logs in ((1.0 + edges[:-1] / period, plan.logs[1:1 + rows]),
+                        (1.0 - edges[1:] / period, plan.logs[1 + rows:])):
+            got = _tail_diff_sums(x, logs, eta)
             for i in at:
                 u = mpmath.mpf(x[i])
                 ref = hurwitz_diff(u, u + mpmath.mpf(delta[i]), eta)
@@ -347,7 +382,9 @@ def test_cell_masses_match_mpmath(n, L, eta):
     # taken from them would be off by 1e-13 relative
     edges = far_edges(n, L)
     period = 2.0 * L
-    got = _folded_cell_masses(edges, period, eta)
+    plan = _pv_plan(GridSpec(1, n, L))
+    assert plan.edges.tobytes() == edges.tobytes()
+    got = _folded_cell_masses(plan, eta)
     worst = 0.0
     with mpmath.workdps(30):
         P = mpmath.mpf(period)

@@ -285,11 +285,17 @@ def test_pv_geometry_goes_to_run_meta(tmp_path):
     top = [31.5 / 32.0 * 2.0**-k * (3.0 + z8) / 4.0 for k in range(48)]
     moment = sum(0.5 * 32.0 * math.pi * y <= 3e-3 for y in top)
     assert moment == 34
+    # float64 held for the grid: 384 nodes and weights, 8193 frequencies,
+    # two 112 x 91 tables and the 336 x 91 right factor of the other 14
+    # panels' nodes, 8162 cell edges and 19 rows of logarithms over 8161 cells
+    held = 8 * (2 * 384 + 8193 + 5 * 112 * 91 + 8162 + 19 * 8161)
     assert pv == {"moment_panels": moment, "direct_panels": 48 - moment,
                   "nodes_per_panel": 8, "series_terms": 3,
-                  "tail_direct_terms": 8, "tail_euler_maclaurin": "B12"}
+                  "tail_direct_terms": 8, "tail_euler_maclaurin": "B12",
+                  "geometry_bytes": held}
     summary = (tmp_path / "out" / "summary.json").read_text()
     assert "principal_value" not in summary and "moment_panels" not in summary
+    assert "geometry_bytes" not in summary
 
 
 def test_kernel_decay_scenario(tmp_path):

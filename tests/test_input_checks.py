@@ -33,6 +33,12 @@ def _hormander_empty_y():
     hormander_report(HEAT, 0.0, HEAT, 0.0, w, 2.0, [], G1)
 
 
+def _field_nan_last():
+    values = np.zeros((128,) * 3)
+    values[-1, -1, -1] = np.nan
+    Field(GridSpec(3, 128, 8.0), values)
+
+
 def _symbol(**changes):
     SymbolSpec(**{**SYMBOL, **changes})
 
@@ -65,6 +71,9 @@ CASES = {
                     "array shape (63,) does not match grid shape (64,)"),
     "field-non-finite": (lambda: Field(G1, np.full(64, np.nan)), ValueError,
                          "array contains non-finite entries"),
+    # 128^3 samples are tested in pieces; the NaN sits in the last one
+    "field-non-finite-last-piece": (_field_nan_last, ValueError,
+                                    "array contains non-finite entries"),
     "shift-length": (lambda: spectral_shift(F1, [0.1, 0.2]), ValueError,
                      "shift vector must have length 1"),
     "symbol-kappa": (lambda: _symbol(kappa=0.0), ValueError, "kappa, mu, gamma must be positive"),

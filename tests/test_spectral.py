@@ -280,3 +280,6 @@ def test_lp_norm_peak_memory(complex_values):
     f = Field(grid, values + 1j * values if complex_values else values)
     for p in (1.5, 2.0):
         assert _traced_peak(lambda: lp_norm(f, p)) < 2 * spectral._CHUNK_BYTES
+    # so is the finiteness test of a new field's samples: one piece's bools,
+    # not a 2 MiB bool array of the lattice
+    assert _traced_peak(lambda: Field(grid, f.values)) < spectral._CHUNK_BYTES // 4
