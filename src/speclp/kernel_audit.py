@@ -93,10 +93,13 @@ def gradient_kernel(psi1: SymbolSpec, l: float, psi2: SymbolSpec,
     other m gives complex components on the whole lattice.
     """
     mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
-    xi = grid.xi_stack(half)
-    nyquist = grid.freq_axis()[grid.n // 2]
-    derivs = (np.where(half and xk == nyquist, 0.0, 1j * xk) for xk in xi)
-    comps = [Field(grid, _kernel(grid, deriv * mult, half)) for deriv in derivs]
+    comps = []
+    for k, m in enumerate(mult.shape):
+        deriv = 1j * grid.freq_axis()[:m]
+        if half:
+            deriv[grid.n // 2] = 0.0  # the self-paired index
+        deriv = deriv.reshape((-1,) + (1,) * (grid.dim - 1 - k))
+        comps.append(Field(grid, _kernel(grid, deriv * mult, half)))
     mag = np.sqrt(sum(np.abs(c.values) ** 2 for c in comps))
     return comps, Field(grid, mag)
 

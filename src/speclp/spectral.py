@@ -39,7 +39,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Optional
 
 import numpy as np
@@ -91,8 +91,8 @@ class GridSpec:
     Only |x| and |xi| are cached (:meth:`x_norm`, :meth:`xi_norm`), one
     lattice each, built by broadcasting the 1-D axes.  The (dim,) + shape
     coordinate stacks (:meth:`x_stack`, :meth:`xi_stack`) are built for each
-    call and held by no one: the shift phase, the gradient kernel and
-    symbols that are not built-ins build one when they run.
+    call and held by no one: only symbols that are not built-ins build one.
+    The shift phase and the gradient kernel build theirs from the 1-D axes.
     """
 
     dim: int
@@ -145,8 +145,9 @@ class GridSpec:
 
     def x_stack(self) -> np.ndarray:
         """Coordinates as an array of shape (dim,) + shape, natural order,
-        built for each call: only |x| is cached (:meth:`x_norm`)."""
-        return _coordinates([self.x_axis()] * self.dim)
+        built for each call, in one allocation from meshgrid's views: only
+        |x| is cached (:meth:`x_norm`)."""
+        return np.stack(np.meshgrid(*[self.x_axis()] * self.dim, indexing="ij", copy=False))
 
     @lru_cache(maxsize=32)
     def x_norm(self) -> np.ndarray:
@@ -154,17 +155,12 @@ class GridSpec:
         r = _sum_squares([self.x_axis()] * self.dim)
         return _frozen(np.sqrt(r, out=r))
 
-    def xi_stack(self, half: bool = False) -> np.ndarray:
-        """Frequencies as an array of shape (dim,) + shape, fft order, or with
-        ``half`` the contiguous stack of the rfftn half lattice (last axis
-        0..n/2), built for each call: only |xi| is cached (:meth:`xi_norm`).
-        Only the callers that need components build it: the shift phase, the
-        gradient kernel, and symbols that are not built-ins
-        (:func:`speclp.symbols._on_lattice`)."""
-        axes = [self.freq_axis()] * self.dim
-        if half:
-            axes[-1] = axes[-1][: self.n // 2 + 1]
-        return _coordinates(axes)
+    def xi_stack(self) -> np.ndarray:
+        """Frequencies as an array of shape (dim,) + shape, fft order, built
+        for each call: only |xi| is cached (:meth:`xi_norm`).  Only symbols
+        that are not built-ins build it (:func:`speclp.symbols._on_lattice`);
+        the shift phase and the gradient kernel broadcast the 1-D axis."""
+        return np.stack(np.meshgrid(*[self.freq_axis()] * self.dim, indexing="ij", copy=False))
 
     @lru_cache(maxsize=32)
     def xi_norm(self) -> np.ndarray:
@@ -172,16 +168,6 @@ class GridSpec:
         the built-in symbols and the radial profiles are evaluated on it."""
         r = _sum_squares([self.freq_axis()] * self.dim)
         return _frozen(np.sqrt(r, out=r))
-
-
-def _coordinates(axes) -> np.ndarray:
-    """The (d,) + shape stack of the lattice the 1-D axes span, component k
-    varying along axis k: numpy's ``meshgrid(*axes, indexing="ij")``, stacked,
-    written in one pass per component."""
-    out = np.empty((len(axes),) + tuple(a.size for a in axes))
-    for k, a in enumerate(axes):
-        out[k] = a.reshape((-1,) + (1,) * (len(axes) - 1 - k))
-    return out
 
 
 def _sum_squares(axes) -> np.ndarray:
@@ -477,10 +463,10 @@ def mean_remove(f: Field) -> Field:
 def spectral_shift(f: Field, y) -> Field:
     """Translate f by y: returns g with g(x) = f(x - y), exact for lattice content.
 
-    A real f gives the real part of the exact result.  The phase is not
-    Hermitian on the self-paired Nyquist planes, so only content there
-    differs from the exact shift: it is multiplied by the cosine of the
-    phase instead of the phase.
+    The phase is a product of per-axis phases (:func:`_shift_phase`).  A real
+    f gives the real part of the exact result.  The phase is not Hermitian on
+    the self-paired Nyquist planes, so only content there differs from the
+    exact shift: it is multiplied by the cosine of the phase instead.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (f.grid.dim,):
@@ -491,17 +477,26 @@ def spectral_shift(f: Field, y) -> Field:
 def _shift_phase(grid: GridSpec, y: np.ndarray, half: bool) -> np.ndarray:
     """exp(-i y.xi) on the whole lattice, or its Hermitian part on the half one.
 
-    A Nyquist component of xi is its own mirror, so on the half lattice the
-    phase of the self-paired components S becomes cos(sum_{k in S} y_k xi_k)
-    and the rest keeps exp(-i y_k xi_k).
+    The phase is the outer product of the per-axis phases exp(-i y_k xi_k),
+    the last cut to the half axis 0..n/2 with ``half``.  A Nyquist component
+    of xi is its own mirror, so on the half lattice the phase of the
+    self-paired components S becomes cos(sum_{k in S} y_k xi_k) and the rest
+    keeps exp(-i y_k xi_k): the cosine of one such axis is its factor's
+    Nyquist entry, and where two or more meet the value is written directly.
     """
-    xi = grid.xi_stack(half)
-    if not half:
-        return np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
-    nyquist = xi == grid.freq_axis()[grid.n // 2]
-    phase = np.exp(-1j * np.tensordot(y, np.where(nyquist, 0.0, xi), axes=(0, 0)))
-    planes = nyquist.any(axis=0)
-    phase[planes] *= np.cos(np.tensordot(y, np.where(nyquist, xi, 0.0), axes=(0, 0))[planes])
+    axis, nyq = grid.freq_axis(), grid.n // 2
+    # + 0.0 makes the -0.0 of y_k * 0 the +0.0 of the dot product y.xi
+    factors = [np.exp(-1j * (yk * axis + 0.0)) for yk in y]
+    if half:
+        factors[-1] = factors[-1][: nyq + 1]
+        for yk, e in zip(y, factors):
+            e[nyq] = np.cos(yk * axis[nyq])
+    phase = reduce(lambda p, e: np.multiply(p[..., None], e), factors)
+    for S in itertools.chain(*(itertools.combinations(range(grid.dim), r)
+                               for r in range(2, grid.dim + 1 if half else 2))):
+        at = tuple(nyq if k in S else slice(None) for k in range(grid.dim))
+        rest = [factors[k] for k in range(grid.dim) if k not in S] + [1.0]  # d <= 3
+        phase[at] = np.cos((y[list(S)] * axis[nyq]).sum()) * rest[0]
     return phase
 
 

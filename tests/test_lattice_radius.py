@@ -1,13 +1,14 @@
 """Frequency lattices without cached coordinate stacks.
 
 ``GridSpec`` caches |x| and |xi| only, built by broadcasting the 1-D axes;
-the (d, ...) coordinate stacks are built per call, where components are
-needed (the shift phase, the gradient kernel, symbols that are not
-built-ins).  A built-in symbol declares its radial profile and is evaluated
-on the cached |xi| (``symbols._on_lattice``); every other symbol keeps the
-stack contract.  Each replacement is checked byte for byte against the stack
-formula it replaced, and the memory it saves is guarded with tracemalloc
-(no timing).
+the (d, ...) coordinate stacks are built per call, and in the package only
+for symbols that are not built-ins.  A built-in symbol declares its radial
+profile and is evaluated on the cached |xi| (``symbols._on_lattice``); every
+other symbol keeps the stack contract.  The shift phase is a product of
+per-axis phases and the gradient kernel's factors are 1-D axes.  Each
+replacement is checked against the stack formula it replaced (byte for byte,
+or for the shift phase at d >= 2 against an extended-precision reference),
+and the memory it saves is guarded with tracemalloc (no timing).
 """
 
 import dataclasses
@@ -16,11 +17,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from speclp import (GridSpec, SymbolEvalError, SymbolSpec, build_decomposition, bump_profile,
-                    chi_profile, eval_symbol, g_function, generate_corpus, get_symbol,
-                    gradient_kernel, kernel_field, multiplier_values)
+from speclp import (Field, GridSpec, SymbolEvalError, SymbolSpec, build_decomposition,
+                    bump_profile, chi_profile, eval_symbol, g_function, generate_corpus,
+                    get_symbol, gradient_kernel, kernel_field, multiplier_values, spectral_shift)
 from speclp import corpus, lp_decomp, spectral
 from speclp.errors import MultiplierError
+from speclp.evolution import _kernel, _kernel_multiplier
 from speclp.gfunction import _grid_window
 from speclp.kernel_audit import dyadic_l1_envelope
 from speclp.symbols import _on_lattice, _Radial
@@ -58,27 +60,107 @@ def test_norms_are_the_stack_formula(grid):
 @pytest.mark.parametrize("grid", GRIDS, ids=str)
 def test_stacks_are_built_per_call(grid):
     _same(grid.x_stack(), _old_stack(grid.x_axis(), grid.dim))
-    whole = _old_stack(grid.freq_axis(), grid.dim)
-    _same(grid.xi_stack(), whole)
-    half = grid.xi_stack(half=True)
-    assert half.flags.c_contiguous
-    _same(half, whole[_half(grid)])
+    _same(grid.xi_stack(), _old_stack(grid.freq_axis(), grid.dim))
     assert grid.xi_stack() is not grid.xi_stack() and grid.xi_stack().flags.writeable
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=str)
-def test_shift_phase_from_the_half_stack(grid):
-    # the tensordot phase, and its Hermitian part on the half lattice, from the
-    # contiguous half stack against the sliced whole stack it replaced
-    y = np.linspace(0.3, -1.7, grid.dim) * grid.spacing * 3.3
+# --- the shift phase as a product of per-axis phases --------------------------
+
+def _tensordot_phase(grid, y, half):
+    """The shift phase as it was: exp(-i y.xi) by tensordot on the stack, and
+    on the half lattice the self-paired components S moved into a cosine."""
     xi = _old_stack(grid.freq_axis(), grid.dim)
-    _same(spectral._shift_phase(grid, y, False), np.exp(-1j * np.tensordot(y, xi, axes=(0, 0))))
+    if not half:
+        return np.exp(-1j * np.tensordot(y, xi, axes=(0, 0)))
     xi = xi[_half(grid)]
     nyquist = xi == grid.freq_axis()[grid.n // 2]
     want = np.exp(-1j * np.tensordot(y, np.where(nyquist, 0.0, xi), axes=(0, 0)))
     planes = nyquist.any(axis=0)
     want[planes] *= np.cos(np.tensordot(y, np.where(nyquist, xi, 0.0), axes=(0, 0))[planes])
-    _same(spectral._shift_phase(grid, y, True), want)
+    return want
+
+
+def _shifts(grid):
+    return [np.linspace(0.3, -1.7, grid.dim) * grid.spacing * 3.3, np.full(grid.dim, 0.37),
+            np.linspace(-40.0, 77.7, grid.dim), np.array([1e3, -2e3, 3.3e3])[:grid.dim],
+            np.zeros(grid.dim)]
+
+
+def _reference_phase(grid, y):
+    """exp(-i y.xi) in extended precision on the whole lattice, and the scale
+    1 + sum_k |y_k xi_k| of the round-off bound."""
+    axis = grid.freq_axis().astype(np.longdouble)
+    arg = np.zeros(grid.shape, np.longdouble)
+    scale = np.ones(grid.shape, np.longdouble)
+    for k in range(grid.dim):
+        term = np.longdouble(y[k]) * axis.reshape((-1,) + (1,) * (grid.dim - 1 - k))
+        arg, scale = arg + term, scale + np.abs(term)
+    return np.exp(np.clongdouble(-1j) * arg), scale
+
+
+def _self_paired(grid):
+    """The half-lattice points with some component at index n/2."""
+    paired = np.zeros(grid.shape, bool)
+    for k in range(grid.dim):
+        paired[(slice(None),) * k + (grid.n // 2,)] = True
+    return paired[_half(grid)]
+
+
+@pytest.mark.parametrize("half", [False, True], ids=["whole", "half"])
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_shift_phase_1d_is_the_tensordot_phase(n, half):
+    grid = GridSpec(1, n, 16.0)
+    for y in _shifts(grid) + [np.array([-0.0]), np.array([-3.3])]:
+        _same(spectral._shift_phase(grid, y, half), _tensordot_phase(grid, y, half))
+
+
+@pytest.mark.parametrize("grid", [g for g in GRIDS if g.dim > 1], ids=str)
+def test_shift_phase_within_round_off_of_the_exact_phase(grid):
+    # the product moves round-off only: within 0.75 eps (1 + sum_k |y_k xi_k|)
+    # of exp(-i y.xi) in extended precision, everywhere on the whole lattice;
+    # on the half lattice the same bytes off the self-paired points, and on
+    # them the same bound from the exact Hermitian part (m(xi) + conj m(-xi))/2
+    eps = np.finfo(float).eps
+    paired = _self_paired(grid)
+    for y in _shifts(grid):
+        exact, scale = _reference_phase(grid, y)
+        whole = spectral._shift_phase(grid, y, False)
+        assert whole.dtype == np.complex128 and whole.shape == grid.shape
+        assert (np.abs(whole - exact) / scale).max() <= 0.75 * eps
+        half = spectral._shift_phase(grid, y, True)
+        assert half.flags.c_contiguous and half.shape == whole[_half(grid)].shape
+        assert half[~paired].tobytes() == whole[_half(grid)][~paired].tobytes()
+        mirror = np.roll(np.flip(exact), 1, axis=tuple(range(grid.dim)))
+        hermitian = ((exact + np.conj(mirror)) / 2)[_half(grid)]
+        err = np.abs(half - hermitian) / scale[_half(grid)]
+        assert err[paired].max() <= 0.75 * eps
+
+
+# --- the gradient kernel's factors on the 1-D axes -----------------------------
+
+def _stack_gradient(psi1, l, psi2, s, t, grid):
+    """gradient_kernel as it was: i xi_k on the (half) coordinate stack, 0 on
+    axis k's self-paired plane of the half lattice."""
+    mult, half = _kernel_multiplier(psi2, s, t, grid, (psi1, l))
+    xi = _old_stack(grid.freq_axis(), grid.dim)
+    xi = np.ascontiguousarray(xi[_half(grid)]) if half else xi
+    nyquist = grid.freq_axis()[grid.n // 2]
+    derivs = (np.where(half and xk == nyquist, 0.0, 1j * xk) for xk in xi)
+    comps = [_kernel(grid, deriv * mult, half) for deriv in derivs]
+    return comps, np.sqrt(sum(np.abs(c) ** 2 for c in comps))
+
+
+@pytest.mark.parametrize("pair", [("heat", "heat"), ("poisson", "poisson"), ("poisson", "heat")])
+@pytest.mark.parametrize("grid", [GridSpec(1, 256, 16.0), GridSpec(2, 32, 8.0),
+                                  GridSpec(3, 16, 4.0)], ids=str)
+def test_gradient_kernel_is_the_stack_formula(grid, pair):
+    psi1, psi2 = get_symbol(pair[0]), get_symbol(pair[1])
+    comps, mag = gradient_kernel(psi1, 0.0, psi2, 0.0, 0.4, grid)
+    want, want_mag = _stack_gradient(psi1, 0.0, psi2, 0.0, 0.4, grid)
+    assert len(comps) == grid.dim
+    for got, ref in zip(comps, want):
+        _same(got.values, ref)
+    _same(mag.values, want_mag)
 
 
 def _old_gaussian_mix(rng, grid):
@@ -128,7 +210,8 @@ def test_builtins_on_the_lattice_are_eval_symbol_on_the_stack(name, grid):
         assert sampled.factor(0.7) == spec.time_factor(0.7)
     # the profile on the strided half of |xi| is its value on the half stack
     radial = spec.eval_fn if spec.spatial is None else spec.spatial
-    _same(radial.profile(grid.xi_norm()[_half(grid)]), radial(0.7, grid.xi_stack(half=True)))
+    _same(radial.profile(grid.xi_norm()[_half(grid)]),
+          radial(0.7, np.ascontiguousarray(xi[_half(grid)])))
 
 
 def test_only_the_builtin_factories_declare_a_profile():
@@ -162,8 +245,8 @@ def test_user_symbols_get_a_real_stack():
 
 
 def test_builtins_build_no_coordinate_stack(monkeypatch):
-    def refuse(self, half=False):
-        raise AssertionError("a built-in symbol built a coordinate stack")
+    def refuse(self):
+        raise AssertionError("a coordinate stack was built")
 
     grid = GridSpec(2, 32, 8.0)
     f = generate_corpus(3, grid, "BANDLIMITED_RANDOM", 1, mean_removed=True)[0].field
@@ -173,8 +256,13 @@ def test_builtins_build_no_coordinate_stack(monkeypatch):
         multiplier_values(spec, 0.1, 0.5, grid, pre=(HEAT, 0.3))
         kernel_field((spec, 0.2), HEAT, 0.0, 0.4, grid)
         g_function(f, spec, 0.0, HEAT, _grid_window(grid, spec, HEAT, a=1.0), 2.0)
+    # the components come from the 1-D axes
+    gradient_kernel(HEAT, 0.0, HEAT, 0.0, 0.4, grid)
+    for g in (f, Field(grid, f.values + 1j)):
+        spectral_shift(g, [0.3, -1.2])
+    user = dataclasses.replace(HEAT, eval_fn=lambda t, xi: HEAT.eval_fn(t, xi))
     with pytest.raises(AssertionError, match="coordinate stack"):
-        gradient_kernel(HEAT, 0.0, HEAT, 0.0, 0.4, grid)  # needs the components
+        multiplier_values(user, 0.1, 0.5, grid)  # a user symbol needs the stack
 
 
 def test_lattice_errors_name_the_sample_as_the_stack_does():
@@ -252,6 +340,15 @@ def test_xi_norm_builds_no_coordinate_stack():
     # alone would be 6 MiB
     grid = GridSpec(3, 64, 16.0)
     assert _peak(lambda: GridSpec.xi_norm.__wrapped__(grid)) < 1.25 * 64**3 * 8
+
+
+def test_shift_phase_peak():
+    # the 2.06 MiB half-lattice phase and its (64, 64) partial product: 1.15
+    # times the output measured, against 4.81 times on the coordinate stack
+    grid = GridSpec(3, 64, 16.0)
+    y = np.array([0.3, -1.1, 2.7])
+    out = spectral._shift_phase(grid, y, True)
+    assert _peak(lambda: spectral._shift_phase(grid, y, True)) < 1.25 * out.nbytes
 
 
 def test_multiplier_values_peak():

@@ -16,7 +16,7 @@ from speclp import (Field, GridSpec, SpectralField, block, build_decomposition,
                     forward_transform, fractional_laplacian_pv, get_symbol, inverse_transform,
                     low_part, lp_norm, refine_field, sobolev_norm, spectral_shift,
                     verify_composition)
-from speclp import kernel_audit
+from speclp import kernel_audit, spectral
 from speclp.acceptance import _scaling_identity_error
 from speclp.gfunction import _grid_window, _node_fields
 from speclp.lp_decomp import _partition_defect
@@ -135,7 +135,7 @@ def test_real_part_rule_sites_match_the_complex_oracle(d, n, L, seed, alpha, fac
     D = build_decomposition(grid)
     xi = grid.xi_norm()
     y = np.random.default_rng(seed + 1).uniform(-L, L, size=d)
-    phase = np.exp(-1j * np.tensordot(y, grid.xi_stack(), axes=(0, 0)))
+    phase = spectral._shift_phase(grid, y, False)  # the phase itself: test_lattice_radius.py
     fine = GridSpec(d, n * factor, L)
     sobolev = (1.0 + xi**2) ** (alpha / 2.0)
     for f in _full_band_pair(grid, seed):
@@ -152,6 +152,33 @@ def test_real_part_rule_sites_match_the_complex_oracle(d, n, L, seed, alpha, fac
         ref = lp_norm(Field(grid, oracle.real if np.isrealobj(f.values) else oracle), 2.0)
         got = sobolev_norm(f, alpha, 2.0)
         assert abs(got - ref) <= 1e-14 * ref if np.isrealobj(f.values) else repr(got) == repr(ref)
+
+
+def _band_limited_pair(grid, seed):
+    """A complex field with content below Nyquist/2 on every axis, so no
+    self-paired plane carries any, and its real part."""
+    rng = np.random.default_rng(seed)
+    axis = np.abs(grid.freq_axis()) < grid.nyquist / 2
+    band = np.ones(grid.shape, bool)
+    for k in range(grid.dim):
+        band &= axis.reshape((-1,) + (1,) * (grid.dim - 1 - k))
+    coeffs = np.where(band, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
+                      0.0)
+    f = inverse_transform(SpectralField(grid, coeffs))
+    return Field(grid, f.values.real), f
+
+
+@FEW
+@given(dims, sizes, extents, seeds)
+def test_shifts_compose(d, n, L, seed):
+    # shifting by y, then by z, is shifting by y + z, real and complex fields
+    grid = GridSpec(d, n, L)
+    rng = np.random.default_rng(seed + 1)
+    y, z = rng.uniform(-L, L, size=d), rng.uniform(-L, L, size=d)
+    for f in _band_limited_pair(grid, seed):
+        twice, once = spectral_shift(spectral_shift(f, y), z), spectral_shift(f, y + z)
+        assert twice.values.dtype == once.values.dtype == f.values.dtype
+        assert np.abs(twice.values - once.values).max() <= 1e-12 * np.abs(f.values).max()
 
 
 @FEW

@@ -190,6 +190,25 @@ def test_spectral_shift_matches_roll(grid):
     assert np.abs(shifted.values - np.roll(f.values, m)).max() < 1e-10
 
 
+@pytest.mark.parametrize("grid", [GridSpec(2, 32, 8.0), GridSpec(3, 16, 4.0)], ids=str)
+def test_spectral_shift_matches_roll_in_2d_and_3d(grid):
+    # content below Nyquist/2 on every axis: a lattice shift is a roll
+    rng = np.random.default_rng(4)
+    axis = np.abs(grid.freq_axis()) < grid.nyquist / 2
+    band = np.ones(grid.shape, bool)
+    for k in range(grid.dim):
+        band &= axis.reshape((-1,) + (1,) * (grid.dim - 1 - k))
+    coeffs = np.where(band, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape),
+                      0.0)
+    g = inverse_transform(SpectralField(grid, coeffs))
+    m = np.array([7, -3, 2])[:grid.dim]
+    for f in (Field(grid, g.values.real), g):
+        shifted = spectral_shift(f, m * grid.spacing)
+        assert shifted.values.dtype == f.values.dtype
+        rolled = np.roll(f.values, tuple(m), axis=tuple(range(grid.dim)))
+        assert np.abs(shifted.values - rolled).max() <= 1e-12 * np.abs(f.values).max()
+
+
 def test_refine_preserves_samples(grid):
     x = grid.x_axis()
     f = Field(grid, np.exp(-(x**2) / 2))

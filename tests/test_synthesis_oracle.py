@@ -149,7 +149,7 @@ def test_blocks_low_part_and_sobolev(grid):
 
 def test_shift_and_refinement(grid):
     y = np.full(grid.dim, 0.37)
-    phase = np.exp(-1j * np.tensordot(y, grid.xi_stack(), axes=(0, 0)))
+    phase = spectral._shift_phase(grid, y, False)  # the phase itself: test_lattice_radius.py
     for f in _fields(grid):
         _same_real_part(f, spectral_shift(f, y), _ref_real_part(f, _ref_multiply(f, phase)))
         for factor in (2, 3):

@@ -16,6 +16,11 @@ only, and its callers are the node engine and
 ``evolution._kernel_multiplier``, which tests each kernel multiplier once
 for every kernel built from it.  The residue rule
 ``evolution._drop_residue`` is left to ``apply_evolution`` alone.
+
+Coordinate stacks are built only where a symbol that is not a built-in
+meets the lattice: ``GridSpec.xi_stack`` is called in
+``symbols._on_lattice`` only, and no module contracts a stack with
+``np.tensordot``.
 """
 
 import ast
@@ -147,3 +152,13 @@ def test_one_hermitian_test_in_spectral():
 def test_residue_rule_only_for_evolutions():
     callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_drop_residue"))}
     assert callers == {("evolution.py", "apply_evolution")}
+
+
+def test_coordinate_stacks_only_for_symbols():
+    callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("xi_stack"))}
+    assert callers == {("symbols.py", "_on_lattice")}
+    def names_tensordot(node):
+        return (getattr(node, "attr", None) or getattr(node, "id", None)) == "tensordot"
+
+    tensordots = {(p.name, name) for p in MODULES for name in _sites(p, names_tensordot)}
+    assert not tensordots, f"tensordot in {sorted(tensordots)}"
