@@ -487,8 +487,8 @@ class _PVPlan(NamedTuple):
 def _pv_plan(grid: GridSpec) -> _PVPlan:
     """The principal-value route's geometry of ``grid``, cached for the
     grid's later calls, the way FFTW splits a plan from its execution
-    (Frigo & Johnson, Proc. IEEE 93(2), 2005); at most four grids are held,
-    1.7 MiB for criterion 11's.  ValueError for a grid the route does not
+    (Frigo & Johnson, Proc. IEEE 93(2), 2005); at most four grids are held.
+    ValueError for a grid the route does not
     take: d != 1, or no split at y = 1 with spacing <= 1 <= L/4.
     """
     if grid.dim != 1:

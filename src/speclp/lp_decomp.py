@@ -14,9 +14,13 @@ zero mode passed through).
 All multipliers here are real radial profiles, conjugate-symmetric on the
 lattice, so each is its own Hermitian part: a real field takes the profile on
 the ``rfftn`` half lattice and gives float64 blocks (see
-:func:`speclp.spectral._multiplied`).  :func:`besov_norm0` transforms its
-field once for all its blocks, and evaluates each cutoff chi(2^-j |xi|) once
-for the two blocks that share it (:func:`_dyadic`, which
+:func:`speclp.spectral._multiplied`).  The norms transform their field once
+for all their multipliers (:func:`_multiplied_norms`).  For a real field at
+exponent 2 each norm is a sum of the weighted half-spectrum power |F f|^2
+against m^2, by the discrete Plancherel identity, with no inverse transform
+(:func:`speclp.spectral._energies`); every other case sums the samples of
+each synthesized block.  Each cutoff chi(2^-j |xi|) is evaluated once for the
+two blocks that share it (:func:`_dyadic`, which
 :func:`speclp.kernel_audit.dyadic_l1_envelope` uses too).
 """
 
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, GridSpec, _lattice, _multiplied, _multiply, lp_norm
+from .spectral import Field, GridSpec, _energies, _lattice, _multiplied, _multiply, lp_norm
 
 __all__ = [
     "DyadicDecomposition",
@@ -161,22 +165,37 @@ def _dyadic(rho: np.ndarray, js, low: bool = False):
         cut, spare, at = spare, cut, j
 
 
+def _cutoffs(f: Field, D: DyadicDecomposition, js, low: bool = False):
+    """:func:`_dyadic`'s multipliers on D's lattice as a ``mults(half)`` of
+    :func:`speclp.spectral._multiplied`, for a field f on D's grid."""
+    if f.grid != D.grid:
+        raise ValueError("field and decomposition grids do not match")
+    return lambda half: _dyadic(D.grid.xi_norm()[_lattice(D.grid, half)], js, low)
+
+
 def _low_and_blocks(f: Field, D: DyadicDecomposition, j_lo: int):
     """low_part(f, D), then block(f, j, D) for j = j_lo..j_max, from one
     transform of f and one evaluation of each cutoff (an iterator of Fields)."""
-    if f.grid != D.grid:
-        raise ValueError("field and decomposition grids do not match")
-    js = range(j_lo, D.j_max + 1)
-    return _multiplied(f, lambda half: _dyadic(f.grid.xi_norm()[_lattice(f.grid, half)], js, True))
+    return _multiplied(f, _cutoffs(f, D, range(j_lo, D.j_max + 1), True))
+
+
+def _multiplied_norms(f: Field, q: float, mults):
+    """||Finv(m F(f))||_q for each m of ``mults(half)``, from one transform of
+    f: by Parseval for a real f at q = 2 (:func:`speclp.spectral._energies`),
+    else as :func:`lp_norm` of each block's samples."""
+    if q == 2 and np.isrealobj(f.values):
+        return (e ** 0.5 for e in _energies(f, mults))
+    return (lp_norm(g, q) for g in _multiplied(f, mults))
 
 
 def besov_norm0(f: Field, q: float, D: DyadicDecomposition) -> float:
     """Zero-order Besov norm ||S0 f||_q + (sum_{j>=1} ||block_j f||_q^q)^(1/q)."""
     if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    parts = _low_and_blocks(f, D, max(1, D.j_min))
-    low = lp_norm(next(parts), q)
-    hi = sum(lp_norm(g, q) ** q for g in parts)
+    js = range(max(1, D.j_min), D.j_max + 1)
+    norms = _multiplied_norms(f, q, _cutoffs(f, D, js, True))
+    low = next(norms)
+    hi = sum(g ** q for g in norms)
     return low + hi ** (1.0 / q)
 
 
@@ -184,9 +203,10 @@ def sobolev_norm(f: Field, alpha: float, p: float) -> float:
     """|| (1 - Laplacian)^(alpha/2) f ||_p via the (1 + |xi|^2)^(alpha/2) multiplier."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return lp_norm(_multiply(f, _radial(f.grid, lambda rho: (1.0 + rho**2) ** (alpha / 2.0))), p)
+    mult = _radial(f.grid, lambda rho: (1.0 + rho**2) ** (alpha / 2.0))
+    return next(_multiplied_norms(f, p, lambda half: (mult(half),)))
 
 
 def block_energy_table(f: Field, q: float, D: DyadicDecomposition):
     """Rows (j, ||block_j f||_q) across the active range."""
-    return [(j, lp_norm(block(f, j, D), q)) for j in D.j_range]
+    return list(zip(D.j_range, _multiplied_norms(f, q, _cutoffs(f, D, D.j_range))))

@@ -30,7 +30,9 @@ computation.
 A multiplier keeps the real part of its result for a real field (the
 real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
 it on the ``rfftn`` half spectrum (:func:`_lattice`) as a float64 field; a
-complex field keeps the complex ``fftn``/``ifftn`` route.
+complex field keeps the complex ``fftn``/``ifftn`` route.  The L^2 norms of
+such results for a real field need no samples: :func:`_energies` sums the
+weighted half-spectrum power against each multiplier squared (Plancherel).
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ class GridSpec:
 
     Only |x| and |xi| are cached (:meth:`x_norm`, :meth:`xi_norm`), one
     lattice each, built by broadcasting the 1-D axes.  The (dim,) + shape
-    coordinate stacks (:meth:`x_stack`, :meth:`xi_stack`) are built for each
-    call and held by no one: only symbols that are not built-ins build one.
-    The shift phase and the gradient kernel build theirs from the 1-D axes.
+    frequency stack (:meth:`xi_stack`) is built for each call and held by no
+    one: only symbols that are not built-ins build one.  The shift phase and
+    the gradient kernel build theirs from the 1-D axes.
     """
 
     dim: int
@@ -143,12 +145,6 @@ class GridSpec:
         """Frequencies along one axis in numpy fft order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
-    def x_stack(self) -> np.ndarray:
-        """Coordinates as an array of shape (dim,) + shape, natural order,
-        built for each call, in one allocation from meshgrid's views: only
-        |x| is cached (:meth:`x_norm`)."""
-        return np.stack(np.meshgrid(*[self.x_axis()] * self.dim, indexing="ij", copy=False))
-
     @lru_cache(maxsize=32)
     def x_norm(self) -> np.ndarray:
         """|x| on the lattice, natural order, cached (:func:`_sum_squares`)."""
@@ -157,9 +153,10 @@ class GridSpec:
 
     def xi_stack(self) -> np.ndarray:
         """Frequencies as an array of shape (dim,) + shape, fft order, built
-        for each call: only |xi| is cached (:meth:`xi_norm`).  Only symbols
-        that are not built-ins build it (:func:`speclp.symbols._on_lattice`);
-        the shift phase and the gradient kernel broadcast the 1-D axis."""
+        for each call in one allocation from meshgrid's views: only |xi| is
+        cached (:meth:`xi_norm`).  Only symbols that are not built-ins build
+        it (:func:`speclp.symbols._on_lattice`); the shift phase and the
+        gradient kernel broadcast the 1-D axis."""
         return np.stack(np.meshgrid(*[self.freq_axis()] * self.dim, indexing="ij", copy=False))
 
     @lru_cache(maxsize=32)
@@ -414,6 +411,35 @@ def _multiplied(f: Field, mults) -> Iterator[Field]:
 def _multiply(f: Field, mult) -> Field:
     """:func:`_multiplied` for the one multiplier ``mult(half)``."""
     return next(_multiplied(f, lambda half: (mult(half),)))
+
+
+def _energies(f: Field, mults) -> Iterator[float]:
+    """||Finv(m F(f))||_2^2, the Riemann sum of |samples|^2 spacing^d, for
+    each m of ``mults(True)``, for a real f: by the discrete Plancherel
+    identity, from one ``rfftn`` and no inverse transform.
+
+    Each m is a real multiplier on the half lattice with m(-xi) = m(xi), as a
+    real radial profile is, so that the half spectrum stands for the whole.
+    The power P = w |F|^2 (2 pi)^d / (spacing^d N), with F the half spectrum
+    of :func:`_spectrum` and N the number of samples, weights w = 2 on the
+    last-axis columns 1..n/2 - 1, which stand for their mirrors too, and
+    w = 1 on the self-paired columns 0 and n/2.  Each result is numpy's own
+    ``sum`` of P m^2 (no BLAS, so no dependence on the BLAS thread count),
+    formed in one scratch array: m is only read, and is read before the next
+    is drawn, as in :func:`_multiplied`.
+    """
+    grid = f.grid
+    F = _spectrum(f, True)
+    P = np.square(F.real)
+    scratch = np.square(F.imag)
+    P += scratch
+    del F
+    P *= _two_pi_pow(grid.dim) ** 2 / (grid.cell_measure * grid.n**grid.dim)
+    P[..., 1:grid.n // 2] *= 2.0
+    for m in mults(True):
+        np.multiply(P, m, out=scratch)
+        scratch *= m
+        yield float(scratch.sum())
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -10,6 +10,7 @@ from speclp.corpus import generate_corpus
 from speclp.evolution import _legendre
 from speclp.gfunction import _grid_window, _jacobi, _ratios
 from speclp.harness import ScenarioConfig, _measure_gfun_ratio, parse_config
+from test_lattice_radius import x_stack
 
 GFUN_RATIO_CFG = os.path.join(os.path.dirname(__file__), "..", "demos", "gfun_ratio.cfg")
 
@@ -341,7 +342,7 @@ def plancherel_ratios(fields, psi1, psi2, w):
     sum_xi |F(xi)|^2, with S(xi) = sum_i w_i |psi1 e^(t_i psi2)|^2(xi) and F
     the plain DFT sum of the samples (1-D)."""
     grid = fields[0].grid
-    x, xi = grid.x_stack()[0], grid.xi_stack()[0]
+    x, xi = x_stack(grid)[0], grid.xi_stack()[0]
     power = np.abs(np.stack([f.values for f in fields]) @ np.exp(-1j * np.outer(x, xi))) ** 2
     pre, psi = psi1(0.0, grid.xi_stack()), psi2(0.0, grid.xi_stack())
     S = w.weights @ np.abs(pre * np.exp(np.multiply.outer(w.nodes - w.s, psi))) ** 2

@@ -1,8 +1,9 @@
 """Frequency lattices without cached coordinate stacks.
 
 ``GridSpec`` caches |x| and |xi| only, built by broadcasting the 1-D axes;
-the (d, ...) coordinate stacks are built per call, and in the package only
-for symbols that are not built-ins.  A built-in symbol declares its radial
+the (d, ...) frequency stack is built per call, and in the package only for
+symbols that are not built-ins (no x stack is built; tests that need one
+take :func:`x_stack`).  A built-in symbol declares its radial
 profile and is evaluated on the cached |xi| (``symbols._on_lattice``); every
 other symbol keeps the stack contract.  The shift phase is a product of
 per-axis phases and the gradient kernel's factors are 1-D axes.  Each
@@ -39,6 +40,12 @@ def _old_stack(axis, d):
     return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=0)
 
 
+def x_stack(grid):
+    """The sample coordinates as a (d,) + shape stack, natural order, for
+    tests that build fields from them (the package builds no x stack)."""
+    return _old_stack(grid.x_axis(), grid.dim)
+
+
 def _half(grid):
     return (Ellipsis, slice(0, grid.n // 2 + 1))
 
@@ -59,7 +66,6 @@ def test_norms_are_the_stack_formula(grid):
 
 @pytest.mark.parametrize("grid", GRIDS, ids=str)
 def test_stacks_are_built_per_call(grid):
-    _same(grid.x_stack(), _old_stack(grid.x_axis(), grid.dim))
     _same(grid.xi_stack(), _old_stack(grid.freq_axis(), grid.dim))
     assert grid.xi_stack() is not grid.xi_stack() and grid.xi_stack().flags.writeable
 
@@ -168,7 +174,7 @@ def _old_gaussian_mix(rng, grid):
     L = grid.half_extent
     sigma_min = 16.06 / grid.nyquist
     sigma_max = min(3.0 * sigma_min, 0.078 * L)
-    x = grid.x_stack()
+    x = x_stack(grid)
     vals = np.zeros(grid.shape)
     smallest = np.inf
     for _ in range(int(rng.integers(2, 5))):

@@ -4,7 +4,10 @@ import pytest
 from speclp import (Field, GridSpec, SpectralField, besov_norm0, block, block_energy_table,
                     build_decomposition, bump_profile, chi_profile,
                     inverse_transform, low_part, lp_norm, refine_field, sobolev_norm)
+from speclp import spectral
 from speclp.corpus import generate_corpus
+from speclp.lp_decomp import _low_and_blocks, _radial
+from speclp.spectral import _multiply
 
 
 @pytest.fixture
@@ -186,3 +189,81 @@ def test_block_energy_table(grid):
     rows = block_energy_table(f, 2.0, D)
     assert [j for j, _ in rows] == list(D.j_range)
     assert all(v >= 0.0 for _, v in rows)
+
+
+# --- exponent-2 norms of a real field by Parseval -----------------------------
+
+PARSEVAL_GRIDS = [GridSpec(1, 256, 16.0), GridSpec(2, 48, 8.0), GridSpec(3, 16, 4.0)]
+
+
+def _sample_route(f, q, D):
+    """besov_norm0(f, q, D), sobolev_norm(f, 1.5, q) and block_energy_table(f,
+    q, D) from the samples of every synthesized block."""
+    parts = _low_and_blocks(f, D, max(1, D.j_min))
+    low = lp_norm(next(parts), q)
+    besov = low + sum(lp_norm(g, q) ** q for g in parts) ** (1.0 / q)
+    sobolev = lp_norm(_multiply(f, _radial(f.grid, lambda rho: (1.0 + rho**2) ** 0.75)), q)
+    return besov, sobolev, [(j, lp_norm(block(f, j, D), q)) for j in D.j_range]
+
+
+def _real_fields(grid):
+    """A real field with content at every frequency, and one whose content
+    sits only on the self-paired last-axis columns 0 and n/2 of the half
+    spectrum: constant along the last axis, plus a last-axis Nyquist wave."""
+    rng = np.random.default_rng(grid.dim)
+    lines = grid.shape[:-1] + (1,)
+    nyquist_wave = np.cos(grid.nyquist * grid.x_axis())
+    return [Field(grid, rng.standard_normal(grid.shape)),
+            Field(grid, rng.standard_normal(lines) + rng.standard_normal(lines) * nyquist_wave)]
+
+
+@pytest.mark.parametrize("grid", PARSEVAL_GRIDS, ids=str)
+def test_exponent_2_norms_of_a_real_field_agree_with_the_sample_route(grid):
+    D = build_decomposition(grid)
+    for f in _real_fields(grid):
+        besov, sobolev, table = _sample_route(f, 2.0, D)
+        rows = block_energy_table(f, 2.0, D)
+        assert [j for j, _ in rows] == list(D.j_range)
+        pairs = [(besov_norm0(f, 2.0, D), besov), (sobolev_norm(f, 1.5, 2.0), sobolev)]
+        pairs += [(got, want) for (_, got), (_, want) in zip(rows, table)]
+        assert any(want > 0.0 for _, want in pairs[2:])
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-14 * want
+
+
+def test_exponent_2_norms_of_a_real_field_run_no_inverse_transform(monkeypatch):
+    grid = PARSEVAL_GRIDS[-1]
+    D = build_decomposition(grid)
+    f = _real_fields(grid)[0]
+    calls = {}
+
+    def spy(name, step):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return step(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(spectral, "_fft", spy("forward", spectral._fft))
+    monkeypatch.setattr(spectral, "_ifft", spy("inverse", spectral._ifft))
+    blocks = len(D.j_range)
+    for norm, inverse in ((lambda: besov_norm0(f, 2.0, D), 0),
+                          (lambda: sobolev_norm(f, 1.5, 2.0), 0),
+                          (lambda: block_energy_table(f, 2.0, D), 0),
+                          (lambda: block_energy_table(f, 3.0, D), blocks),
+                          (lambda: block_energy_table(Field(grid, 1j * f.values), 2.0, D), blocks)):
+        calls.update(forward=0, inverse=0)
+        norm()
+        assert calls == {"forward": 1, "inverse": inverse}
+
+
+@pytest.mark.parametrize("grid", PARSEVAL_GRIDS, ids=str)
+def test_other_exponents_and_complex_fields_keep_the_sample_route(grid):
+    # byte for byte: block_energy_table's rows are lp_norm(block(f, j, D), q)
+    D = build_decomposition(grid)
+    f = _real_fields(grid)[0]
+    z = Field(grid, f.values + 1j * np.random.default_rng(5).standard_normal(grid.shape))
+    for g, q in ((f, 3.0), (z, 2.0), (z, 3.0)):
+        besov, sobolev, table = _sample_route(g, q, D)
+        assert repr(besov_norm0(g, q, D)) == repr(besov)
+        assert repr(sobolev_norm(g, 1.5, q)) == repr(sobolev)
+        assert repr(block_energy_table(g, q, D)) == repr(table)

@@ -29,6 +29,7 @@ from speclp import gfunction, kernel_audit, spectral
 from speclp.corpus import generate_corpus
 from speclp.evolution import KERNEL_SCALE, integrate_symbol
 from speclp.kernel_audit import _roll_blocks, _shift_stencil
+from test_lattice_radius import x_stack
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -310,7 +311,7 @@ def test_default_chunks_share_the_budget():
 
 def test_g_function_peak_memory():
     grid = GridSpec(2, 256, 32.0)
-    f = mean_remove(Field(grid, np.cos(grid.x_stack()[0] * grid.min_freq * 3.0)
+    f = mean_remove(Field(grid, np.cos(x_stack(grid)[0] * grid.min_freq * 3.0)
                           * np.exp(-(grid.x_norm() ** 2) / 8.0)))
     w = finite_window(grid, 2.0, n_nodes=2)
     g_function(f, HEAT, 0.0, HEAT, w, 2.0)  # frequency-lattice caches

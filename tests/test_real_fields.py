@@ -11,6 +11,7 @@ from speclp import (BANDLIMITED_RANDOM, Field, GridSpec, SymbolSpec, apply_evolu
                     lp_norm, mean_remove, refine_field, spectral_shift)
 from speclp.evolution import EvolutionMultiplier
 from speclp.spectral import SpectralField
+from test_lattice_radius import x_stack
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -22,7 +23,7 @@ G1 = GridSpec(1, 256, 16.0)
 
 
 def _bump(grid, sigma=1.0, center=0.0):
-    x = grid.x_stack()
+    x = x_stack(grid)
     return np.exp(-((x - center) ** 2).sum(axis=0) / (2.0 * sigma**2))
 
 

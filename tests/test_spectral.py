@@ -7,6 +7,7 @@ from speclp import (Field, GridSpec, SpectralField, forward_transform, inverse_t
                     lp_norm, mean_remove, refine_field, spectral_shift)
 from speclp import spectral
 from speclp.spectral import _multiply
+from test_lattice_radius import x_stack
 
 
 @pytest.fixture
@@ -267,7 +268,7 @@ def _traced_peak(fn):
 
 
 def _bump(grid):
-    x = grid.x_stack()
+    x = x_stack(grid)
     return Field(grid, np.exp(-(x**2).sum(axis=0)) * (1.0 + 0.3 * np.cos(2.0 * x[0])))
 
 

@@ -42,6 +42,7 @@ from speclp import (Field, GridSpec, SpectralField, SymbolSpec, apply_evolution,
                     multiplier_values, refine_field, sobolev_norm, spectral_shift)
 from speclp import kernel_audit, spectral
 from speclp.evolution import KERNEL_SCALE
+from test_lattice_radius import x_stack
 
 HEAT = get_symbol("heat")
 POISSON = get_symbol("poisson")
@@ -122,7 +123,7 @@ def _same(got, ref):
 
 def _fields(grid):
     """A real field with content at every frequency and a complex one."""
-    x = grid.x_stack()
+    x = x_stack(grid)
     rng = np.random.default_rng(grid.dim)
     re = (np.exp(-(x**2).sum(axis=0) / 2.0) * (1.0 + 0.3 * np.cos(2.0 * x[0]))
           + 0.01 * rng.standard_normal(grid.shape))
@@ -302,7 +303,7 @@ def test_evolution_damped_to_round_off(grid):
     # two lattice plane waves near 0.6 Nyquist under heat until e^-80: what
     # is left is the transform's round-off at the frequencies heat passes,
     # which is not conjugate-symmetric, so the residue rule keeps it complex
-    x = grid.x_stack()
+    x = x_stack(grid)
     k = round(0.3 * grid.n) * grid.min_freq
     f = Field(grid, np.cos(k * x[0]) + 0.5 * np.sin(k * x[-1] + 0.3))
     m = build_multiplier(HEAT, 0.0, 80.0 / k**2, grid)

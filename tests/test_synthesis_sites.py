@@ -17,6 +17,11 @@ only, and its callers are the node engine and
 for every kernel built from it.  The residue rule
 ``evolution._drop_residue`` is left to ``apply_evolution`` alone.
 
+The Parseval weights and scale of an exponent-2 norm have one owner,
+``spectral._energies``; ``lp_decomp._multiplied_norms`` alone calls it, and
+only the three norms ``besov_norm0``, ``sobolev_norm`` and
+``block_energy_table`` call ``_multiplied_norms``.
+
 Coordinate stacks are built only where a symbol that is not a built-in
 meets the lattice: ``GridSpec.xi_stack`` is called in
 ``symbols._on_lattice`` only, and no module contracts a stack with
@@ -147,6 +152,18 @@ def test_one_hermitian_test_in_spectral():
     assert defined == {("spectral.py", "_hermitian")}
     callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_hermitian"))}
     assert callers == {("gfunction.py", "_node_fields"), ("evolution.py", "_kernel_multiplier")}
+
+
+def test_one_parseval_route_in_spectral():
+    defined = {(p.name, name) for p in MODULES for name, _ in _functions(_tree(p))
+               if name.rsplit(".", 1)[-1] in ("_energies", "_multiplied_norms")}
+    assert defined == {("spectral.py", "_energies"), ("lp_decomp.py", "_multiplied_norms")}
+    callers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("_energies"))}
+    assert callers == {("lp_decomp.py", "_multiplied_norms")}
+    callers = {(p.name, name) for p in MODULES
+               for name in _sites(p, _calls("_multiplied_norms"))}
+    assert callers == {("lp_decomp.py", "besov_norm0"), ("lp_decomp.py", "sobolev_norm"),
+                       ("lp_decomp.py", "block_energy_table")}
 
 
 def test_residue_rule_only_for_evolutions():
