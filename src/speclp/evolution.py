@@ -38,7 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import MultiplierError, QuadratureError
-from .spectral import Field, GridSpec, _hermitian, _lattice, _spectrum, _synthesize
+from .spectral import Field, GridSpec, _frozen, _hermitian, _lattice, _spectrum, _synthesize
 from .symbols import SymbolSpec, _at, _on_lattice
 
 __all__ = [
@@ -132,9 +132,7 @@ def _legendre(order: int):
     half, w = _gauss_rule(order, 0.0, half)
     nodes = np.concatenate([-half[: order // 2], half[::-1]])
     weights = np.concatenate([w[: order // 2], w[::-1]])
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _frozen(nodes), _frozen(weights)
 
 
 def _dyadic_panels(edges, order: int):

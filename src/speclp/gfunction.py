@@ -95,11 +95,12 @@ package's inverse FFT, ``spectral._ifft``, over the spatial axes.
   instance a drift term i xi, which is not real at the Nyquist index), or a
   psi2 that is neither time-constant nor separable runs the same chunk loop
   on the full lattice, through the whole-spectrum ``_ifft``.
-* Chunk budget: a chunk holds as many nodes as keep its temporaries near
-  ``spectral._CHUNK_BYTES`` (1 MiB, inside a 2 MiB per-core L2 cache), and at least
-  one node.  Node results are reduced chunk by chunk, so no call ever holds
-  every node's field.  The reductions are plain numpy sums in node order (no
-  BLAS), so results do not depend on the BLAS thread count.
+* Chunk budget: the chunks are ``spectral._pieces`` of the nodes, as many
+  as keep their temporaries near ``spectral._CHUNK_BYTES`` (1 MiB, inside a
+  2 MiB per-core L2 cache), and at least one node.  Node results are reduced
+  chunk by chunk, so no call ever holds every node's field.  The reductions
+  are plain numpy sums in node order (no BLAS), so results do not depend on
+  the BLAS thread count.
 * Buffers held for the call: the exponent, spectrum and output stacks are
   allocated once per call, at the first chunk's shape (the largest: the
   band only narrows and the last chunk may be short), and each chunk takes
@@ -135,7 +136,7 @@ import numpy as np
 
 from .errors import WindowError
 from .evolution import _gauss_integral, _gauss_rule, _legendre
-from .spectral import (_CHUNK_BYTES, Field, _centre, _hermitian, _ifft, _lattice, _spectrum,
+from .spectral import (Field, _centre, _frozen, _hermitian, _ifft, _lattice, _pieces, _spectrum,
                        _two_pi_pow, lp_norm, refine_field)
 from .symbols import SymbolSpec, _on_lattice
 
@@ -289,9 +290,7 @@ def _jacobi(order: int, beta: float):
     off = np.sqrt(4.0 * k * k * (k + beta) ** 2 / (c * c * (c + 1.0) * (c - 1.0)))
     matrix = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
     nodes, weights = _gauss_rule(order, beta, np.linalg.eigvalsh(matrix))
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _frozen(nodes), _frozen(weights)
 
 
 def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: float) -> None:
@@ -315,14 +314,6 @@ def _check_window(psi1: SymbolSpec, psi2: SymbolSpec, window: TimeWindow, q: flo
             "infinite time window is only supported for q = 2 or for a "
             "time-constant homogeneous symbol pair; "
             f"got q={q}, pair=({psi1.name}, {psi2.name})")
-
-
-def _chunk_nodes(grid, real: bool) -> int:
-    """Nodes per chunk.  A real-path node holds about three real lattices of
-    temporaries (exponent and multiplier on the half spectrum, the
-    intermediate ``ifft`` stages, the real output); a complex node about six."""
-    per_node = (24 if real else 48) * math.prod(grid.shape)
-    return max(1, _CHUNK_BYTES // per_node)
 
 
 def _decay_tail(phi: np.ndarray, sign: float) -> np.ndarray:
@@ -380,7 +371,6 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
     if f is not None:
         pre = pre * _input_spectrum(f, real, window.is_infinite)
 
-    k = _chunk_nodes(grid, real)
     band = slice(None)  # the leading last-axis columns a chunk keeps
     Q = 0.0  # int_s^(previous node) psi2 when phi is None
     # the underflow band, on the real path when every A[i] has one sign: there
@@ -404,11 +394,13 @@ def _node_fields(psi1: SymbolSpec, l: float, psi2: SymbolSpec, window: TimeWindo
             buffers[name] = np.empty(size, dtype=dtype)
         return buffers[name][:size].reshape(shape)
 
-    for lo in range(0, window.nodes.size, k):
-        sl = slice(lo, lo + k)
+    # a real-path node holds about three real lattices of temporaries (exponent and
+    # multiplier on the half spectrum, ``ifft`` stages, output), a complex one six
+    for sl in _pieces(window.nodes.size, (24 if real else 48) * math.prod(grid.shape)):
         if phi is not None:
             if sign:
-                band = slice(0, max(1, int(np.searchsorted(rising, -_EXP_FLOOR / least[lo]))))
+                edge = -_EXP_FLOOR / least[sl.start]
+                band = slice(0, max(1, int(np.searchsorted(rising, edge))))
             cols = phi[..., band]
             E = np.multiply.outer(A[sl], cols, out=held("exponent", A[sl].shape + cols.shape,
                                                         np.result_type(A, cols)))

@@ -51,6 +51,7 @@ import os
 import time
 import typing
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -121,22 +122,25 @@ class ScenarioConfig:
 def parse_config(path) -> ScenarioConfig:
     cfg = ScenarioConfig()
     types = typing.get_type_hints(ScenarioConfig)
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            try:
-                setattr(cfg, key, types[key](value))
-            except ValueError:
-                kind = "an integer" if types[key] is int else "a number"
-                raise ConfigError(f"{path}:{lineno}: {key} must be {kind}, "
-                                  f"got {value!r}") from None
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+        try:
+            setattr(cfg, key, types[key](value))
+        except ValueError:
+            kind = "an integer" if types[key] is int else "a number"
+            raise ConfigError(f"{path}:{lineno}: {key} must be {kind}, "
+                              f"got {value!r}") from None
     cfg.validate()
     return cfg
 
@@ -354,10 +358,13 @@ def run_scenario(cfg: ScenarioConfig) -> int:
     """Run one scenario; writes summary.json and run_meta.json to
     cfg.output_dir, returns exit status."""
     cfg.validate()
+    out = cfg.output_dir
+    # before the measure step, which may run for minutes, and without creating it
+    if any(os.path.exists(p) and not os.path.isdir(p) for p in (out, *Path(out).parents)):
+        raise ConfigError(f"output directory {out} is a file or lies under one")
     t0 = time.perf_counter()
     passed, summary = _MEASURES[cfg.scenario](cfg)
     meta = _report_meta(cfg, time.perf_counter() - t0)
-    out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     _write_json({**summary, "schema_version": SCHEMA_VERSION, "scenario": cfg.scenario,
                  "passed": bool(passed)}, os.path.join(out, "summary.json"))

@@ -26,7 +26,7 @@ from .errors import AuditError
 from .evolution import KERNEL_SCALE, _dyadic_panels, _kernel, _kernel_multiplier
 from .gfunction import TimeWindow, _accumulate, _check_window, _node_fields
 from .lp_decomp import DyadicDecomposition, _dyadic
-from .spectral import Field, GridSpec, _centre, _fft, _lattice, _multiply, _two_pi_pow
+from .spectral import Field, GridSpec, _centre, _fft, _frozen, _lattice, _multiply, _two_pi_pow
 from .symbols import SymbolSpec
 
 __all__ = [
@@ -189,9 +189,8 @@ def hormander_report(psi1: SymbolSpec, l: float, psi2: SymbolSpec, s: float,
     must fit the pair at q as for :func:`speclp.gfunction.g_function`
     (:func:`speclp.gfunction._check_window`), and ``s`` must be the
     window's start.  K(x - y) is an
-    index roll for lattice y, else a blend of the neighbouring rolls
-    (:func:`_shift_stencil`), local where a spectral phase rings sub-cell
-    kernels across the region.  Each chunk of node kernels is materialized
+    index roll for lattice y, else the multilinear blend of the neighbouring
+    rolls (:func:`_shift_stencil`).  Each chunk of node kernels is materialized
     once and reused across the y list, which may hold any number of shifts:
     each H(y) is the same as from a call with that y alone.  Every y must
     have ``grid.dim`` components and |y| below L/2.  How many octaves a
@@ -506,7 +505,7 @@ def _pv_plan(grid: GridSpec) -> _PVPlan:
     plan = _PVPlan(ys, ws, deep, xi, *_sin2_tables(0.5 * grid.min_freq * ys[deep:], xi.size),
                    edges, period, _cell_logs(edges, period))
     for a in plan.arrays():
-        a.setflags(write=False)
+        _frozen(a)
     return plan
 
 

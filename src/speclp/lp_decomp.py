@@ -119,8 +119,8 @@ def _partition_defect(D: DyadicDecomposition) -> float:
     """Largest |sum_j Phi(2^-j xi) - 1| over the nonzero lattice frequencies."""
     xi = D.grid.xi_norm()
     total = np.zeros(D.grid.shape)
-    for j in D.j_range:
-        total += bump_profile(xi * 2.0 ** (-j))
+    for bump in _dyadic(xi, D.j_range):
+        total += bump
     return float(np.abs(total[xi > 0] - 1.0).max())
 
 

@@ -20,12 +20,12 @@ module alone calls the ``numpy.fft`` transforms: one forward step
 samples from fft order to natural order in place.
 
 Lattice-sized work holds block-sized temporaries of at most
-``_CHUNK_BYTES`` where a lattice-sized one would be its only use: the d = 3
-half-spectrum inverse on ``rows`` (a refinement) runs its later stages by
-blocks of lines (:func:`_ifft`), :func:`lp_norm` sums |f|^p by pieces
-(:func:`_power_sum`), and a new Field or SpectralField tests finiteness by
-pieces (:func:`_as_grid_array`).  All keep the results of the one-array
-computation.
+``_CHUNK_BYTES`` where a lattice-sized one would be its only use, in the
+blocks of :func:`_pieces`: lines of the d = 3 half-spectrum inverse on
+``rows`` (:func:`_ifft`), orthant swaps (:func:`_centre`), finiteness tests
+(:func:`_as_grid_array`) and time nodes (``gfunction._node_fields``);
+:func:`lp_norm` sums |f|^p by numpy's pairwise split (:func:`_power_sum`).
+All keep the results of the one-array computation.
 
 A multiplier keeps the real part of its result for a real field (the
 real-part rule of :func:`_multiplied` and :func:`refine_field`), and computes
@@ -59,9 +59,8 @@ __all__ = [
 ]
 
 
-# bytes of block-sized temporaries: a chunk of time nodes
-# (``gfunction._chunk_nodes``), a block of d = 3 half-path lines
-# (:func:`_ifft`) and a piece of an L^p sum (:func:`lp_norm`)
+# bytes of block-sized temporaries: each of :func:`_pieces`'s blocks, and a
+# piece of an L^p sum (:func:`_power_sum`)
 _CHUNK_BYTES = 1 << 20
 
 
@@ -179,9 +178,16 @@ def _sum_squares(axes) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a marked read-only: the cached norms are shared by every caller."""
+    """a marked read-only: a cached array is shared by every caller."""
     a.setflags(write=False)
     return a
+
+
+def _pieces(count: int, unit_bytes: int) -> list:
+    """The consecutive slices of range(count), each of at least one and at
+    most ``_CHUNK_BYTES // unit_bytes`` items of ``unit_bytes`` each."""
+    step = max(1, _CHUNK_BYTES // unit_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _as_grid_array(grid: GridSpec, values, dtype=np.complex128) -> np.ndarray:
@@ -192,8 +198,8 @@ def _as_grid_array(grid: GridSpec, values, dtype=np.complex128) -> np.ndarray:
     arr = np.ascontiguousarray(values, dtype=dtype)
     if arr.shape != grid.shape:
         raise ValueError(f"array shape {arr.shape} does not match grid shape {grid.shape}")
-    flat, step = arr.reshape(-1), _CHUNK_BYTES // arr.itemsize
-    if not all(np.isfinite(flat[i:i + step]).all() for i in range(0, flat.size, step)):
+    flat = arr.reshape(-1)
+    if not all(np.isfinite(flat[sl]).all() for sl in _pieces(flat.size, arr.itemsize)):
         raise ValueError("array contains non-finite entries")
     return arr
 
@@ -279,10 +285,10 @@ def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
 
     On the half path at d = 3 with ``rows``, the stages after the first are
     the half path of a stack of d = 2 spectra, one per index of the first
-    spatial axis.  They run over blocks of such indices, within each
-    spectrum of a stack, whose full-width buffer holds at most
-    ``_CHUNK_BYTES`` (at least one index), each block writing its samples
-    straight into the result, so no lattice-sized complex buffer is held.
+    spatial axis.  They run over blocks of such indices (:func:`_pieces` of
+    their full-width buffers), within each spectrum of a stack, each block
+    writing its samples straight into the result, so no lattice-sized
+    complex buffer is held.
     Every line is transformed on its own, so the bytes do not move.  Without
     ``rows`` those stages run in place and need no buffer, so they run whole.
     """
@@ -311,10 +317,9 @@ def _ifft(grid: GridSpec, coeffs: np.ndarray, half: bool = False,
     if blocked:
         res = np.empty(a.shape[:-2] + grid.shape[1:]) if out is None else out
         plane = GridSpec(2, grid.n, grid.half_extent)
-        step = max(1, _CHUNK_BYTES // (16 * grid.n * (grid.n // 2 + 1)))
+        blocks = _pieces(grid.n, 16 * grid.n * (grid.n // 2 + 1))
         for spectrum in np.ndindex(a.shape[:-3]):
-            for lo in range(0, grid.n, step):
-                lines = spectrum + (slice(lo, lo + step),)
+            for lines in (spectrum + (sl,) for sl in blocks):
                 _ifft(plane, a[lines], True, rows, out=res[lines])
         return res
     return np.fft.irfft(a, grid.n, axis=-1, out=out) if half else a
@@ -325,22 +330,20 @@ def _centre(a: np.ndarray, factor: Optional[float] = None) -> np.ndarray:
     axis, in place, and returned: the bytes of numpy's ``fftshift(a * factor)``
     for axes of even length.  That shift swaps each orthant of a with the
     opposite one, and scales each element as it moves it; the swap runs over
-    blocks of first-axis indices of each orthant, so it holds one temporary
-    of at most ``_CHUNK_BYTES`` (at least one index), not a second copy of
-    a or a whole orthant."""
+    blocks (:func:`_pieces`) of first-axis indices of each orthant, so it
+    holds one block-sized temporary, not a second copy of a or an orthant."""
     halves = [(slice(0, n // 2), slice(n // 2, None)) for n in a.shape]
     orthant = tuple(n // 2 for n in a.shape)
-    step = max(1, _CHUNK_BYTES // (math.prod(orthant[1:]) * a.itemsize))
-    tmp = np.empty((min(step, orthant[0]),) + orthant[1:], dtype=a.dtype)
+    blocks = _pieces(orthant[0], math.prod(orthant[1:]) * a.itemsize)
+    tmp = np.empty((blocks[0].stop,) + orthant[1:], dtype=a.dtype)
     for bits in itertools.product((0, 1), repeat=a.ndim - 1):
         # the orthant in the lower half of axis 0 and its opposite, by blocks
         rest_p = tuple(h[b] for h, b in zip(halves[1:], bits))
         rest_q = tuple(h[1 - b] for h, b in zip(halves[1:], bits))
-        for lo in range(0, orthant[0], step):
-            hi = min(lo + step, orthant[0])
-            P = a[(slice(lo, hi),) + rest_p]
-            Q = a[(slice(orthant[0] + lo, orthant[0] + hi),) + rest_q]
-            t = tmp[:hi - lo]
+        for sl in blocks:
+            P = a[(sl,) + rest_p]
+            Q = a[(slice(orthant[0] + sl.start, orthant[0] + sl.stop),) + rest_q]
+            t = tmp[:sl.stop - sl.start]
             if factor is None:
                 np.copyto(t, P)
                 np.copyto(P, Q)

@@ -216,6 +216,25 @@ def test_cli_bad_grid_exits_2(tmp_path, capsys, scenario, keys, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_unreadable_config_exits_2(tmp_path, capsys):
+    # a missing file, and a directory in place of one
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        assert main(["gfun-ratio", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"], ids=["file", "under-file"])
+def test_cli_output_path_on_a_file_exits_2_before_measuring(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "taken").write_text("")
+    measured = []
+    monkeypatch.setitem(_MEASURES, "REPRODUCE", lambda cfg: measured.append(cfg) or (True, {}))
+    assert main(["reproduce", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {tmp_path / out} is a file or lies under one")
+    assert not measured and (tmp_path / "taken").read_text() == ""
+
+
 @pytest.mark.parametrize("s", [0.25, 0.5])
 def test_kernel_decay_time_fit_starts_at_s(monkeypatch, s):
     # a time-constant pair's kernels depend on t - s only, and s + t 2^k - s

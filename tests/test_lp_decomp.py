@@ -6,7 +6,7 @@ from speclp import (Field, GridSpec, SpectralField, besov_norm0, block, block_en
                     inverse_transform, low_part, lp_norm, refine_field, sobolev_norm)
 from speclp import spectral
 from speclp.corpus import generate_corpus
-from speclp.lp_decomp import _low_and_blocks, _radial
+from speclp.lp_decomp import _low_and_blocks, _partition_defect, _radial
 from speclp.spectral import _multiply
 
 
@@ -77,13 +77,23 @@ def test_bump_support_exact_and_nonnegative():
     assert np.all(vals[(rho < 0.5) | (rho > 2.0)] == 0.0)
 
 
-def test_partition_of_unity(grid):
-    D = build_decomposition(grid)
-    xi = grid.xi_norm()
-    total = np.zeros(grid.shape)
+def _bump_sum_defect(D):
+    """max |sum_j Phi(2^-j xi) - 1| over nonzero xi, one bump_profile per j."""
+    xi = D.grid.xi_norm()
+    total = np.zeros(D.grid.shape)
     for j in D.j_range:
         total += bump_profile(xi * 2.0 ** (-j))
-    assert np.abs(total[xi > 0] - 1.0).max() <= 1e-14
+    return float(np.abs(total[xi > 0] - 1.0).max())
+
+
+def test_partition_of_unity(grid):
+    assert _bump_sum_defect(build_decomposition(grid)) <= 1e-14
+
+
+@pytest.mark.parametrize("d, n", [(1, 4096), (2, 256), (3, 64)])
+def test_partition_defect_has_the_bits_of_the_per_block_sum(d, n):
+    D = build_decomposition(GridSpec(d, n, 32.0))
+    assert repr(_partition_defect(D)) == repr(_bump_sum_defect(D))
 
 
 def test_block_annihilates_distant_spectrum(grid):

@@ -158,7 +158,7 @@ def full_lattice_node_fields(psi1, l, psi2, window, grid, f=None):
     if f is not None:
         pre = pre * gfunction._input_spectrum(f, True, window.is_infinite)
     axes = tuple(range(1, grid.dim + 1))
-    k = gfunction._chunk_nodes(grid, True)
+    k = max(1, spectral._CHUNK_BYTES // (24 * math.prod(grid.shape)))
     dt = window.nodes - window.s
     for lo in range(0, window.nodes.size, k):
         sl = slice(lo, lo + k)
@@ -207,9 +207,9 @@ def chunk_sizes(psi1, psi2, window, grid, f=None):
 
 
 def set_chunk(monkeypatch, grid, real, k):
-    """Budget for k nodes per chunk (per-node bytes as in _chunk_nodes)."""
+    """Budget for k nodes per chunk (per-node bytes as in _node_fields)."""
     per_node = (24 if real else 48) * math.prod(grid.shape)
-    monkeypatch.setattr(gfunction, "_CHUNK_BYTES", k * per_node)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", k * per_node)
 
 
 # --- g_function --------------------------------------------------------------
@@ -306,7 +306,7 @@ def test_default_chunks_share_the_budget():
     w = finite_window(grid, 2.0, n_nodes=16)
     sizes = chunk_sizes(HEAT, HEAT, w, grid)
     assert 1 < sizes[0] < w.nodes.size
-    assert sizes[0] * 24 * grid.n <= gfunction._CHUNK_BYTES
+    assert sizes[0] * 24 * grid.n <= spectral._CHUNK_BYTES
 
 
 def test_g_function_peak_memory():

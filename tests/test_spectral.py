@@ -167,6 +167,18 @@ def test_lp_norm_pieces_bits_match_one_array_sum(p):
             assert repr(lp_norm(f, p)) == repr(want)
 
 
+def test_pieces_cover_the_range_within_the_budget():
+    step = spectral._CHUNK_BYTES // 16
+    for count, sizes in ((3 * step, [step] * 3), (2 * step + 5, [step, step, 5]),
+                         (step - 1, [step - 1])):
+        pieces = spectral._pieces(count, 16)
+        assert [sl.stop - sl.start for sl in pieces] == sizes
+        assert [sl.start for sl in pieces] == [0] + [sl.stop for sl in pieces[:-1]]
+    # an item above the budget still makes a piece of its own
+    assert spectral._pieces(3, spectral._CHUNK_BYTES + 1) == [slice(0, 1), slice(1, 2),
+                                                               slice(2, 3)]
+
+
 def test_lp_norm_rejects_p_below_one(grid):
     with pytest.raises(ValueError):
         lp_norm(Field(grid, np.ones(grid.n)), 0.5)

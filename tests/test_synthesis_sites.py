@@ -26,6 +26,11 @@ Coordinate stacks are built only where a symbol that is not a built-in
 meets the lattice: ``GridSpec.xi_stack`` is called in
 ``symbols._on_lattice`` only, and no module contracts a stack with
 ``np.tensordot``.
+
+The block budget ``spectral._CHUNK_BYTES`` is read only by
+``spectral._pieces``, which cuts every piece-wise loop, and by
+``spectral._power_sum``, which keeps numpy's pairwise split.  Cached arrays
+are made read-only by ``spectral._frozen`` alone.
 """
 
 import ast
@@ -179,3 +184,18 @@ def test_coordinate_stacks_only_for_symbols():
 
     tensordots = {(p.name, name) for p in MODULES for name in _sites(p, names_tensordot)}
     assert not tensordots, f"tensordot in {sorted(tensordots)}"
+
+
+def test_one_block_budget_rule_in_spectral():
+    def reads_budget(node):
+        # a Name, an Attribute or an imported alias, but not the definition
+        names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+        return "_CHUNK_BYTES" in names and not isinstance(getattr(node, "ctx", None), ast.Store)
+
+    readers = {(p.name, name) for p in MODULES for name in _sites(p, reads_budget)}
+    assert readers == {("spectral.py", "_pieces"), ("spectral.py", "_power_sum")}
+
+
+def test_one_seal_for_cached_arrays_in_spectral():
+    sealers = {(p.name, name) for p in MODULES for name in _sites(p, _calls("setflags"))}
+    assert sealers == {("spectral.py", "_frozen")}
